@@ -26,7 +26,6 @@ from .controls import (
     Mode,
     TrendRule,
     Workflow,
-    effective_mode,
     evaluate_policies,
     parse_policy_file,
     trend_deviation,
@@ -68,7 +67,6 @@ __all__ = [
     "classify_change",
     "classify_usage",
     "diff_snapshots",
-    "effective_mode",
     "evaluate_policies",
     "map_finding_to_sox",
     "normalize_relative",

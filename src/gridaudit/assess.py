@@ -23,7 +23,7 @@ from .controls import ControlPolicy, Mode
 from .diffing import volatility_metrics
 from .findings import CRITICAL, RULE_SEVERITY, Finding
 from .grid import format_instant
-from .ledger import Ledger, parse_changeset, parse_findings
+from .ledger import Ledger
 
 SOX_SECTIONS = (103, 302, 304, 404)
 
@@ -198,16 +198,14 @@ def map_finding_to_sox(finding: Finding) -> frozenset[int]:
 
 
 def findings_in_period(ledger: Ledger, start: datetime, end: datetime) -> list[Finding]:
-    """Findings whose change-set end time falls inside [start, end]."""
-    collected: list[Finding] = []
-    current_time: datetime | None = None
-    for record in ledger.records:
-        if record.kind == "CHANGESET":
-            current_time = parse_changeset(record.payload).to_time
-        elif record.kind == "FINDINGS" and current_time is not None:
-            if start <= current_time <= end:
-                collected.extend(parse_findings(record.payload))
-    return collected
+    """Findings whose change-set end time falls inside [start, end].  An
+    ingest stamps its FINDINGS record with that end time."""
+    return [
+        finding
+        for record, findings in ledger.findings_records()
+        if start <= record.recorded_at <= end
+        for finding in findings
+    ]
 
 
 def build_report(

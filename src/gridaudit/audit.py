@@ -1,22 +1,30 @@
 """Static audit of one snapshot for error-prone logic.
 
-Four detectors, each a pure function of (snapshot, config):
+`audit_workbook` is the only pass over a snapshot.  It visits every cell
+once: it records error values, parses each formula once and renders it
+once in host-relative R1C1 form, checks that one tree for deep IF
+nesting and buried numeric constants, and finally compares each formula's
+R1C1 form with the majority form of its copy runs across all sheets.
 
-* copy-region inconsistencies: within each maximal horizontal and vertical
-  run of contiguous formula cells, cells whose host-relative normalized
-  form deviates from a qualified majority form
-* deep IF nesting beyond a threshold
-* numeric constants buried inside formula logic
-* literal or cached error values
+Rules:
 
-Unparseable formulas degrade to PARSE_FAILURE findings so one bad cell
-cannot abort a workbook audit.
+* COPY_INCONSISTENT: within each maximal horizontal and vertical run of
+  contiguous formula cells, cells whose R1C1 form deviates from a
+  qualified majority form
+* DEEP_NESTING: IF nesting beyond a threshold
+* EMBEDDED_CONSTANT: numeric constants buried inside formula logic
+* ERROR_VALUE: literal or cached error values
+* PARSE_FAILURE: formulas that do not parse, so one bad cell cannot
+  abort a workbook audit
+
+The `detect_*` functions are views of that pass: each keeps one rule's
+findings.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,8 +35,6 @@ from .formula import (
     FormulaAst,
     FormulaError,
     NumberLit,
-    Range,
-    Ref,
     Unary,
     normalize_relative,
     parse_formula,
@@ -37,7 +43,6 @@ from .grid import (
     CellAddress,
     ErrorValue,
     Formula,
-    Literal,
     Snapshot,
     canonical_decimal,
     content_value,
@@ -100,36 +105,6 @@ def load_audit_config(text: str) -> AuditConfig:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass
-class _ParsedCells:
-    """Formula cells split into parsed trees and parse failures."""
-
-    trees: dict[CellAddress, FormulaAst] = field(default_factory=dict)
-    failures: dict[CellAddress, str] = field(default_factory=dict)
-
-
-def _parse_cells(snapshot: Snapshot) -> _ParsedCells:
-    parsed = _ParsedCells()
-    for address, cell in snapshot.formula_cells().items():
-        try:
-            parsed.trees[address] = parse_formula(cell.source)
-        except FormulaError as exc:
-            parsed.failures[address] = str(exc)
-    return parsed
-
-
-def _normal_form(snapshot: Snapshot, parsed: _ParsedCells, address: CellAddress) -> str:
-    """Equivalence key for copy-consistency: normalized text for parseable
-    formulas, the raw source otherwise (a broken cell still breaks runs'
-    uniformity rather than splitting them)."""
-    tree = parsed.trees.get(address)
-    if tree is not None:
-        return normalize_relative(tree, address)
-    cell = snapshot.cells[address]
-    assert isinstance(cell, Formula)
-    return f"!unparsed:{cell.source}"
-
-
 def _runs(positions: list[int], min_len: int) -> list[list[int]]:
     """Maximal runs of consecutive integers, keeping those >= min_len."""
     runs: list[list[int]] = []
@@ -147,13 +122,9 @@ def _runs(positions: list[int], min_len: int) -> list[list[int]]:
 
 
 def _run_findings(
-    snapshot: Snapshot,
-    parsed: _ParsedCells,
-    cells: list[CellAddress],
-    cfg: AuditConfig,
+    cells: list[CellAddress], forms: dict[CellAddress, str], cfg: AuditConfig
 ) -> list[Finding]:
-    forms = {a: _normal_form(snapshot, parsed, a) for a in cells}
-    counts = Counter(forms.values())
+    counts = Counter(forms[a] for a in cells)
     (top_form, top_count), *rest = counts.most_common()
     if rest and rest[0][1] == top_count:
         return []  # tie: no expected form exists
@@ -172,33 +143,23 @@ def _run_findings(
     ]
 
 
-def detect_copy_inconsistencies(
-    snapshot: Snapshot, sheet: str, cfg: AuditConfig | None = None
-) -> list[Finding]:
-    """Flag minority cells in horizontal and vertical copy runs on one
-    sheet.  A run qualifies when it has at least min_run_length contiguous
-    formula cells and a unique majority form with share >= majority_fraction.
-    A cell flagged on both axes yields a single finding (row axis wins)."""
-    cfg = cfg or AuditConfig()
-    parsed = _parse_cells(snapshot)
-    addresses = [
-        a for a in snapshot.formula_cells() if a.sheet.lower() == sheet.lower()
-    ]
-    by_row: dict[int, list[CellAddress]] = {}
-    by_col: dict[int, list[CellAddress]] = {}
-    for a in addresses:
-        by_row.setdefault(a.row, []).append(a)
-        by_col.setdefault(a.col, []).append(a)
-
+def _copy_findings(forms: dict[CellAddress, str], cfg: AuditConfig) -> list[Finding]:
+    """Minority cells in horizontal and vertical copy runs on every sheet.
+    A run qualifies when it has at least min_run_length contiguous formula
+    cells and a unique majority form with share >= majority_fraction.  A
+    cell flagged on both axes yields a single finding (row axis wins)."""
+    by_row: dict[tuple[str, int], dict[int, CellAddress]] = {}
+    by_col: dict[tuple[str, int], dict[int, CellAddress]] = {}
+    for a in forms:
+        by_row.setdefault((a.sheet.lower(), a.row), {})[a.col] = a
+        by_col.setdefault((a.sheet.lower(), a.col), {})[a.row] = a
     found: dict[CellAddress, Finding] = {}
-    for axis_groups, coord in ((by_row, "col"), (by_col, "row")):
-        for fixed, members in sorted(axis_groups.items()):
-            index = {getattr(a, coord): a for a in members}
+    for groups in (by_row, by_col):
+        for index in groups.values():
             for run in _runs(list(index), cfg.min_run_length):
-                cells = [index[p] for p in run]
-                for finding in _run_findings(snapshot, parsed, cells, cfg):
+                for finding in _run_findings([index[p] for p in run], forms, cfg):
                     found.setdefault(finding.location, finding)
-    return sorted(found.values(), key=Finding.sort_key)
+    return list(found.values())
 
 
 def if_nesting_depth(node: FormulaAst) -> int:
@@ -211,25 +172,6 @@ def if_nesting_depth(node: FormulaAst) -> int:
     if isinstance(node, Binary):
         return max(if_nesting_depth(node.left), if_nesting_depth(node.right))
     return 0
-
-
-def detect_deep_nesting(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[Finding]:
-    cfg = cfg or AuditConfig()
-    parsed = _parse_cells(snapshot)
-    findings = []
-    for address, tree in parsed.trees.items():
-        depth = if_nesting_depth(tree)
-        if depth > cfg.if_depth_threshold:
-            findings.append(
-                make_finding(
-                    "DEEP_NESTING",
-                    address,
-                    f"IF nesting depth {depth} exceeds threshold {cfg.if_depth_threshold}",
-                    observed=str(depth),
-                    expected=f"<= {cfg.if_depth_threshold}",
-                )
-            )
-    return sorted(findings, key=Finding.sort_key)
 
 
 def _embedded_constants(node: FormulaAst) -> list[Decimal]:
@@ -251,37 +193,45 @@ def _embedded_constants(node: FormulaAst) -> list[Decimal]:
     return []
 
 
-def detect_embedded_constants(
-    snapshot: Snapshot, cfg: AuditConfig | None = None
-) -> list[Finding]:
-    """Numeric constants buried in formula logic suggest hidden assumptions.
-    A bare literal cell (`=42`, `=-42`) is data, not buried logic, and passes."""
-    cfg = cfg or AuditConfig()
-    parsed = _parse_cells(snapshot)
+def _tree_findings(address: CellAddress, tree: FormulaAst, cfg: AuditConfig) -> list[Finding]:
+    """IF-nesting and embedded-constant findings for one parsed formula.
+    A bare literal cell (`=42`, `=-42`) is data, not buried logic, so its
+    constant passes."""
     findings = []
-    for address, tree in parsed.trees.items():
-        if isinstance(tree, NumberLit):
-            continue
-        if isinstance(tree, Unary) and tree.op == "neg" and isinstance(tree.child, NumberLit):
-            continue
-        offenders = [
-            c for c in _embedded_constants(tree) if c not in cfg.constant_whitelist
-        ]
-        if offenders:
-            rendered = ", ".join(canonical_decimal(c) for c in offenders)
-            findings.append(
-                make_finding(
-                    "EMBEDDED_CONSTANT",
-                    address,
-                    f"formula embeds constant(s) {rendered} outside the whitelist",
-                    observed=rendered,
-                )
+    depth = if_nesting_depth(tree)
+    if depth > cfg.if_depth_threshold:
+        findings.append(
+            make_finding(
+                "DEEP_NESTING",
+                address,
+                f"IF nesting depth {depth} exceeds threshold {cfg.if_depth_threshold}",
+                observed=str(depth),
+                expected=f"<= {cfg.if_depth_threshold}",
             )
-    return sorted(findings, key=Finding.sort_key)
+        )
+    bare = tree.child if isinstance(tree, Unary) and tree.op == "neg" else tree
+    if isinstance(bare, NumberLit):
+        return findings
+    offenders = [c for c in _embedded_constants(tree) if c not in cfg.constant_whitelist]
+    if offenders:
+        rendered = ", ".join(canonical_decimal(c) for c in offenders)
+        findings.append(
+            make_finding(
+                "EMBEDDED_CONSTANT",
+                address,
+                f"formula embeds constant(s) {rendered} outside the whitelist",
+                observed=rendered,
+            )
+        )
+    return findings
 
 
-def detect_error_values(snapshot: Snapshot) -> list[Finding]:
-    findings = []
+def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[Finding]:
+    """Run every static check in one pass over the cells and return
+    findings ordered by (sheet, row, col, rule id)."""
+    cfg = cfg or AuditConfig()
+    findings: list[Finding] = []
+    forms: dict[CellAddress, str] = {}
     for address, cell in snapshot.cells.items():
         value = content_value(cell)
         if isinstance(value, ErrorValue):
@@ -294,34 +244,48 @@ def detect_error_values(snapshot: Snapshot) -> list[Finding]:
                     observed=value.code,
                 )
             )
+        if not isinstance(cell, Formula):
+            continue
+        try:
+            tree = parse_formula(cell.source)
+        except FormulaError as exc:
+            findings.append(
+                make_finding(
+                    "PARSE_FAILURE",
+                    address,
+                    f"formula could not be parsed: {exc}",
+                    observed=cell.source,
+                )
+            )
+            # a broken cell still breaks its run's uniformity rather than splitting it
+            forms[address] = f"!unparsed:{cell.source}"
+            continue
+        forms[address] = normalize_relative(tree, address)
+        findings.extend(_tree_findings(address, tree, cfg))
+    findings.extend(_copy_findings(forms, cfg))
     return sorted(findings, key=Finding.sort_key)
+
+
+def detect_copy_inconsistencies(
+    snapshot: Snapshot, sheet: str, cfg: AuditConfig | None = None
+) -> list[Finding]:
+    return [
+        f for f in audit_workbook(snapshot, cfg)
+        if f.rule_id == "COPY_INCONSISTENT" and f.location.sheet.lower() == sheet.lower()
+    ]
+
+
+def detect_deep_nesting(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[Finding]:
+    return [f for f in audit_workbook(snapshot, cfg) if f.rule_id == "DEEP_NESTING"]
+
+
+def detect_embedded_constants(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[Finding]:
+    return [f for f in audit_workbook(snapshot, cfg) if f.rule_id == "EMBEDDED_CONSTANT"]
+
+
+def detect_error_values(snapshot: Snapshot) -> list[Finding]:
+    return [f for f in audit_workbook(snapshot) if f.rule_id == "ERROR_VALUE"]
 
 
 def detect_parse_failures(snapshot: Snapshot) -> list[Finding]:
-    parsed = _parse_cells(snapshot)
-    return sorted(
-        (
-            make_finding(
-                "PARSE_FAILURE",
-                address,
-                f"formula could not be parsed: {reason}",
-                observed=snapshot.cells[address].source,  # type: ignore[union-attr]
-            )
-            for address, reason in parsed.failures.items()
-        ),
-        key=Finding.sort_key,
-    )
-
-
-def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[Finding]:
-    """Run every static detector and return findings ordered by
-    (sheet, row, col, rule id)."""
-    cfg = cfg or AuditConfig()
-    findings: list[Finding] = []
-    for sheet in snapshot.sheets():
-        findings.extend(detect_copy_inconsistencies(snapshot, sheet, cfg))
-    findings.extend(detect_deep_nesting(snapshot, cfg))
-    findings.extend(detect_embedded_constants(snapshot, cfg))
-    findings.extend(detect_error_values(snapshot))
-    findings.extend(detect_parse_failures(snapshot))
-    return sorted(findings, key=Finding.sort_key)
+    return [f for f in audit_workbook(snapshot) if f.rule_id == "PARSE_FAILURE"]

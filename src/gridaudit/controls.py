@@ -11,8 +11,7 @@ Five rule families, all configuration-driven and all pure functions of
 
 Overlapping region rules are each enforced: a cell under both a LOCKED
 and a DATA_ONLY rule is checked against both, so adding a rule can only
-add findings.  `effective_mode` answers the strictest mode governing an
-address.  A workflow period resets at each ATTEST record.
+add findings.  A workflow period resets at each ATTEST record.
 """
 
 from __future__ import annotations
@@ -142,7 +141,6 @@ def _overlap(a: Region, b: Region) -> bool:
 @dataclass(frozen=True)
 class Workflow:
     steps: tuple[WorkflowStep, ...]
-    period_boundary: str = "attest"
 
     def __post_init__(self):
         ids = [s.step_id for s in self.steps]
@@ -154,8 +152,6 @@ class Workflow:
                     raise ValueError(
                         f"workflow steps {a.step_id!r} and {b.step_id!r} overlap"
                     )
-        if self.period_boundary != "attest":
-            raise ValueError("only attestation period boundaries are supported")
 
 
 @dataclass(frozen=True)
@@ -178,20 +174,10 @@ class TrendVerdict:
     violated: bool
 
 
-def effective_mode(policy: ControlPolicy, address: CellAddress) -> Mode:
-    """Strictest mode among region rules covering the address; FREE when
-    none cover it."""
-    covering = [r.mode for r in policy.region_rules if r.region.contains(address)]
-    return max(covering, default=Mode.FREE)
-
-
 def _attestation_for(changes: ChangeSet, ledger: "Ledger | None") -> str | None:
     if ledger is None:
         return None
-    try:
-        return ledger.load_snapshot(changes.to_digest).attestation
-    except Exception:
-        return None
+    return ledger.load_snapshot(changes.to_digest).attestation
 
 
 def _check_regions(changes: ChangeSet, policy: ControlPolicy, attestation: str | None) -> list[Finding]:

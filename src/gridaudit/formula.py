@@ -18,6 +18,11 @@ Function names are not validated against a catalog: any identifier
 followed by ``(`` is a call.  Whitespace is ignored outside string
 literals.  There is no evaluation; audits are structural.
 
+Parentheses, function calls and prefix minus signs may nest at most
+``MAX_NESTING`` (64, Excel's own limit) levels deep, counted together.
+Deeper input raises ``FormulaSyntaxError`` at the first token past the
+cap instead of exhausting the interpreter's stack.
+
 ``normalize_relative`` renders a tree in R1C1 form relative to a host
 cell, so translated copies of one formula produce identical text.
 Sheet-qualified references keep their sheet name and always render with
@@ -38,6 +43,9 @@ from .grid import (
     col_to_letters,
     letters_to_col,
 )
+
+
+MAX_NESTING = 64  # Excel's limit on nested levels; see the module docstring
 
 
 class FormulaError(ValueError):
@@ -240,6 +248,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -255,6 +264,12 @@ class _Parser:
             if op == ")":
                 raise UnbalancedParens(tok.pos)
             raise FormulaSyntaxError(tok.pos, repr(op))
+
+    def enter(self, tok: _Token) -> None:
+        """Open one nesting level; the caller closes it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(tok.pos, f"at most {MAX_NESTING} nested parentheses, calls or minus signs")
 
     def parse_expr(self, level: int = 0) -> FormulaAst:
         if level == len(_LEVELS):
@@ -273,7 +288,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
             self.next()
-            return Unary("neg", self.parse_unary())
+            self.enter(tok)
+            node = Unary("neg", self.parse_unary())
+            self.depth -= 1
+            return node
         return self.parse_postfix()
 
     def parse_postfix(self) -> FormulaAst:
@@ -300,15 +318,20 @@ class _Parser:
             upper = tok.text.upper()
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
-                return self.parse_call(upper)
+                self.enter(nxt)
+                node = self.parse_call(upper)
+                self.depth -= 1
+                return node
             if upper == "TRUE":
                 return BoolLit(True)
             if upper == "FALSE":
                 return BoolLit(False)
             raise FormulaSyntaxError(tok.pos, "a reference, literal or function call")
         if tok.kind == "op" and tok.text == "(":
+            self.enter(tok)
             node = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         if tok.kind == "end":
             raise FormulaSyntaxError(tok.pos, "an expression")

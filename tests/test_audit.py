@@ -18,6 +18,7 @@ from gridaudit.audit import (
     detect_deep_nesting,
     detect_embedded_constants,
     detect_error_values,
+    detect_parse_failures,
     if_nesting_depth,
     load_audit_config,
 )
@@ -202,6 +203,39 @@ class TestAuditWorkbook:
     def test_parse_failure_is_a_finding_not_an_error(self):
         findings = audit_workbook(snap({"S!A1": "=((", "S!B1": 5}))
         assert [f.rule_id for f in findings] == ["PARSE_FAILURE"]
+
+    @pytest.mark.parametrize(
+        "source",
+        ["=" + "(" * 110 + "1" + ")" * 110, "=" + "-" * 1200 + "1"],
+        ids=["parentheses", "minus-signs"],
+    )
+    def test_nesting_past_the_cap_is_a_parse_failure(self, source):
+        findings = audit_workbook(snap({"S!A1": source}))
+        assert [f.rule_id for f in findings] == ["PARSE_FAILURE"]
+        assert findings[0].message == (
+            "formula could not be parsed: at offset 64: "
+            "expected at most 64 nested parentheses, calls or minus signs"
+        )
+
+    def test_rule_views_partition_the_single_pass(self):
+        cells = {
+            "S!A1": "=B1*2", "S!B1": "=C1*2", "S!C1": "=D1*2", "S!D1": "=B1*3",
+            "T!A1": "=IF(A2,IF(B2,IF(C2,IF(D2,1,0),0),0),0)",
+            "T!B1": "=A2*7", "T!C1": "#REF!", "T!D1": "=((",
+        }
+        workbook = snap(cells)
+        views = (
+            detect_copy_inconsistencies(workbook, "S")
+            + detect_copy_inconsistencies(workbook, "T")
+            + detect_deep_nesting(workbook)
+            + detect_embedded_constants(workbook)
+            + detect_error_values(workbook)
+            + detect_parse_failures(workbook)
+        )
+        assert sorted(views, key=lambda f: f.sort_key()) == audit_workbook(workbook)
+        assert {f.rule_id for f in views} == {
+            "COPY_INCONSISTENT", "DEEP_NESTING", "EMBEDDED_CONSTANT", "ERROR_VALUE", "PARSE_FAILURE",
+        }
 
     def test_ordering_and_determinism(self):
         cells = {

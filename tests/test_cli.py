@@ -6,6 +6,7 @@ import pytest
 
 from gridaudit.cli import run
 from gridaudit.grid import parse_snapshot_file
+from gridaudit.ledger import Ledger
 
 SNAP_1 = """SNAP1\twb1\t2024-03-01T09:00:00Z\talice
 S\tA1\tV\tN\t5
@@ -25,6 +26,27 @@ SNAP_ERROR_VALUE = """SNAP1\twb1\t2024-03-01T09:00:00Z\talice
 S\tA1\tV\tE\t#REF!
 """
 
+SNAP_DEEP_PARENS = f"""SNAP1\twb1\t2024-03-01T09:00:00Z\talice
+S\tA1\tF\t={"(" * 110}1{")" * 110}
+S\tA2\tF\t={"-" * 1200}1
+"""
+
+SNAP_FM_1 = """SNAP1\twb1\t2024-03-01T09:00:00Z\talice
+S\tA1\tF\t=B1
+"""
+
+SNAP_FM_2 = """SNAP1\twb1\t2024-03-02T09:00:00Z\tbob
+ATTEST\treviewed by risk team
+S\tA1\tF\t=B2
+"""
+
+POLICY_FM = """workbook = wb1
+
+[region]
+range = S!A1:A9
+mode = FORMULA_MAINTAINED
+"""
+
 POLICY = """workbook = wb1
 
 [region]
@@ -41,7 +63,11 @@ def files(tmp_path):
         "s2.snap": SNAP_2,
         "deep.snap": SNAP_DEEP_IF,
         "err.snap": SNAP_ERROR_VALUE,
+        "parens.snap": SNAP_DEEP_PARENS,
+        "fm1.snap": SNAP_FM_1,
+        "fm2.snap": SNAP_FM_2,
         "policy.txt": POLICY,
+        "policy_fm.txt": POLICY_FM,
     }.items():
         p = tmp_path / name
         p.write_text(text, encoding="utf-8")
@@ -76,6 +102,14 @@ class TestAudit:
     def test_critical_findings_exit_one(self, capsys, files):
         assert run(["audit", files["err.snap"]]) == 1
         assert "ERROR_VALUE" in capsys.readouterr().out
+
+    def test_nesting_past_the_cap_is_a_warning(self, capsys, files):
+        assert run(["audit", files["parens.snap"]]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[:3] for line in out] == [
+            ["warning", "PARSE_FAILURE", "S!A1"],
+            ["warning", "PARSE_FAILURE", "S!A2"],
+        ]
 
     def test_clean_snapshot_silent(self, capsys, files):
         assert run(["audit", files["s1.snap"]]) == 0
@@ -183,6 +217,20 @@ class TestQueries:
         run(["ingest", files["ledger"], files["s1.snap"]])
         capsys.readouterr()
         assert run(["check", files["ledger"], "--policy", files["policy.txt"]]) == 2
+
+
+class TestMissingObject:
+    def test_check_reports_missing_object_as_integrity_error(self, capsys, files, tmp_path):
+        for snap_file in ("fm1.snap", "fm2.snap"):
+            assert run(["ingest", files["ledger"], files[snap_file], "--policy", files["policy_fm.txt"]]) == 0
+        assert run(["check", files["ledger"], "--policy", files["policy_fm.txt"]]) == 0
+        capsys.readouterr()
+        latest = Ledger.open(files["ledger"]).ingests()[-1][0]
+        (tmp_path / "ledger" / "objects" / latest).unlink()
+        assert run(["check", files["ledger"], "--policy", files["policy_fm.txt"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integrity error" in captured.err
 
 
 class TestReport:

@@ -23,7 +23,6 @@ from gridaudit.controls import (
     check_bounds,
     check_cadence,
     check_task_order,
-    effective_mode,
     evaluate_policies,
     parse_policy_file,
     trend_deviation,
@@ -52,24 +51,6 @@ def series(values, start=T0):
         (start + hours(i), Number(Decimal(str(v)))) for i, v in enumerate(values)
     )
     return CellSeries(addr("S!B2"), points)
-
-
-class TestEffectiveMode:
-    def test_strictest_wins(self):
-        p = policy(region_rules=(region_rule("S!A1:D9", Mode.FREE), region_rule("S!A1:B2", Mode.LOCKED)))
-        assert effective_mode(p, addr("S!A1")) is Mode.LOCKED
-
-    def test_uncovered_is_free(self):
-        assert effective_mode(policy(), addr("S!A1")) is Mode.FREE
-
-    def test_data_only_beats_formula_maintained(self):
-        p = policy(
-            region_rules=(
-                region_rule("S!A1:D9", Mode.FORMULA_MAINTAINED),
-                region_rule("S!A1:B2", Mode.DATA_ONLY),
-            )
-        )
-        assert effective_mode(p, addr("S!B2")) is Mode.DATA_ONLY
 
 
 class TestRegionModes:

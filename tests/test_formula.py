@@ -15,6 +15,7 @@ from gridaudit.formula import (
     CellRef,
     ErrorLit,
     FormulaSyntaxError,
+    MAX_NESTING,
     NumberLit,
     Range,
     Ref,
@@ -128,6 +129,31 @@ class TestParsing:
         with pytest.raises(FormulaSyntaxError) as info:
             parse_formula("=1+*2")
         assert info.value.position >= 0
+
+
+class TestNestingCap:
+    def test_nesting_at_the_cap_parses(self):
+        assert parse_formula("=" + "(" * MAX_NESTING + "1" + ")" * MAX_NESTING) == NumberLit(Decimal(1))
+        for source in ("=" + "SUM(" * MAX_NESTING + "1" + ")" * MAX_NESTING, "=" + "-" * MAX_NESTING + "1"):
+            assert print_formula(parse_formula(source)) == source
+
+    @pytest.mark.parametrize(
+        "source, position",
+        [
+            ("=" + "(" * 110 + "1" + ")" * 110, 64),
+            ("=" + "-" * 1200 + "1", 64),
+            ("=" + "SUM(" * 65 + "1" + ")" * 65, 4 * 64 + 3),
+            ("=" + "-(" * 33 + "1" + ")" * 33, 64),
+        ],
+        ids=["parentheses", "minus-signs", "calls", "mixed"],
+    )
+    def test_past_the_cap_is_a_syntax_error(self, source, position):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse_formula(source)
+        assert info.value.position == position
+        assert str(info.value) == (
+            f"at offset {position}: expected at most 64 nested parentheses, calls or minus signs"
+        )
 
 
 class TestPrinting:
