@@ -20,7 +20,7 @@ from datetime import datetime
 from fractions import Fraction
 
 from .controls import ControlPolicy, Mode
-from .diffing import volatility_metrics
+from .diffing import apply_changes, volatility_metrics
 from .findings import CRITICAL, RULE_SEVERITY, Finding
 from .grid import format_instant
 from .ledger import Ledger
@@ -96,7 +96,8 @@ class ComplianceReport:
 
 def usage_metrics(ledger: Ledger) -> UsageMetrics:
     """Aggregate over the whole ledger.  Volatility means cover every
-    consecutive snapshot pair and are zero with fewer than two ingests."""
+    consecutive snapshot pair (replayed from the first stored snapshot)
+    and are zero with fewer than two ingests."""
     ingests = ledger.ingests()
     actors = {actor for _, _, actor in ingests}
     persistence = 0.0
@@ -105,11 +106,12 @@ def usage_metrics(ledger: Ledger) -> UsageMetrics:
         persistence = span.total_seconds() / 86400.0
     structural: list[Fraction] = []
     data: list[Fraction] = []
+    before = ledger.load_snapshot(ingests[0][0]) if ingests else None
     for changes in ledger.changesets():
-        before = ledger.load_snapshot(changes.from_digest)
         metrics = volatility_metrics(changes, before)
         structural.append(metrics.structural_volatility)
         data.append(metrics.data_volatility)
+        before = apply_changes(before, changes)
     return UsageMetrics(
         distinct_actors=len(actors),
         persistence_days=persistence,

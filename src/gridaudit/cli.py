@@ -7,6 +7,7 @@ into one tool.  Exit codes are a stable scripting contract:
     1  completed, critical findings present
     2  usage error (bad arguments, malformed inputs, rejected ingest)
     3  integrity failure (hash chain verification or digest mismatch)
+    4  internal error (an unexpected exception; a defect in gridaudit)
 
 Findings print one per line on stdout as
 severity<TAB>rule_id<TAB>location<TAB>message; diagnostics go to stderr.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import fcntl
 import sys
+import traceback
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,7 +28,7 @@ from pathlib import Path
 from .assess import EmptyLedger, build_profile, build_report, render_report_json, render_report_text
 from .audit import AuditConfig, ConfigError, audit_workbook, load_audit_config
 from .controls import ControlPolicy, PolicyError, TrendRule, evaluate_policies, parse_policy_file, trend_deviation
-from .diffing import DiffError, DigestMismatch, diff_snapshots
+from .diffing import ConflictingEvent, DiffError, DigestMismatch, diff_snapshots
 from .findings import Finding, has_critical
 from .grid import (
     Number,
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
+EXIT_INTERNAL = 4
 
 
 def _print_findings(findings: list[Finding]) -> int:
@@ -118,7 +121,7 @@ def _cmd_check(args) -> int:
         print("error: ledger holds no change sets to check", file=sys.stderr)
         return EXIT_USAGE
     seq = changeset_seqs[-1]
-    changes = ledger.changesets()[-1]
+    changes = ledger.records[seq].body
     cut = seq - 1 if seq > 0 and ledger.records[seq - 1].kind == "INGEST" else seq
     view = ledger.prefix_view(cut)
     return _print_findings(evaluate_policies(changes, policy, view))
@@ -276,7 +279,7 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except (LedgerCorrupt, DigestMismatch, MissingObject) as exc:
+    except (LedgerCorrupt, DigestMismatch, ConflictingEvent, MissingObject) as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
     except (
@@ -292,6 +295,10 @@ def run(argv: list[str]) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def main() -> None:

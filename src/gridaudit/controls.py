@@ -338,14 +338,12 @@ def _check_trends(changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | N
 
 def _period_events(ledger: "Ledger") -> list[ChangeEvent]:
     """Events in change sets recorded since the last ATTEST record."""
-    from .ledger import parse_changeset
-
     events: list[ChangeEvent] = []
     for record in ledger.records:
         if record.kind == "ATTEST":
             events.clear()
         elif record.kind == "CHANGESET":
-            events.extend(parse_changeset(record.payload).events)
+            events.extend(record.body.events)
     return events
 
 

@@ -18,7 +18,12 @@ Ingesting appends INGEST, then (after the first snapshot) CHANGESET and
 FINDINGS, then ATTEST when the snapshot carries an attestation.  The
 trailing ATTEST closes a workflow period including its own changes.
 Appends must be serialized by the caller (one writer per workbook);
-readers may run concurrently.
+readers may run concurrently; opening a ledger writes nothing.
+
+History comes from the first stored snapshot plus the change sets: cell
+series and usage metrics replay them, and each payload is decoded once per
+process (LedgerRecord.body).  Objects are checked against their digest
+name on load; a snapshot's timestamp, actor and ATTEST line are outside it.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import audit as audit_mod
-from .diffing import ChangeEvent, ChangeKind, ChangeSet, WorkbookMismatch, diff_snapshots
+from .diffing import ChangeEvent, ChangeKind, ChangeSet, DigestMismatch, WorkbookMismatch, diff_snapshots
 from .findings import RULE_SEVERITY, Finding
 from .grid import (
     CellAddress,
@@ -89,6 +95,12 @@ class LedgerRecord:
     payload: bytes
     hash: str
 
+    @cached_property
+    def body(self):
+        """The payload decoded by kind; an ATTEST body is the attestation text."""
+        parse = {"INGEST": parse_ingest, "CHANGESET": parse_changeset, "FINDINGS": parse_findings}.get(self.kind)
+        return parse(self.payload) if parse else _unescape(self.payload.decode("utf-8"))
+
 
 @dataclass(frozen=True)
 class ChainVerification:
@@ -133,8 +145,8 @@ def encode_record(record: LedgerRecord) -> str:
     )
 
 
-def _check_record_line(index: int, line: str, prev_hash: str) -> str | None:
-    """None when the line is a valid record at this position, else the
+def _check_record_line(index: int, line: str, prev_hash: str) -> LedgerRecord | str:
+    """The record when the line is valid at this position, else the
     reason it is not.  Field text is checked as stored so any byte flip
     breaks either the structure or the hash."""
     fields = line.split("\t")
@@ -156,27 +168,19 @@ def _check_record_line(index: int, line: str, prev_hash: str) -> str | None:
     if base64.b64encode(payload).decode("ascii") != payload_b64:
         return "payload base64 is not canonical"
     try:
-        parse_instant(at_text)
+        recorded_at = parse_instant(at_text)
     except ValueError:
         return "unparseable recorded_at"
     if record_hash(seq_text, prev_text, kind, payload, at_text) != hash_text:
         return "record hash does not match contents"
-    return None
+    return LedgerRecord(index, prev_text, kind, recorded_at, payload, hash_text)
 
 
 def decode_record(index: int, line: str, prev_hash: str) -> LedgerRecord:
-    reason = _check_record_line(index, line, prev_hash)
-    if reason is not None:
-        raise LedgerCorrupt(index, reason)
-    fields = line.split("\t")
-    return LedgerRecord(
-        seq=index,
-        prev_hash=fields[1],
-        kind=fields[2],
-        recorded_at=parse_instant(fields[3]),
-        payload=base64.b64decode(fields[4]),
-        hash=fields[5],
-    )
+    result = _check_record_line(index, line, prev_hash)
+    if isinstance(result, str):
+        raise LedgerCorrupt(index, result)
+    return result
 
 
 # --- payload serializations -------------------------------------------------
@@ -304,12 +308,10 @@ class Ledger:
 
     @classmethod
     def open(cls, directory: str | Path) -> "Ledger":
-        """Load a ledger directory, creating it when absent.  Corrupt
-        record lines are tolerated here so verify_chain can report them;
-        any other operation on a corrupt ledger raises LedgerCorrupt."""
+        """Load a ledger directory; an absent one reads as empty and is not
+        created.  Corrupt record lines are tolerated here so verify_chain can
+        report them; any other operation on a corrupt ledger raises LedgerCorrupt."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "objects").mkdir(exist_ok=True)
         ledger = cls(directory=directory)
         log = directory / "ledger.log"
         if log.exists():
@@ -340,8 +342,7 @@ class Ledger:
     def workbook_id(self) -> str | None:
         for record in self._records:
             if record is not None and record.kind == "INGEST":
-                snapshot = self.load_snapshot(parse_ingest(record.payload)[0])
-                return snapshot.workbook_id
+                return self.load_snapshot(record.body[0]).workbook_id
         return None
 
     def prefix_view(self, length: int) -> "Ledger":
@@ -362,20 +363,30 @@ class Ledger:
             if self.directory is not None:
                 path = self.directory / "objects" / digest
                 if not path.exists():
+                    path.parent.mkdir(parents=True, exist_ok=True)
                     path.write_bytes(self._objects[digest])
         return digest
 
     def load_snapshot(self, digest: str) -> Snapshot:
+        """The stored snapshot named by digest.  An object read from disk
+        must hash to its name (checked once, when it is first read)."""
         data = self._objects.get(digest)
-        if data is None:
-            for directory in (self.directory, self._fallback_directory):
-                if directory is not None and (directory / "objects" / digest).exists():
-                    data = (directory / "objects" / digest).read_bytes()
-                    break
-            else:
-                raise MissingObject(f"no stored snapshot for digest {digest[:12]}...")
-            self._objects[digest] = data
-        return parse_snapshot_file(data.decode("utf-8"))
+        if data is not None:
+            return parse_snapshot_file(data.decode("utf-8"))
+        for directory in (self.directory, self._fallback_directory):
+            if directory is not None and (directory / "objects" / digest).exists():
+                data = (directory / "objects" / digest).read_bytes()
+                break
+        else:
+            raise MissingObject(f"no stored snapshot for digest {digest[:12]}...")
+        try:
+            snapshot = parse_snapshot_file(data.decode("utf-8"))
+        except ValueError as exc:  # undecodable bytes or a malformed snapshot file
+            raise DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
+        if snapshot_digest(snapshot) != digest:
+            raise DigestMismatch(f"stored object {digest[:12]}... does not hash to its name")
+        self._objects[digest] = data
+        return snapshot
 
     # --- appends ---
 
@@ -396,6 +407,7 @@ class Ledger:
         )
         line = encode_record(record)
         if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
             with (self.directory / "ledger.log").open("a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
         self.raw_lines.append(line)
@@ -406,39 +418,36 @@ class Ledger:
 
     def ingests(self) -> list[tuple[str, datetime, str]]:
         """(digest, timestamp, actor) per INGEST record, in order."""
-        return [parse_ingest(r.payload) for r in self.records if r.kind == "INGEST"]
+        return [r.body for r in self.records if r.kind == "INGEST"]
 
     def changesets(self) -> list[ChangeSet]:
-        return [parse_changeset(r.payload) for r in self.records if r.kind == "CHANGESET"]
-
-    def latest_snapshot(self) -> Snapshot | None:
-        ingests = self.ingests()
-        if not ingests:
-            return None
-        return self.load_snapshot(ingests[-1][0])
+        return [r.body for r in self.records if r.kind == "CHANGESET"]
 
     def verify_chain(self) -> ChainVerification:
         prev = GENESIS_HASH
         for i, line in enumerate(self.raw_lines):
-            if _check_record_line(i, line, prev) is not None:
+            result = _check_record_line(i, line, prev)
+            if isinstance(result, str):
                 return ChainVerification(False, i, len(self.raw_lines))
-            prev = line.split("\t")[5]
+            prev = result.hash
         return ChainVerification(True, None, len(self.raw_lines))
 
     def series_for_cell(self, address: CellAddress) -> CellSeries:
         """Value history of one cell across ingested snapshots, oldest
-        first.  Cells that are absent, have no value, or hold an error
-        value leave a gap."""
-        points: list[tuple[datetime, CellValue]] = []
-        for digest, at, _actor in self.ingests():
-            cell = self.load_snapshot(digest).cells.get(address)
-            if cell is None:
-                continue
-            value = content_value(cell)
-            if value is None or isinstance(value, ErrorValue):
-                continue
-            points.append((at, value))
-        return CellSeries(address, tuple(points))
+        first: the cell in the first stored snapshot, then its content
+        after each change set.  Cells that are absent, have no value, or
+        hold an error value leave a gap."""
+        ingests = self.ingests()
+        if not ingests:
+            return CellSeries(address, ())
+        content = self.load_snapshot(ingests[0][0]).cells.get(address)
+        states = [(ingests[0][1], content)]
+        for changes in self.changesets():
+            content = next((e.after for e in changes.events if e.address == address), content)
+            states.append((changes.to_time, content))
+        values = [(at, content_value(c)) for at, c in states if c is not None]
+        points = tuple((at, v) for at, v in values if v is not None and not isinstance(v, ErrorValue))
+        return CellSeries(address, points)
 
     def change_history(self, address: CellAddress) -> list[AttributedChange]:
         history = []
@@ -449,9 +458,7 @@ class Ledger:
         return history
 
     def findings_records(self) -> list[tuple[LedgerRecord, list[Finding]]]:
-        return [
-            (r, parse_findings(r.payload)) for r in self.records if r.kind == "FINDINGS"
-        ]
+        return [(r, r.body) for r in self.records if r.kind == "FINDINGS"]
 
     # --- ingestion ---
 
@@ -480,6 +487,7 @@ class Ledger:
             )
         digest = snapshot_digest(snapshot)
         ingests = self.ingests()
+        previous = None
         if ingests:
             last_digest, last_at, _ = ingests[-1]
             if digest == last_digest and not snapshot.attestation:
@@ -489,7 +497,7 @@ class Ledger:
                     f"snapshot at {format_instant(snapshot.timestamp)} does not "
                     f"advance past {format_instant(last_at)}"
                 )
-        previous = self.latest_snapshot()
+            previous = self.load_snapshot(last_digest)
         self.store_snapshot(snapshot)
 
         findings: list[Finding] = []

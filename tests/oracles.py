@@ -8,6 +8,8 @@ the digest checks) so that each assertion is a genuine cross-check:
 * exact trend statistics via Fraction arithmetic and high-precision
   Decimal square roots
 * a step-by-step task-order simulation
+* brute-force ledger history: one stored snapshot re-read per ingest or
+  per change set, the reference for the replayed change-set history
 """
 
 from __future__ import annotations
@@ -119,3 +121,48 @@ def simulate_task_order(step_count: int, touch_sequence) -> list[bool]:
         flags.append(any(j not in touched for j in range(k)))
         touched.add(k)
     return flags
+
+
+# --- ledger history by rescanning every stored snapshot ------------------------
+
+
+def series_for_cell_by_rescan(ledger, address):
+    """One point per ingest whose stored snapshot holds a non-error value
+    at the address, read by loading that snapshot."""
+    from gridaudit.grid import ErrorValue, content_value
+    from gridaudit.ledger import CellSeries
+
+    points = []
+    for digest, at, _actor in ledger.ingests():
+        cell = ledger.load_snapshot(digest).cells.get(address)
+        if cell is None:
+            continue
+        value = content_value(cell)
+        if value is None or isinstance(value, ErrorValue):
+            continue
+        points.append((at, value))
+    return CellSeries(address, tuple(points))
+
+
+def usage_metrics_by_rescan(ledger):
+    """Usage metrics with each change set's before-snapshot loaded from
+    the object store by its from_digest."""
+    from gridaudit.assess import UsageMetrics
+    from gridaudit.diffing import volatility_metrics
+
+    ingests = ledger.ingests()
+    persistence = 0.0
+    if len(ingests) >= 2:
+        persistence = (ingests[-1][1] - ingests[0][1]).total_seconds() / 86400.0
+    structural, data = [], []
+    for changes in ledger.changesets():
+        metrics = volatility_metrics(changes, ledger.load_snapshot(changes.from_digest))
+        structural.append(metrics.structural_volatility)
+        data.append(metrics.data_volatility)
+    return UsageMetrics(
+        distinct_actors=len({actor for _, _, actor in ingests}),
+        persistence_days=persistence,
+        mean_structural_volatility=sum(structural, Fraction(0)) / len(structural) if structural else Fraction(0),
+        mean_data_volatility=sum(data, Fraction(0)) / len(data) if data else Fraction(0),
+        ingest_count=len(ingests),
+    )

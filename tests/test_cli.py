@@ -271,3 +271,102 @@ class TestReport:
     def test_empty_ledger_exits_two(self, capsys, files, tmp_path):
         empty = str(tmp_path / "fresh")
         assert run(["report", empty, "--policy", files["policy.txt"], *self.ARGS]) == 2
+
+
+class TestStoredObjectDigest:
+    FORGERIES = {
+        "edited-value": lambda data: data.replace(b"S\tA1\tV\tN\t5\n", b"S\tA1\tV\tN\t999999\n"),
+        "undecodable-byte": lambda data: data + b"\xff",
+        "truncated-line": lambda data: data[:-3],
+    }
+
+    @pytest.mark.parametrize("forgery", sorted(FORGERIES))
+    def test_edited_first_object_is_an_integrity_error(self, capsys, files, tmp_path, forgery):
+        for snap_file in ("s1.snap", "s2.snap"):
+            run(["ingest", files["ledger"], files[snap_file]])
+        first = Ledger.open(files["ledger"]).ingests()[0][0]
+        path = tmp_path / "ledger" / "objects" / first
+        forged = self.FORGERIES[forgery](path.read_bytes())
+        assert forged != path.read_bytes()
+        path.write_bytes(forged)
+        capsys.readouterr()
+        for argv in (
+            ["trend", files["ledger"], "S!A1"],
+            ["profile", files["ledger"]],
+            ["report", files["ledger"], "--policy", files["policy.txt"], *TestReport.ARGS],
+        ):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert "999999" not in captured.out
+            assert "integrity error" in captured.err
+
+
+class TestReadOnlyCommands:
+    @staticmethod
+    def _listing(directory):
+        return {
+            str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+            for p in sorted(directory.rglob("*"))
+        }
+
+    def test_verify_on_empty_directory_writes_nothing(self, capsys, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run(["verify", str(empty)]) == 0
+        assert capsys.readouterr().out == "OK n=0\n"
+        assert list(empty.iterdir()) == []
+
+    def test_queries_leave_the_ledger_unchanged(self, capsys, files, tmp_path):
+        for snap_file in ("s1.snap", "s2.snap"):
+            run(["ingest", files["ledger"], files[snap_file], "--policy", files["policy.txt"]])
+        before = self._listing(tmp_path / "ledger")
+        for argv in (
+            ["trend", files["ledger"], "S!A1"],
+            ["history", files["ledger"], "S!A1"],
+            ["profile", files["ledger"]],
+            ["report", files["ledger"], "--policy", files["policy.txt"], *TestReport.ARGS],
+            ["check", files["ledger"], "--policy", files["policy.txt"]],
+            ["verify", files["ledger"]],
+        ):
+            assert run(argv) in (0, 1)
+            assert self._listing(tmp_path / "ledger") == before
+
+
+class TestDamagedChangeSet:
+    @pytest.mark.parametrize("side", ["after", "before"])
+    def test_change_set_that_does_not_replay_is_an_integrity_error(self, capsys, files, tmp_path, side):
+        for snap_file in ("s1.snap", "s2.snap"):
+            run(["ingest", files["ledger"], files[snap_file]])
+        # rewrite one change-set event and re-chain every record, so the
+        # log verifies but the change set no longer leads to its to_digest
+        source = Ledger.open(files["ledger"])
+        damaged = Ledger.open(tmp_path / "damaged")
+        for record in source.records:
+            payload = record.payload
+            if record.kind == "CHANGESET":
+                old = "S\tA1\tDataChanged\tV\\tN\\t5\tV\\tN\\t6"
+                new = old.replace("N\\t6", "N\\t7") if side == "after" else old.replace("N\\t5", "N\\t4")
+                assert old in payload.decode()
+                payload = payload.decode().replace(old, new).encode()
+            damaged.append_record(record.kind, payload, record.recorded_at)
+        for digest, _at, _actor in source.ingests():
+            damaged.store_snapshot(source.load_snapshot(digest))
+        capsys.readouterr()
+        assert run(["verify", str(tmp_path / "damaged")]) == 0
+        for argv in (
+            ["profile", str(tmp_path / "damaged")],
+            ["report", str(tmp_path / "damaged"), "--policy", files["policy.txt"], *TestReport.ARGS],
+        ):
+            assert run(argv) == 3
+            assert "integrity error" in capsys.readouterr().err
+
+
+class TestInternalError:
+    def test_uncaught_exception_exits_four(self, capsys, tmp_path):
+        chain = "+".join(["A2"] * 1000)
+        path = tmp_path / "chain.snap"
+        path.write_text(f"SNAP1\twb1\t2024-03-01T09:00:00Z\talice\nS\tA1\tF\t={chain}\n", encoding="utf-8")
+        assert run(["audit", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: RecursionError: ")
