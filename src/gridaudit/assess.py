@@ -20,7 +20,7 @@ from datetime import datetime
 from fractions import Fraction
 
 from .controls import ControlPolicy, Mode
-from .diffing import apply_changes, volatility_metrics
+from .diffing import replay_changes, volatility_metrics
 from .findings import CRITICAL, RULE_SEVERITY, Finding
 from .grid import format_instant
 from .ledger import Ledger
@@ -106,12 +106,14 @@ def usage_metrics(ledger: Ledger) -> UsageMetrics:
         persistence = span.total_seconds() / 86400.0
     structural: list[Fraction] = []
     data: list[Fraction] = []
+    # the first object hashes to its name and changesets() links each
+    # change set to the digest before it, so only replay results are hashed
     before = ledger.load_snapshot(ingests[0][0]) if ingests else None
     for changes in ledger.changesets():
         metrics = volatility_metrics(changes, before)
         structural.append(metrics.structural_volatility)
         data.append(metrics.data_volatility)
-        before = apply_changes(before, changes)
+        before = replay_changes(before, changes)
     return UsageMetrics(
         distinct_actors=len(actors),
         persistence_days=persistence,

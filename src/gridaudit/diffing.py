@@ -117,18 +117,26 @@ def classify_change(before: CellContent | None, after: CellContent | None) -> Ch
 
 
 def diff_snapshots(before: Snapshot, after: Snapshot) -> ChangeSet:
-    """One event per address whose content differs between the snapshots."""
+    """One event per address whose content differs between the snapshots.
+    A cell whose sheet name changed only in letter case is Removed under
+    the old name and Added under the new one, so replay restores the
+    stored names (addresses compare case-insensitively, digests do not)."""
     if before.workbook_id != after.workbook_id:
         raise WorkbookMismatch(
             f"cannot diff {before.workbook_id!r} against {after.workbook_id!r}"
         )
+    # keyed by address, valued with the stored address to keep its case
+    old_cells = {address: (address, content) for address, content in before.cells.items()}
+    new_cells = {address: (address, content) for address, content in after.cells.items()}
     events = []
-    for address in sorted(set(before.cells) | set(after.cells), key=CellAddress.sort_key):
-        old = before.cells.get(address)
-        new = after.cells.get(address)
-        if old == new:
-            continue
-        events.append(ChangeEvent(address, classify_change(old, new), old, new))
+    for address in sorted(set(old_cells) | set(new_cells), key=CellAddress.sort_key):
+        old_at, old = old_cells.get(address, (None, None))
+        new_at, new = new_cells.get(address, (None, None))
+        if old_at is not None and new_at is not None and old_at.sheet != new_at.sheet:
+            events.append(ChangeEvent(old_at, ChangeKind.REMOVED, old, None))
+            events.append(ChangeEvent(new_at, ChangeKind.ADDED, None, new))
+        elif old != new:
+            events.append(ChangeEvent(new_at or old_at, classify_change(old, new), old, new))
     return ChangeSet(
         workbook_id=before.workbook_id,
         from_digest=snapshot_digest(before),
@@ -148,6 +156,13 @@ def apply_changes(before: Snapshot, changes: ChangeSet) -> Snapshot:
             f"change set starts at {changes.from_digest[:12]}..., "
             f"snapshot digest differs"
         )
+    return replay_changes(before, changes)
+
+
+def replay_changes(before: Snapshot, changes: ChangeSet) -> Snapshot:
+    """apply_changes for a base already known to hash to from_digest (a
+    stored object, or the result of replaying the previous change set):
+    only the result is hashed."""
     cells = dict(before.cells)
     for event in changes.events:
         current = cells.get(event.address)

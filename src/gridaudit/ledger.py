@@ -20,10 +20,11 @@ trailing ATTEST closes a workflow period including its own changes.
 Appends must be serialized by the caller (one writer per workbook);
 readers may run concurrently; opening a ledger writes nothing.
 
-History comes from the first stored snapshot plus the change sets: cell
-series and usage metrics replay them, and each payload is decoded once per
-process (LedgerRecord.body).  Objects are checked against their digest
-name on load; a snapshot's timestamp, actor and ATTEST line are outside it.
+History comes from the first stored snapshot plus the change sets, which
+must link each ingested digest to the next: cell series and usage metrics
+replay them, and each payload is decoded once per process
+(LedgerRecord.body).  Objects are checked against their digest name on
+load; a snapshot's timestamp, actor and ATTEST line are outside it.
 """
 
 from __future__ import annotations
@@ -97,9 +98,8 @@ class LedgerRecord:
 
     @cached_property
     def body(self):
-        """The payload decoded by kind; an ATTEST body is the attestation text."""
-        parse = {"INGEST": parse_ingest, "CHANGESET": parse_changeset, "FINDINGS": parse_findings}.get(self.kind)
-        return parse(self.payload) if parse else _unescape(self.payload.decode("utf-8"))
+        """The INGEST, CHANGESET or FINDINGS payload, decoded."""
+        return {"INGEST": parse_ingest, "CHANGESET": parse_changeset, "FINDINGS": parse_findings}[self.kind](self.payload)
 
 
 @dataclass(frozen=True)
@@ -421,7 +421,13 @@ class Ledger:
         return [r.body for r in self.records if r.kind == "INGEST"]
 
     def changesets(self) -> list[ChangeSet]:
-        return [r.body for r in self.records if r.kind == "CHANGESET"]
+        """The change sets, each leading from one ingested digest to the
+        next; a missing or unlinked change set raises DigestMismatch."""
+        changesets = [r.body for r in self.records if r.kind == "CHANGESET"]
+        digests = [digest for digest, _, _ in self.ingests()]
+        if [(c.from_digest, c.to_digest) for c in changesets] != list(zip(digests, digests[1:])):
+            raise DigestMismatch("change sets do not link the ingested snapshots")
+        return changesets
 
     def verify_chain(self) -> ChainVerification:
         prev = GENESIS_HASH
@@ -443,7 +449,9 @@ class Ledger:
         content = self.load_snapshot(ingests[0][0]).cells.get(address)
         states = [(ingests[0][1], content)]
         for changes in self.changesets():
-            content = next((e.after for e in changes.events if e.address == address), content)
+            for event in changes.events:
+                if event.address == address:
+                    content = event.after
             states.append((changes.to_time, content))
         values = [(at, content_value(c)) for at, c in states if c is not None]
         points = tuple((at, v) for at, v in values if v is not None and not isinstance(v, ErrorValue))

@@ -333,24 +333,35 @@ class TestReadOnlyCommands:
 
 
 class TestDamagedChangeSet:
-    @pytest.mark.parametrize("side", ["after", "before"])
-    def test_change_set_that_does_not_replay_is_an_integrity_error(self, capsys, files, tmp_path, side):
+    @staticmethod
+    def _rechain(files, destination, edit):
+        """Copy the two-ingest ledger record by record through edit, which
+        returns the new payload or None to drop the record, re-chaining
+        the hashes so the copy still verifies."""
         for snap_file in ("s1.snap", "s2.snap"):
             run(["ingest", files["ledger"], files[snap_file]])
-        # rewrite one change-set event and re-chain every record, so the
-        # log verifies but the change set no longer leads to its to_digest
         source = Ledger.open(files["ledger"])
-        damaged = Ledger.open(tmp_path / "damaged")
+        damaged = Ledger.open(destination)
         for record in source.records:
-            payload = record.payload
-            if record.kind == "CHANGESET":
-                old = "S\tA1\tDataChanged\tV\\tN\\t5\tV\\tN\\t6"
-                new = old.replace("N\\t6", "N\\t7") if side == "after" else old.replace("N\\t5", "N\\t4")
-                assert old in payload.decode()
-                payload = payload.decode().replace(old, new).encode()
-            damaged.append_record(record.kind, payload, record.recorded_at)
+            payload = edit(record)
+            if payload is not None:
+                damaged.append_record(record.kind, payload, record.recorded_at)
         for digest, _at, _actor in source.ingests():
             damaged.store_snapshot(source.load_snapshot(digest))
+
+    @pytest.mark.parametrize("side", ["after", "before"])
+    def test_change_set_that_does_not_replay_is_an_integrity_error(self, capsys, files, tmp_path, side):
+        # rewrite one change-set event, so the log verifies but the
+        # change set no longer leads to its to_digest
+        def edit(record):
+            if record.kind != "CHANGESET":
+                return record.payload
+            old = "S\tA1\tDataChanged\tV\\tN\\t5\tV\\tN\\t6"
+            new = old.replace("N\\t6", "N\\t7") if side == "after" else old.replace("N\\t5", "N\\t4")
+            assert old in record.payload.decode()
+            return record.payload.decode().replace(old, new).encode()
+
+        self._rechain(files, tmp_path / "damaged", edit)
         capsys.readouterr()
         assert run(["verify", str(tmp_path / "damaged")]) == 0
         for argv in (
@@ -359,6 +370,31 @@ class TestDamagedChangeSet:
         ):
             assert run(argv) == 3
             assert "integrity error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["dropped-change-set", "stopped-after-ingest"])
+    def test_unlinked_change_sets_are_an_integrity_error(self, capsys, files, tmp_path, damage):
+        # the second INGEST loses the change set that links it to the first:
+        # dropped from the log, or never written because the writer
+        # stopped between the INGEST and CHANGESET appends
+        def edit(record):
+            if record.kind == "CHANGESET" or (damage == "stopped-after-ingest" and record.kind != "INGEST"):
+                return None
+            return record.payload
+
+        self._rechain(files, tmp_path / "damaged", edit)
+        capsys.readouterr()
+        assert run(["verify", str(tmp_path / "damaged")]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["trend", str(tmp_path / "damaged"), "S!A1"],
+            ["history", str(tmp_path / "damaged"), "S!A1"],
+            ["profile", str(tmp_path / "damaged")],
+            ["report", str(tmp_path / "damaged"), "--policy", files["policy.txt"], *TestReport.ARGS],
+        ):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "integrity error" in captured.err
 
 
 class TestInternalError:

@@ -98,6 +98,20 @@ class TestApply:
         rebuilt = apply_changes(s, diff_snapshots(s, s))
         assert rebuilt.cells == s.cells
 
+    def test_sheet_case_rename_replays_exactly(self):
+        before = snap({"sheet!A1": 5, "sheet!B1": "=A1", "Other!A1": 1})
+        after = snap({"Sheet!A1": 5, "Sheet!B1": "=A1+1", "Other!A1": 1}, at=T0 + hours(1))
+        changes = diff_snapshots(before, after)
+        assert [(str(e.address), e.kind) for e in changes.events] == [
+            ("sheet!A1", ChangeKind.REMOVED),
+            ("Sheet!A1", ChangeKind.ADDED),
+            ("sheet!B1", ChangeKind.REMOVED),
+            ("Sheet!B1", ChangeKind.ADDED),
+        ]
+        rebuilt = apply_changes(before, changes)
+        assert sorted(map(str, rebuilt.cells)) == sorted(map(str, after.cells))
+        assert snapshot_digest(rebuilt) == snapshot_digest(after)
+
     def test_stale_digest_rejected(self):
         before = snap({"S!A1": 5})
         after = snap({"S!A1": 6}, at=T0 + hours(1))

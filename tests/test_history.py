@@ -9,7 +9,6 @@ and on every prefix view cut where `check` cuts (before an INGEST record).
 import tempfile
 from decimal import Decimal
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ from conftest import T0, hours
 from oracles import series_for_cell_by_rescan, usage_metrics_by_rescan
 
 from gridaudit.assess import usage_metrics
-from gridaudit.diffing import DigestMismatch
 from gridaudit.grid import CellAddress, ErrorValue, Formula, Literal, Number, Snapshot, Text
 from gridaudit.ledger import Ledger
 
@@ -51,6 +49,8 @@ def ingest_sequences(draw):
         if draw(st.integers(0, 3)) == 0:
             sequence.append((dict(cells), actor, "signed off"))
             continue
+        if draw(st.booleans()):  # rename sheet S in letter case only
+            cells = {CellAddress(a.sheet.swapcase(), a.row, a.col) if a.sheet.lower() == "s" else a: c for a, c in cells.items()}
         edits = draw(st.dictionaries(st.sampled_from(ADDRESSES), st.one_of(st.none(), CONTENTS), max_size=4))
         for address, content in edits.items():
             if content is None:
@@ -103,16 +103,18 @@ def test_covering_sequence_has_every_change_shape():
         assert [r.kind for r in ledger.records].count("ATTEST") == 1
 
 
-@pytest.mark.xfail(strict=True, raises=DigestMismatch, reason=(
-    "diff_snapshots records no event when only the letter case of a sheet "
-    "name changes (addresses compare case-insensitively, the digest does "
-    "not), so the change set cannot reproduce its to_digest"
-))
 def test_sheet_name_case_change_replays():
+    # addresses compare case-insensitively but the digest keeps the stored
+    # case, so the change set must carry the rename to replay exactly
     sequence = [
         ({CellAddress("sheet", 1, 1): Literal(Number(Decimal(5)))}, "alice", None),
         ({CellAddress("Sheet", 1, 1): Literal(Number(Decimal(5)))}, "bob", None),
+        ({CellAddress("Sheet", 1, 1): Literal(Number(Decimal(6))), CellAddress("sheet", 2, 1): Literal(Text("x"))}, "bob", None),
+        ({CellAddress("SHEET", 1, 1): Literal(Number(Decimal(7))), CellAddress("sheet", 2, 1): Literal(Text("x"))}, "alice", None),
     ]
     with tempfile.TemporaryDirectory() as tmp:
         ledger = _build(tmp, sequence)
         assert usage_metrics(ledger) == usage_metrics_by_rescan(ledger)
+        address = CellAddress("Sheet", 1, 1)
+        assert ledger.series_for_cell(address) == series_for_cell_by_rescan(ledger, address)
+        assert [v.value for _, v in ledger.series_for_cell(address).points] == [5, 5, 6, 7]
