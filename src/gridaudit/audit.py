@@ -30,12 +30,12 @@ from fractions import Fraction
 
 from .findings import Finding, make_finding
 from .formula import (
-    Binary,
     Call,
     FormulaAst,
     FormulaError,
     NumberLit,
     Unary,
+    fold,
     normalize_relative,
     parse_formula,
 )
@@ -164,33 +164,29 @@ def _copy_findings(forms: dict[CellAddress, str], cfg: AuditConfig) -> list[Find
 
 def if_nesting_depth(node: FormulaAst) -> int:
     """Maximum depth of IF calls nested within IF calls, counting self."""
-    if isinstance(node, Call):
-        inner = max((if_nesting_depth(a) for a in node.args), default=0)
-        return inner + 1 if node.name == "IF" else inner
-    if isinstance(node, Unary):
-        return if_nesting_depth(node.child)
-    if isinstance(node, Binary):
-        return max(if_nesting_depth(node.left), if_nesting_depth(node.right))
-    return 0
+
+    def combine(node: FormulaAst, depths) -> int:
+        inner = max(depths, default=0)
+        return inner + 1 if isinstance(node, Call) and node.name == "IF" else inner
+
+    return fold(node, combine)
 
 
 def _embedded_constants(node: FormulaAst) -> list[Decimal]:
     """Numeric literals inside a tree; a literal directly under unary minus
     counts once, with its sign."""
-    if isinstance(node, NumberLit):
-        return [node.value]
-    if isinstance(node, Unary):
-        if node.op == "neg" and isinstance(node.child, NumberLit):
+
+    def combine(node: FormulaAst, parts) -> list[Decimal]:
+        if isinstance(node, NumberLit):
+            return [node.value]
+        if isinstance(node, Unary) and node.op == "neg" and isinstance(node.child, NumberLit):
             return [-node.child.value]
-        return _embedded_constants(node.child)
-    if isinstance(node, Binary):
-        return _embedded_constants(node.left) + _embedded_constants(node.right)
-    if isinstance(node, Call):
-        out: list[Decimal] = []
-        for arg in node.args:
-            out.extend(_embedded_constants(arg))
-        return out
-    return []
+        found: list[Decimal] = []
+        for part in parts:
+            found += part
+        return found
+
+    return fold(node, combine)
 
 
 def _tree_findings(address: CellAddress, tree: FormulaAst, cfg: AuditConfig) -> list[Finding]:

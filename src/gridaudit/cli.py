@@ -204,6 +204,7 @@ def _cmd_verify(args) -> int:
         print(f"OK n={result.record_count}")
         return EXIT_OK
     print(f"FAIL seq={result.first_bad_seq} n={result.record_count}")
+    print(f"reason: {result.reason}", file=sys.stderr)
     return EXIT_INTEGRITY
 
 

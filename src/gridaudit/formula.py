@@ -21,7 +21,10 @@ literals.  There is no evaluation; audits are structural.
 Parentheses, function calls and prefix minus signs may nest at most
 ``MAX_NESTING`` (64, Excel's own limit) levels deep, counted together.
 Deeper input raises ``FormulaSyntaxError`` at the first token past the
-cap instead of exhausting the interpreter's stack.
+cap instead of exhausting the interpreter's stack.  That cap is the only
+depth limit: the parser loops along operator chains and every walk over a
+tree is a rule over the iterative ``fold``, so a chain of any length
+(``=A1+A1+...``, ``=A1%%%...``) is fine although its tree is that deep.
 
 ``normalize_relative`` renders a tree in R1C1 form relative to a host
 cell, so translated copies of one formula produce identical text.
@@ -32,8 +35,10 @@ absolute coordinates: a cross-sheet reference is never host-relative.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import TypeVar
 
 from .grid import (
     ERROR_CODES,
@@ -46,6 +51,8 @@ from .grid import (
 
 
 MAX_NESTING = 64  # Excel's limit on nested levels; see the module docstring
+
+_T = TypeVar("_T")
 
 
 class FormulaError(ValueError):
@@ -134,25 +141,23 @@ class Call:
 
 FormulaAst = NumberLit | TextLit | BoolLit | ErrorLit | Ref | Range | Unary | Binary | Call
 
-# Binary precedence levels, lowest binds loosest.
-_LEVELS: list[frozenset[str]] = [
-    frozenset({"=", "<>", "<", "<=", ">", ">="}),
-    frozenset({"&"}),
-    frozenset({"+", "-"}),
-    frozenset({"*", "/"}),
-    frozenset({"^"}),
-]
-_BINARY_PREC = {op: i + 1 for i, level in enumerate(_LEVELS) for op in level}
-_PREC_UNARY = len(_LEVELS) + 1
-_PREC_PERCENT = _PREC_UNARY + 1
-_PREC_ATOM = _PREC_PERCENT + 1
+# Binding strength, loosest first, as in the grammar above.
+_BINARY_PREC = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1, "&": 2, "+": 3, "-": 3, "*": 4, "/": 4, "^": 5}
+_PREC_UNARY, _PREC_PERCENT, _PREC_ATOM = 6, 7, 8
 
-_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
-_STRING_RE = re.compile(r'"(?:[^"]|"")*"')
 _SHEET_RE = r"(?:'(?:[^']|'')*'|[A-Za-z_][A-Za-z0-9_]*)"
-_REF_RE = re.compile(rf"(?:({_SHEET_RE})!)?(\$?)([A-Za-z]{{1,3}})(\$?)([1-9][0-9]*)")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_OPS = ("<>", "<=", ">=", "=", "<", ">", "&", "+", "-", "*", "/", "^", "%", "(", ")", ",", ":")
+_OPEN_PAREN_RE = re.compile(r"\s*\(")
+# One alternative per token kind; the first that matches wins.
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)"
+    r'|(?P<string>"(?:[^"]|"")*")'
+    r"|(?P<error>" + "|".join(re.escape(code) for code in sorted(ERROR_CODES)) + ")"
+    r"|(?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    rf"|(?P<ref>(?:(?P<sheet>{_SHEET_RE})!)?(?P<col_abs>\$?)(?P<letters>[A-Za-z]{{1,3}})(?P<row_abs>\$?)(?P<row>[1-9][0-9]*))"
+    rf"|(?P<ident>{_IDENT_RE.pattern})"
+    r"|(?P<op><>|<=|>=|[=<>&+\-*/^%(),:])"
+)
 
 
 @dataclass(frozen=True)
@@ -160,88 +165,44 @@ class _Token:
     kind: str  # "number" | "string" | "error" | "ref" | "ident" | "op" | "end"
     text: str
     pos: int
-    value: object = None
-
-
-def _sheet_name(token: str) -> str:
-    if token.startswith("'"):
-        return token[1:-1].replace("''", "'")
-    return token
+    value: CellRef | None = None  # set for "ref"
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == '"':
-            m = _STRING_RE.match(source, i)
-            if not m:
+    while i < len(source):
+        m = _TOKEN_RE.match(source, i)
+        if m is None:
+            if source[i] == '"':
                 raise FormulaSyntaxError(i, "closing quote")
-            raw = m.group(0)
-            tokens.append(_Token("string", raw, i, raw[1:-1].replace('""', '"')))
-            i = m.end()
-            continue
-        if ch == "#":
-            for code in ERROR_CODES:
-                if source.startswith(code, i):
-                    tokens.append(_Token("error", code, i, code))
-                    i += len(code)
-                    break
-            else:
-                raise UnknownToken(i, source[i : i + 8])
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            m = _NUMBER_RE.match(source, i)
-            if not m:
-                raise UnknownToken(i, source[i : i + 8])
-            tokens.append(_Token("number", m.group(0), i, Decimal(m.group(0))))
-            i = m.end()
-            continue
-        ref_match = _REF_RE.match(source, i)
-        if ref_match is not None and _accept_ref(source, ref_match):
-            sheet_tok, col_abs, letters, row_abs, row = ref_match.groups()
-            ref = CellRef(
-                row=int(row),
-                col=letters_to_col(letters),
-                row_abs=bool(row_abs),
-                col_abs=bool(col_abs),
-                sheet=_sheet_name(sheet_tok) if sheet_tok else None,
-            )
-            tokens.append(_Token("ref", ref_match.group(0), i, ref))
-            i = ref_match.end()
-            continue
-        ident_match = _IDENT_RE.match(source, i)
-        if ident_match:
-            tokens.append(_Token("ident", ident_match.group(0), i))
-            i = ident_match.end()
-            continue
-        for op in _OPS:
-            if source.startswith(op, i):
-                tokens.append(_Token("op", op, i))
-                i += len(op)
-                break
-        else:
             raise UnknownToken(i, source[i : i + 8])
-    tokens.append(_Token("end", "", n))
+        kind = m.lastgroup
+        ref = _accept_ref(source, m) if kind == "ref" else None
+        if kind == "ref" and ref is None:
+            m = _IDENT_RE.match(source, i)
+            if m is None:
+                raise UnknownToken(i, source[i : i + 8])
+            kind = "ident"
+        if kind != "space":
+            tokens.append(_Token(kind, m.group(), i, ref))
+        i = m.end()
+    tokens.append(_Token("end", "", len(source)))
     return tokens
 
 
-def _accept_ref(source: str, m: re.Match) -> bool:
-    """Reject ref-shaped text that is really a function name (LOG10( ...)
-    or an out-of-range column."""
-    if letters_to_col(m.group(3)) > MAX_COL:
-        return False
-    if m.group(1) or m.group(2) or m.group(4):
-        return True
-    j = m.end()
-    while j < len(source) and source[j].isspace():
-        j += 1
-    return not (j < len(source) and source[j] == "(")
+def _accept_ref(source: str, m: re.Match) -> CellRef | None:
+    """The reference a ref-shaped match names, or None when the text is
+    really a function name (LOG10( ...) or the column is out of range."""
+    col = letters_to_col(m["letters"])
+    if col > MAX_COL:
+        return None
+    sheet, col_abs, row_abs = m["sheet"], m["col_abs"], m["row_abs"]
+    if not (sheet or col_abs or row_abs) and _OPEN_PAREN_RE.match(source, m.end()):
+        return None
+    if sheet and sheet.startswith("'"):
+        sheet = sheet[1:-1].replace("''", "'")
+    return CellRef(int(m["row"]), col, bool(row_abs), bool(col_abs), sheet or None)
 
 
 class _Parser:
@@ -271,18 +232,17 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise FormulaSyntaxError(tok.pos, f"at most {MAX_NESTING} nested parentheses, calls or minus signs")
 
-    def parse_expr(self, level: int = 0) -> FormulaAst:
-        if level == len(_LEVELS):
-            return self.parse_unary()
-        node = self.parse_expr(level + 1)
+    def parse_expr(self, min_prec: int = 1) -> FormulaAst:
+        """Precedence climbing: loop over operators binding at least
+        min_prec, left-associatively; only a tighter operator recurses."""
+        node = self.parse_unary()
         while True:
             tok = self.peek()
-            if tok.kind == "op" and tok.text in _LEVELS[level]:
-                self.next()
-                right = self.parse_expr(level + 1)
-                node = Binary(tok.text, node, right)
-            else:
+            prec = _BINARY_PREC.get(tok.text, 0) if tok.kind == "op" else 0
+            if prec < min_prec:
                 return node
+            self.next()
+            node = Binary(tok.text, node, self.parse_expr(prec + 1))
 
     def parse_unary(self) -> FormulaAst:
         tok = self.peek()
@@ -307,11 +267,11 @@ class _Parser:
     def parse_atom(self) -> FormulaAst:
         tok = self.next()
         if tok.kind == "number":
-            return NumberLit(tok.value)
+            return NumberLit(Decimal(tok.text))
         if tok.kind == "string":
-            return TextLit(tok.value)
+            return TextLit(tok.text[1:-1].replace('""', '"'))
         if tok.kind == "error":
-            return ErrorLit(tok.value)
+            return ErrorLit(tok.text)
         if tok.kind == "ref":
             return self.parse_range_tail(tok)
         if tok.kind == "ident":
@@ -333,8 +293,6 @@ class _Parser:
             self.expect_op(")")
             self.depth -= 1
             return node
-        if tok.kind == "end":
-            raise FormulaSyntaxError(tok.pos, "an expression")
         raise FormulaSyntaxError(tok.pos, "an expression")
 
     def parse_range_tail(self, tok: _Token) -> FormulaAst:
@@ -386,6 +344,41 @@ def parse_formula(source: str) -> FormulaAst:
             raise UnbalancedParens(trailing.pos)
         raise FormulaSyntaxError(trailing.pos, "end of formula")
     return node
+
+
+def _children(node: FormulaAst) -> tuple[FormulaAst, ...]:
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, Unary):
+        return (node.child,)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
+def fold(tree: FormulaAst, combine: Callable[[FormulaAst, Sequence[_T]], _T]) -> _T:
+    """Bottom-up walk without recursion.  combine(node, parts) receives the
+    results already built for node's children, in source order, and
+    returns node's result; leaves get an empty parts.  Every walk over a
+    tree is a combine rule, so no walk is limited by the call stack."""
+    order: list[tuple[FormulaAst, int]] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        kids = _children(node)
+        order.append((node, len(kids)))
+        stack.extend(kids)
+    # order holds each node before its subtrees, rightmost subtree first;
+    # reversed, it is post-order with children left to right
+    results: list[_T] = []
+    for node, n in reversed(order):
+        if n:
+            parts = results[-n:]
+            del results[-n:]
+            results.append(combine(node, parts))
+        else:
+            results.append(combine(node, ()))
+    return results[0]
 
 
 def _prec(node: FormulaAst) -> int:
@@ -445,38 +438,38 @@ class _R1C1Renderer:
         return f"{self.ref(start)}:{self.ref(end)}"
 
 
-def _render(node: FormulaAst, renderer) -> str:
-    if isinstance(node, NumberLit):
-        return canonical_decimal(node.value)
-    if isinstance(node, TextLit):
-        return '"' + node.value.replace('"', '""') + '"'
-    if isinstance(node, BoolLit):
-        return "TRUE" if node.value else "FALSE"
-    if isinstance(node, ErrorLit):
-        return node.code
-    if isinstance(node, Ref):
-        return renderer.ref(node.ref)
-    if isinstance(node, Range):
-        return renderer.range(node.start, node.end)
-    if isinstance(node, Unary):
-        own = _prec(node)
-        child = _render(node.child, renderer)
-        if _prec(node.child) < own:
-            child = f"({child})"
-        return f"-{child}" if node.op == "neg" else f"{child}%"
-    if isinstance(node, Binary):
-        own = _prec(node)
-        left = _render(node.left, renderer)
-        if _prec(node.left) < own:
-            left = f"({left})"
-        right = _render(node.right, renderer)
-        if _prec(node.right) <= own:
-            right = f"({right})"
-        return f"{left}{node.op}{right}"
-    if isinstance(node, Call):
-        args = ",".join(_render(a, renderer) for a in node.args)
-        return f"{node.name}({args})"
-    raise TypeError(f"not an AST node: {node!r}")
+def _render(tree: FormulaAst, renderer) -> str:
+    def combine(node: FormulaAst, parts) -> str:
+        if isinstance(node, NumberLit):
+            return canonical_decimal(node.value)
+        if isinstance(node, TextLit):
+            return '"' + node.value.replace('"', '""') + '"'
+        if isinstance(node, BoolLit):
+            return "TRUE" if node.value else "FALSE"
+        if isinstance(node, ErrorLit):
+            return node.code
+        if isinstance(node, Ref):
+            return renderer.ref(node.ref)
+        if isinstance(node, Range):
+            return renderer.range(node.start, node.end)
+        if isinstance(node, Unary):
+            (child,) = parts
+            if _prec(node.child) < _prec(node):
+                child = f"({child})"
+            return f"-{child}" if node.op == "neg" else f"{child}%"
+        if isinstance(node, Binary):
+            left, right = parts
+            own = _prec(node)
+            if _prec(node.left) < own:
+                left = f"({left})"
+            if _prec(node.right) <= own:
+                right = f"({right})"
+            return f"{left}{node.op}{right}"
+        if isinstance(node, Call):
+            return f"{node.name}({','.join(parts)})"
+        raise TypeError(f"not an AST node: {node!r}")
+
+    return fold(tree, combine)
 
 
 def print_formula(ast: FormulaAst) -> str:
@@ -497,21 +490,14 @@ def references_of(ast: FormulaAst) -> list[CellRef | Range]:
     Plain refs yield CellRef, ranges yield the Range node."""
     out: list[CellRef | Range] = []
 
-    def walk(node: FormulaAst) -> None:
+    def combine(node: FormulaAst, parts) -> None:
+        # the fold reaches leaves left to right
         if isinstance(node, Ref):
             out.append(node.ref)
         elif isinstance(node, Range):
             out.append(node)
-        elif isinstance(node, Unary):
-            walk(node.child)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Call):
-            for arg in node.args:
-                walk(arg)
 
-    walk(ast)
+    fold(ast, combine)
     return out
 
 
@@ -530,14 +516,17 @@ def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
             None,
         )
 
-    if isinstance(node, Ref):
-        return Ref(shift_ref(node.ref))
-    if isinstance(node, Range):
-        return Range(shift_ref(node.start), shift_ref(node.end))
-    if isinstance(node, Unary):
-        return Unary(node.op, shift_relative(node.child, dr, dc))
-    if isinstance(node, Binary):
-        return Binary(node.op, shift_relative(node.left, dr, dc), shift_relative(node.right, dr, dc))
-    if isinstance(node, Call):
-        return Call(node.name, tuple(shift_relative(a, dr, dc) for a in node.args))
-    return node
+    def combine(node: FormulaAst, parts) -> FormulaAst:
+        if isinstance(node, Ref):
+            return Ref(shift_ref(node.ref))
+        if isinstance(node, Range):
+            return Range(shift_ref(node.start), shift_ref(node.end))
+        if isinstance(node, Unary):
+            return Unary(node.op, *parts)
+        if isinstance(node, Binary):
+            return Binary(node.op, *parts)
+        if isinstance(node, Call):
+            return Call(node.name, tuple(parts))
+        return node
+
+    return fold(node, combine)

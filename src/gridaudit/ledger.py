@@ -107,6 +107,7 @@ class ChainVerification:
     ok: bool
     first_bad_seq: int | None
     record_count: int
+    reason: str | None = None  # why the first bad record failed its check
 
 
 @dataclass(frozen=True)
@@ -434,7 +435,7 @@ class Ledger:
         for i, line in enumerate(self.raw_lines):
             result = _check_record_line(i, line, prev)
             if isinstance(result, str):
-                return ChainVerification(False, i, len(self.raw_lines))
+                return ChainVerification(False, i, len(self.raw_lines), result)
             prev = result.hash
         return ChainVerification(True, None, len(self.raw_lines))
 

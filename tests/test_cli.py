@@ -111,6 +111,19 @@ class TestAudit:
             ["warning", "PARSE_FAILURE", "S!A2"],
         ]
 
+    @pytest.mark.parametrize(
+        "formula",
+        ["=" + "+".join(["A2"] * 1000), "=" + "^".join(["A2"] * 1000), "=" + "&".join(["A2"] * 1000), "=A2" + "%" * 1000],
+        ids=["plus", "power", "concat", "percent"],
+    )
+    def test_long_operator_chain_audits(self, capsys, tmp_path, formula):
+        path = tmp_path / "chain.snap"
+        path.write_text(f"SNAP1\twb1\t2024-03-01T09:00:00Z\talice\nS\tA1\tF\t{formula}\n", encoding="utf-8")
+        assert run(["audit", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "PARSE_FAILURE" not in captured.out
+        assert captured.err == ""
+
     def test_clean_snapshot_silent(self, capsys, files):
         assert run(["audit", files["s1.snap"]]) == 0
         assert capsys.readouterr().out == ""
@@ -154,6 +167,29 @@ class TestVerify:
         capsys.readouterr()
         assert run(["verify", files["ledger"]]) == 3
         assert capsys.readouterr().out == "FAIL seq=0 n=4\n"
+
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda line: line[:-1] + ("0" if line[-1] != "0" else "1"), "record hash does not match contents"),
+            (lambda line: "\t".join(line.split("\t")[:5]), "expected 6 fields, found 5"),
+        ],
+        ids=["flipped-hash-char", "five-fields"],
+    )
+    def test_failure_reason_on_stderr(self, capsys, files, tmp_path, damage, reason):
+        run(["ingest", files["ledger"], files["s1.snap"]])
+        run(["ingest", files["ledger"], files["s2.snap"]])
+        log = tmp_path / "ledger" / "ledger.log"
+        lines = log.read_text().split("\n")
+        lines[1] = damage(lines[1])
+        log.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run(["verify", files["ledger"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "FAIL seq=1 n=4\n"
+        assert captured.err == f"reason: {reason}\n"
+        assert Ledger.open(files["ledger"]).verify_chain().reason == reason
 
 
 class TestQueries:
@@ -398,11 +434,12 @@ class TestDamagedChangeSet:
 
 
 class TestInternalError:
-    def test_uncaught_exception_exits_four(self, capsys, tmp_path):
-        chain = "+".join(["A2"] * 1000)
-        path = tmp_path / "chain.snap"
-        path.write_text(f"SNAP1\twb1\t2024-03-01T09:00:00Z\talice\nS\tA1\tF\t={chain}\n", encoding="utf-8")
-        assert run(["audit", str(path)]) == 4
+    def test_uncaught_exception_exits_four(self, capsys, files, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("audit crashed")
+
+        monkeypatch.setattr("gridaudit.cli.audit_workbook", crash)
+        assert run(["audit", files["s1.snap"]]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("internal error: RecursionError: ")
+        assert captured.err.startswith("internal error: RuntimeError: ")

@@ -14,6 +14,7 @@ from gridaudit.formula import (
     Call,
     CellRef,
     ErrorLit,
+    FormulaError,
     FormulaSyntaxError,
     MAX_NESTING,
     NumberLit,
@@ -154,6 +155,59 @@ class TestNestingCap:
         assert str(info.value) == (
             f"at offset {position}: expected at most 64 nested parentheses, calls or minus signs"
         )
+
+
+class TestTokenEdges:
+    @pytest.mark.parametrize(
+        "source, outcome",
+        [
+            ('="abc', (FormulaSyntaxError, "at offset 0: expected closing quote")),
+            ("=#X", (UnknownToken, "unknown token '#X' at offset 0")),
+            ("=.5", (UnknownToken, "unknown token '.5' at offset 0")),
+            ("=1.", (UnknownToken, "unknown token '.' at offset 1")),
+            ("=12E", (FormulaSyntaxError, "at offset 2: expected end of formula")),
+            ("=XFE1", (FormulaSyntaxError, "at offset 0: expected a reference, literal or function call")),
+            ("=$XFE1", (UnknownToken, "unknown token '$XFE1' at offset 0")),
+            ("=Sheet!XFE1", (UnknownToken, "unknown token '!XFE1' at offset 5")),
+            ("='q'!XFE1", (UnknownToken, "unknown token \"'q'!XFE1\" at offset 0")),
+            ("=LOG10 (1)", "=LOG10(1)"),
+            ("=A1 (", (FormulaSyntaxError, "at offset 4: expected an expression")),
+            ("=1 + 2", "=1+2"),
+            ("=\u0663", (UnknownToken, "unknown token '\u0663' at offset 0")),
+            ("=A1B", (FormulaSyntaxError, "at offset 2: expected end of formula")),
+            ("=ABCD1", (FormulaSyntaxError, "at offset 0: expected a reference, literal or function call")),
+            ("=SUM1(2)", "=SUM1(2)"),
+            ("=a.b1", (FormulaSyntaxError, "at offset 0: expected a reference, literal or function call")),
+            ("=1 @ 2", (UnknownToken, "unknown token '@ 2' at offset 2")),
+            ("=#N/A#REF!", (FormulaSyntaxError, "at offset 4: expected end of formula")),
+        ],
+    )
+    def test_printed_form_or_error(self, source, outcome):
+        """These messages are PARSE_FAILURE finding text, so they are pinned."""
+        if isinstance(outcome, str):
+            assert print_formula(parse_formula(source)) == outcome
+            return
+        error, message = outcome
+        with pytest.raises(FormulaError) as info:
+            parse_formula(source)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+class TestLongChains:
+    @pytest.mark.parametrize("op", ["+", "^", "&", "%"])
+    def test_five_thousand_term_chain(self, op):
+        if op == "%":
+            source, relative, shifted = "=A2" + "%" * 5000, "=R[1]C" + "%" * 5000, "=B3" + "%" * 5000
+            count = 1
+        else:
+            source, relative, shifted = ("=" + op.join([term] * 5000) for term in ("A2", "R[1]C", "B3"))
+            count = 5000
+        tree = parse_formula(source)
+        assert print_formula(tree) == source
+        assert normalize_relative(tree, addr("S!A1")) == relative
+        assert references_of(tree) == [rel(2, 1)] * count
+        assert print_formula(shift_relative(tree, 1, 1)) == shifted
 
 
 class TestPrinting:
