@@ -15,14 +15,13 @@ or JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from datetime import datetime
 from fractions import Fraction
 
 from .controls import ControlPolicy, Mode
 from .diffing import replay_changes, volatility_metrics
 from .findings import CRITICAL, RULE_SEVERITY, Finding
-from .grid import format_instant
+from .grid import format_instant, record
 from .ledger import Ledger
 
 SOX_SECTIONS = (103, 302, 304, 404)
@@ -54,7 +53,7 @@ class EmptyLedger(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class UsageMetrics:
     distinct_actors: int
     persistence_days: float
@@ -63,7 +62,7 @@ class UsageMetrics:
     ingest_count: int
 
 
-@dataclass(frozen=True)
+@record
 class ClassifierConfig:
     operational_actor_min: int = 2
     persistence_days_min: float = 30.0
@@ -71,7 +70,7 @@ class ClassifierConfig:
     modeling_min_structural: Fraction = Fraction(1, 4)
 
 
-@dataclass(frozen=True)
+@record
 class RiskProfile:
     metrics: UsageMetrics
     classification: str
@@ -79,7 +78,7 @@ class RiskProfile:
     rationale: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ComplianceReport:
     workbook_id: str
     period_start: datetime

@@ -24,7 +24,6 @@ findings.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -46,6 +45,7 @@ from .grid import (
     Snapshot,
     canonical_decimal,
     content_value,
+    record,
 )
 
 DEFAULT_CONSTANT_WHITELIST = frozenset(
@@ -53,7 +53,7 @@ DEFAULT_CONSTANT_WHITELIST = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@record
 class AuditConfig:
     if_depth_threshold: int = 3
     min_run_length: int = 3

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import fcntl
 import sys
-import traceback
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -297,6 +296,8 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
+        import traceback  # only here: importing it costs every command start-up
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -17,7 +17,6 @@ add findings.  A workflow period resets at each ATTEST record.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from enum import IntEnum
 from statistics import fmean, stdev
@@ -35,6 +34,7 @@ from .grid import (
     render_value,
     parse_qualified_address,
     parse_region,
+    record,
 )
 
 if TYPE_CHECKING:
@@ -54,14 +54,14 @@ _TICKET_RE = re.compile(r"\b[A-Z][A-Z0-9]+-[0-9]+\b")
 _DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 
-@dataclass(frozen=True)
+@record
 class RegionRule:
     region: Region
     mode: Mode
     ticket_required: bool = False
 
 
-@dataclass(frozen=True)
+@record
 class CadenceWindow:
     days: frozenset[int]  # 0=Mon .. 6=Sun
     start_hour: int  # inclusive
@@ -81,7 +81,7 @@ class CadenceWindow:
         return f"{days} {self.start_hour}-{self.end_hour}"
 
 
-@dataclass(frozen=True)
+@record
 class CadenceRule:
     region: Region
     windows: tuple[CadenceWindow, ...]
@@ -91,7 +91,7 @@ class CadenceRule:
             raise ValueError("cadence rule needs at least one window")
 
 
-@dataclass(frozen=True)
+@record
 class BoundRule:
     region: Region
     minimum: Decimal | None = None
@@ -106,7 +106,7 @@ class BoundRule:
         return " and ".join(parts) if parts else "numeric"
 
 
-@dataclass(frozen=True)
+@record
 class TrendRule:
     address: CellAddress
     window: int = 20
@@ -122,7 +122,7 @@ class TrendRule:
             raise ValueError("min_points must be >= 5")
 
 
-@dataclass(frozen=True)
+@record
 class WorkflowStep:
     step_id: str
     region: Region
@@ -138,7 +138,7 @@ def _overlap(a: Region, b: Region) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Workflow:
     steps: tuple[WorkflowStep, ...]
 
@@ -154,7 +154,7 @@ class Workflow:
                     )
 
 
-@dataclass(frozen=True)
+@record
 class ControlPolicy:
     workbook_id: str
     region_rules: tuple[RegionRule, ...] = ()
@@ -164,7 +164,7 @@ class ControlPolicy:
     workflow: Workflow | None = None
 
 
-@dataclass(frozen=True)
+@record
 class TrendVerdict:
     address: CellAddress
     new_value: Decimal

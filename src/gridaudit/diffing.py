@@ -9,7 +9,6 @@ a logic change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from fractions import Fraction
@@ -20,6 +19,7 @@ from .grid import (
     Formula,
     Literal,
     Snapshot,
+    record,
     snapshot_digest,
 )
 
@@ -52,7 +52,7 @@ class ConflictingEvent(DiffError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ChangeEvent:
     address: CellAddress
     kind: ChangeKind
@@ -80,7 +80,7 @@ class ChangeEvent:
         return False
 
 
-@dataclass(frozen=True)
+@record
 class ChangeSet:
     workbook_id: str
     from_digest: str
@@ -91,7 +91,7 @@ class ChangeSet:
     events: tuple[ChangeEvent, ...]
 
 
-@dataclass(frozen=True)
+@record
 class VolatilityMetrics:
     structural_volatility: Fraction
     data_volatility: Fraction

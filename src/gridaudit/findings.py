@@ -7,9 +7,8 @@ lists, restatement-risk mapping) behave deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .grid import CellAddress, Region
+from .grid import CellAddress, Region, record
 
 INFO = "info"
 WARNING = "warning"
@@ -37,7 +36,7 @@ RULE_SEVERITY: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Finding:
     rule_id: str
     severity: str

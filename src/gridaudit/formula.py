@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import TypeVar
 
@@ -47,6 +46,7 @@ from .grid import (
     canonical_decimal,
     col_to_letters,
     letters_to_col,
+    record,
 )
 
 
@@ -78,7 +78,7 @@ class UnknownToken(FormulaError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@record
 class CellRef:
     """A1-style reference; absent sheet means the host sheet."""
 
@@ -89,52 +89,77 @@ class CellRef:
     sheet: str | None = None
 
 
-@dataclass(frozen=True)
-class NumberLit:
+class _Node:
+    """Base of the tree node records.  Their equality, hash and repr walk
+    the tree without recursion, so a chain of any length compares, hashes
+    and prints; each agrees with what a record's own method would give."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # equal node by node in pre-order means equal trees: such a
+        # sequence of (class, fields, child count) is never a proper
+        # prefix of another one
+        return all(a == b for a, b in zip(_preorder(self), _preorder(other)))
+
+    def __hash__(self) -> int:
+        return fold(self, lambda node, parts: hash(_fields(node, map(_Hashed, parts))))
+
+    def __repr__(self) -> str:
+        def combine(node: FormulaAst, parts) -> str:
+            values = _fields(node, map(_Shown, parts))
+            text = ", ".join(f"{name}={value!r}" for name, value in zip(node.__match_args__, values))
+            return f"{type(node).__qualname__}({text})"
+
+        return fold(self, combine)
+
+
+@record
+class NumberLit(_Node):
     value: Decimal
 
 
-@dataclass(frozen=True)
-class TextLit:
+@record
+class TextLit(_Node):
     value: str
 
 
-@dataclass(frozen=True)
-class BoolLit:
+@record
+class BoolLit(_Node):
     value: bool
 
 
-@dataclass(frozen=True)
-class ErrorLit:
+@record
+class ErrorLit(_Node):
     code: str
 
 
-@dataclass(frozen=True)
-class Ref:
+@record
+class Ref(_Node):
     ref: CellRef
 
 
-@dataclass(frozen=True)
-class Range:
+@record
+class Range(_Node):
     start: CellRef
     end: CellRef
 
 
-@dataclass(frozen=True)
-class Unary:
+@record
+class Unary(_Node):
     op: str  # "neg" | "percent"
     child: "FormulaAst"
 
 
-@dataclass(frozen=True)
-class Binary:
+@record
+class Binary(_Node):
     op: str
     left: "FormulaAst"
     right: "FormulaAst"
 
 
-@dataclass(frozen=True)
-class Call:
+@record
+class Call(_Node):
     name: str  # stored uppercase
     args: tuple["FormulaAst", ...]
 
@@ -160,7 +185,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # "number" | "string" | "error" | "ref" | "ident" | "op" | "end"
     text: str
@@ -354,6 +379,52 @@ def _children(node: FormulaAst) -> tuple[FormulaAst, ...]:
     if isinstance(node, Call):
         return node.args
     return ()
+
+
+def _fields(node: FormulaAst, parts) -> tuple:
+    """node's field values in order, its subtrees replaced by parts."""
+    if isinstance(node, (Unary, Binary)):
+        return (node.op, *parts)
+    if isinstance(node, Call):
+        return (node.name, tuple(parts))
+    return tuple(getattr(node, name) for name in node.__match_args__)
+
+
+def _preorder(tree: FormulaAst):
+    """(class, fields other than subtrees, child count) of every node, each
+    node before its subtrees, without recursion."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        kids = _children(node)
+        yield node.__class__, _fields(node, ()), len(kids)
+        stack.extend(kids)
+
+
+class _Hashed:
+    """Stands in for a subtree in its parent's field tuple: hashes as the
+    subtree does, from the hash already computed for it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+class _Shown:
+    """Stands in for a subtree in its parent's field tuple: prints as the
+    subtree does, from the text already built for it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
 
 
 def fold(tree: FormulaAst, combine: Callable[[FormulaAst, Sequence[_T]], _T]) -> _T:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -68,6 +67,89 @@ class DuplicateCell(SnapshotError):
         self.address = address
 
 
+# --- records -----------------------------------------------------------------
+
+
+class FrozenRecordError(AttributeError):
+    """Raised on assigning to or deleting a field of a record."""
+
+
+class _Fresh:
+    """A record field default made anew for each instance (a dict or list
+    default would otherwise be shared by every instance)."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _record_setattr(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Make cls a frozen value class over its annotated fields, in order.
+
+    A class attribute named like a field is that field's default; a
+    ``_Fresh(make)`` default is replaced by ``make()`` in each instance.  The
+    generated ``__init__`` sets each field, then calls ``__post_init__``
+    if the class has one.  Two records are equal when their classes match
+    and their field tuples are equal, and a record hashes as its field
+    tuple.  Every record prints as ``Name(field=value, ...)``, and
+    assigning or deleting an attribute raises ``FrozenRecordError``.  A
+    method the class or a base (other than ``object``) defines is kept.
+    Records do not inherit from records.
+    """
+    names = tuple(cls.__annotations__)
+    namespace = {"_setattr": object.__setattr__}
+    params, body = [], []
+    for name in names:
+        value = name
+        if name in cls.__dict__:
+            default = namespace[f"_dflt_{name}"] = cls.__dict__[name]
+            params.append(f"{name}=_dflt_{name}")
+            if isinstance(default, _Fresh):
+                value = f"_dflt_{name}.make() if {name} is _dflt_{name} else {name}"
+                delattr(cls, name)
+        else:
+            params.append(name)
+        body.append(f"  _setattr(self, {name!r}, {value})")
+    if hasattr(cls, "__post_init__"):
+        body.append("  self.__post_init__()")
+    source = [f"def __init__(self, {', '.join(params)}):", *body]
+    own, other = ("(" + "".join(f"{side}.{name}," for name in names) + ")" for side in ("self", "other"))
+    if cls.__eq__ is object.__eq__:
+        source += [
+            "def __eq__(self, other):",
+            "  if other.__class__ is self.__class__:",
+            f"    return {own} == {other}",
+            "  return NotImplemented",
+        ]
+    if cls.__hash__ is None or cls.__hash__ is object.__hash__:
+        source += ["def __hash__(self):", f"  return hash({own})"]
+    exec("\n".join(source), namespace)
+    for method in ("__init__", "__eq__", "__hash__"):
+        if method in namespace:
+            setattr(cls, method, namespace[method])
+    if cls.__repr__ is object.__repr__:
+        cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
+    cls.__match_args__ = names
+    return cls
+
+
 def col_to_letters(col: int) -> str:
     """1 -> A, 26 -> Z, 27 -> AA (bijective base 26)."""
     if col < 1:
@@ -88,7 +170,7 @@ def letters_to_col(letters: str) -> int:
     return col
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class CellAddress:
     """1-based cell location.  Sheet comparisons are case-insensitive but
     the stored case is preserved for display."""
@@ -122,7 +204,7 @@ class CellAddress:
         return f"{self.sheet}!{self.a1}"
 
 
-@dataclass(frozen=True)
+@record
 class Region:
     """Rectangular block of cells on one sheet, inclusive bounds."""
 
@@ -156,7 +238,7 @@ class Region:
         return f"{self.sheet}!{start}:{end}"
 
 
-@dataclass(frozen=True)
+@record
 class Number:
     value: Decimal
 
@@ -165,17 +247,17 @@ class Number:
             raise ValueError(f"non-finite number {self.value}")
 
 
-@dataclass(frozen=True)
+@record
 class Text:
     value: str
 
 
-@dataclass(frozen=True)
+@record
 class Boolean:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class ErrorValue:
     code: str
 
@@ -187,12 +269,12 @@ class ErrorValue:
 CellValue = Number | Text | Boolean | ErrorValue
 
 
-@dataclass(frozen=True)
+@record
 class Literal:
     value: CellValue
 
 
-@dataclass(frozen=True)
+@record
 class Formula:
     source: str
     cached: CellValue | None = None
@@ -205,12 +287,12 @@ class Formula:
 CellContent = Literal | Formula
 
 
-@dataclass(frozen=True)
+@record
 class Snapshot:
     workbook_id: str
     timestamp: datetime
     actor: str
-    cells: dict[CellAddress, CellContent] = field(default_factory=dict)
+    cells: dict[CellAddress, CellContent] = _Fresh(dict)
     attestation: str | None = None
 
     def __post_init__(self):

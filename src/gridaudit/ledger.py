@@ -32,7 +32,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import re
-from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
@@ -56,6 +55,7 @@ from .grid import (
     parse_instant,
     parse_location,
     parse_snapshot_file,
+    record,
     snapshot_digest,
     write_snapshot_file,
 )
@@ -87,7 +87,7 @@ class MissingObject(LedgerError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LedgerRecord:
     seq: int
     prev_hash: str
@@ -102,7 +102,7 @@ class LedgerRecord:
         return {"INGEST": parse_ingest, "CHANGESET": parse_changeset, "FINDINGS": parse_findings}[self.kind](self.payload)
 
 
-@dataclass(frozen=True)
+@record
 class ChainVerification:
     ok: bool
     first_bad_seq: int | None
@@ -110,13 +110,13 @@ class ChainVerification:
     reason: str | None = None  # why the first bad record failed its check
 
 
-@dataclass(frozen=True)
+@record
 class CellSeries:
     address: CellAddress
     points: tuple[tuple[datetime, CellValue], ...]
 
 
-@dataclass(frozen=True)
+@record
 class AttributedChange:
     """A change event paired with who made it and when."""
 
@@ -298,14 +298,14 @@ def parse_findings(payload: bytes) -> list[Finding]:
 # --- the ledger itself -------------------------------------------------------
 
 
-@dataclass
 class Ledger:
-    directory: Path | None = None
-    raw_lines: list[str] = field(default_factory=list)
-    _objects: dict[str, bytes] = field(default_factory=dict)
-    _records: list[LedgerRecord | None] = field(default_factory=list)
-    # a prefix view keeps reading objects from its parent's directory
-    _fallback_directory: Path | None = None
+    def __init__(self, directory: Path | None = None, raw_lines: list[str] | None = None):
+        self.directory = directory
+        self.raw_lines: list[str] = [] if raw_lines is None else raw_lines
+        self._objects: dict[str, bytes] = {}
+        self._records: list[LedgerRecord | None] = []
+        # a prefix view keeps reading objects from its parent's directory
+        self._fallback_directory: Path | None = None
 
     @classmethod
     def open(cls, directory: str | Path) -> "Ledger":

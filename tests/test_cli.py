@@ -443,3 +443,13 @@ class TestInternalError:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal error: RuntimeError: ")
+
+    def test_uncaught_exception_prints_its_traceback(self, capsys, files, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("audit crashed")
+
+        monkeypatch.setattr("gridaudit.cli.audit_workbook", crash)
+        assert run(["audit", files["s1.snap"]]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert err.rstrip().endswith("RuntimeError: audit crashed")
