@@ -19,7 +19,7 @@ from datetime import datetime
 from fractions import Fraction
 
 from .controls import ControlPolicy, Mode
-from .diffing import replay_changes, volatility_metrics
+from .diffing import volatility_metrics
 from .findings import CRITICAL, RULE_SEVERITY, Finding
 from .grid import format_instant, record
 from .ledger import Ledger
@@ -105,14 +105,13 @@ def usage_metrics(ledger: Ledger) -> UsageMetrics:
         persistence = span.total_seconds() / 86400.0
     structural: list[Fraction] = []
     data: list[Fraction] = []
-    # the first object hashes to its name and changesets() links each
-    # change set to the digest before it, so only replay results are hashed
-    before = ledger.load_snapshot(ingests[0][0]) if ingests else None
+    snapshots = ledger.snapshots()
+    before = next(snapshots, None)
     for changes in ledger.changesets():
         metrics = volatility_metrics(changes, before)
         structural.append(metrics.structural_volatility)
         data.append(metrics.data_volatility)
-        before = replay_changes(before, changes)
+        before = next(snapshots)  # checks the change set's replay
     return UsageMetrics(
         distinct_actors=len(actors),
         persistence_days=persistence,

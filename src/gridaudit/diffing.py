@@ -9,6 +9,7 @@ a logic change.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from datetime import datetime
 from enum import Enum
 from fractions import Fraction
@@ -16,6 +17,7 @@ from fractions import Fraction
 from .grid import (
     CellAddress,
     CellContent,
+    CellLines,
     Formula,
     Literal,
     Snapshot,
@@ -116,11 +118,12 @@ def classify_change(before: CellContent | None, after: CellContent | None) -> Ch
     return ChangeKind.KIND_CHANGED
 
 
-def diff_snapshots(before: Snapshot, after: Snapshot) -> ChangeSet:
+def diff_snapshots(before: Snapshot, after: Snapshot, *, digests: tuple[str, str] | None = None) -> ChangeSet:
     """One event per address whose content differs between the snapshots.
     A cell whose sheet name changed only in letter case is Removed under
     the old name and Added under the new one, so replay restores the
-    stored names (addresses compare case-insensitively, digests do not)."""
+    stored names (addresses compare case-insensitively, digests do not).
+    digests, if given, are the two snapshots' digests, already known."""
     if before.workbook_id != after.workbook_id:
         raise WorkbookMismatch(
             f"cannot diff {before.workbook_id!r} against {after.workbook_id!r}"
@@ -137,10 +140,11 @@ def diff_snapshots(before: Snapshot, after: Snapshot) -> ChangeSet:
             events.append(ChangeEvent(new_at, ChangeKind.ADDED, None, new))
         elif old != new:
             events.append(ChangeEvent(new_at or old_at, classify_change(old, new), old, new))
+    from_digest, to_digest = digests or (snapshot_digest(before), snapshot_digest(after))
     return ChangeSet(
         workbook_id=before.workbook_id,
-        from_digest=snapshot_digest(before),
-        to_digest=snapshot_digest(after),
+        from_digest=from_digest,
+        to_digest=to_digest,
         from_time=before.timestamp,
         to_time=after.timestamp,
         actor=after.actor,
@@ -151,37 +155,41 @@ def diff_snapshots(before: Snapshot, after: Snapshot) -> ChangeSet:
 def apply_changes(before: Snapshot, changes: ChangeSet) -> Snapshot:
     """Replay a change set on its base snapshot.  The result carries the
     change set's end time and actor and reproduces to_digest exactly."""
-    if changes.from_digest != snapshot_digest(before):
+    lines = CellLines(before.cells)
+    if changes.from_digest != lines.digest(before.workbook_id):
         raise DigestMismatch(
             f"change set starts at {changes.from_digest[:12]}..., "
             f"snapshot digest differs"
         )
-    return replay_changes(before, changes)
+    return list(replay(before, [changes], lines))[-1]
 
 
-def replay_changes(before: Snapshot, changes: ChangeSet) -> Snapshot:
-    """apply_changes for a base already known to hash to from_digest (a
-    stored object, or the result of replaying the previous change set):
-    only the result is hashed."""
-    cells = dict(before.cells)
-    for event in changes.events:
-        current = cells.get(event.address)
-        if current != event.before:
-            raise ConflictingEvent(f"unexpected content at {event.address}")
-        if event.after is None:
-            del cells[event.address]
-        else:
-            cells[event.address] = event.after
-    result = Snapshot(
-        workbook_id=before.workbook_id,
-        timestamp=changes.to_time,
-        actor=changes.actor,
-        cells=cells,
-        attestation=before.attestation,
-    )
-    if snapshot_digest(result) != changes.to_digest:
-        raise DigestMismatch("replayed snapshot does not reproduce to_digest")
-    return result
+def replay(first: Snapshot, changesets: Iterable[ChangeSet], lines: CellLines | None = None) -> Iterator[Snapshot]:
+    """first, then the result of each change set in turn, each with a
+    cells dict of its own.  first must hash to the first change set's
+    from_digest; lines, if given, are its CellLines (left unchanged).
+    Each step checks every event's before content (else
+    ConflictingEvent), re-renders only the lines its events touch and
+    hashes the result against to_digest (else DigestMismatch) before the
+    result is yielded."""
+    yield first
+    cells = dict(first.cells)
+    lines = CellLines(cells) if lines is None else lines.copy()
+    for changes in changesets:
+        for event in changes.events:
+            if cells.get(event.address) != event.before:
+                raise ConflictingEvent(f"unexpected content at {event.address}")
+            if event.after is not None:
+                cells[event.address] = event.after
+                lines.set(event.address, event.after)
+            elif event.before is not None:
+                del cells[event.address]
+                lines.remove(event.address)
+            else:
+                raise ConflictingEvent(f"nothing to remove at {event.address}")
+        if lines.digest(first.workbook_id) != changes.to_digest:
+            raise DigestMismatch("replayed snapshot does not reproduce to_digest")
+        yield Snapshot(first.workbook_id, changes.to_time, changes.actor, dict(cells), first.attestation)
 
 
 def volatility_metrics(changes: ChangeSet, before: Snapshot) -> VolatilityMetrics:
@@ -193,8 +201,8 @@ def volatility_metrics(changes: ChangeSet, before: Snapshot) -> VolatilityMetric
     count (over 1 when before is empty).  Cached-value-only changes count
     in neither volatility since neither the logic nor a literal moved.
     """
-    formula_count = len(before.formula_cells())
-    literal_count = len(before.literal_cells())
+    formula_count = sum(isinstance(content, Formula) for content in before.cells.values())
+    literal_count = len(before.cells) - formula_count
     structural = 0
     data = 0
     added = 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -303,9 +304,6 @@ class Snapshot:
     def formula_cells(self) -> dict[CellAddress, Formula]:
         return {a: c for a, c in self.cells.items() if isinstance(c, Formula)}
 
-    def literal_cells(self) -> dict[CellAddress, Literal]:
-        return {a: c for a, c in self.cells.items() if isinstance(c, Literal)}
-
     def sheets(self) -> list[str]:
         """Stored sheet names, deduplicated case-insensitively, sorted."""
         seen: dict[str, str] = {}
@@ -450,17 +448,53 @@ def _cell_line(address: CellAddress, content: CellContent) -> str:
     return "\t".join([_escape(address.sheet), address.a1, *_content_fields(content)])
 
 
-def _sorted_cell_lines(snapshot: Snapshot) -> list[str]:
-    return [
-        _cell_line(address, snapshot.cells[address])
-        for address in sorted(snapshot.cells, key=CellAddress.sort_key)
-    ]
+class CellLines:
+    """The canonical line of each cell of one snapshot, rendered once and
+    kept in CellAddress.sort_key order.  snapshot_digest and
+    write_snapshot_file both read a snapshot's lines from here, so the
+    digest covers exactly the stored cell lines.  set and remove change
+    one line and keep the order with bisect, so a replayed snapshot is
+    re-hashed without re-rendering the cells it did not touch."""
+
+    def __init__(self, cells: dict[CellAddress, CellContent]):
+        self._addresses = sorted(cells, key=CellAddress.sort_key)
+        self._lines = [_cell_line(address, cells[address]) for address in self._addresses]
+
+    def copy(self) -> "CellLines":
+        other = CellLines({})
+        other._addresses, other._lines = list(self._addresses), list(self._lines)
+        return other
+
+    def set(self, address: CellAddress, content: CellContent) -> None:
+        """The line for cells[address] = content: like a dict key, a cell
+        already present keeps its stored address and sheet-name case."""
+        i = bisect_left(self._addresses, address.sort_key(), key=CellAddress.sort_key)
+        if i < len(self._addresses) and self._addresses[i] == address:
+            self._lines[i] = _cell_line(self._addresses[i], content)
+        else:
+            self._addresses.insert(i, address)
+            self._lines.insert(i, _cell_line(address, content))
+
+    def remove(self, address: CellAddress) -> None:
+        """Drop the line of a cell that is present."""
+        i = bisect_left(self._addresses, address.sort_key(), key=CellAddress.sort_key)
+        del self._addresses[i], self._lines[i]
+
+    def __iter__(self):
+        return iter(self._lines)
+
+    def digest(self, workbook_id: str) -> str:
+        """64 lowercase hex chars of SHA-256 over the content-only
+        canonical bytes: a reduced header, then the cell lines."""
+        payload = "\n".join([f"SNAP1\t{_escape(workbook_id)}", *self._lines]) + "\n"
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def write_snapshot_file(snapshot: Snapshot) -> str:
+def write_snapshot_file(snapshot: Snapshot, lines: CellLines | None = None) -> str:
     """Canonical text form: header, optional ATTEST line, then cell lines
-    sorted by (sheet lowercase, row, col) so output is byte-deterministic."""
-    lines = [
+    sorted by (sheet lowercase, row, col) so output is byte-deterministic.
+    lines, if given, are the snapshot's CellLines, already rendered."""
+    out = [
         "\t".join(
             [
                 "SNAP1",
@@ -471,9 +505,9 @@ def write_snapshot_file(snapshot: Snapshot) -> str:
         )
     ]
     if snapshot.attestation is not None:
-        lines.append(f"ATTEST\t{_escape(snapshot.attestation)}")
-    lines.extend(_sorted_cell_lines(snapshot))
-    return "\n".join(lines) + "\n"
+        out.append(f"ATTEST\t{_escape(snapshot.attestation)}")
+    out.extend(CellLines(snapshot.cells) if lines is None else lines)
+    return "\n".join(out) + "\n"
 
 
 def _parse_cell_line(lineno: int, line: str) -> tuple[CellAddress, CellContent]:
@@ -543,10 +577,21 @@ def parse_snapshot_file(content: str) -> Snapshot:
             continue
         lineno = len(lines) - len(body) + offset + 1
         address, cell = _parse_cell_line(lineno, line)
-        if address in cells:
+        if cells.setdefault(address, cell) is not cell:
             raise DuplicateCell(address)
-        cells[address] = cell
     return Snapshot(workbook_id, timestamp, actor, cells, attestation)
+
+
+def parse_stored_snapshot(content: str) -> tuple[Snapshot, CellLines]:
+    """A snapshot file and its cell lines as stored, not re-rendered.
+    They are the canonical lines only if they hash to the snapshot's
+    digest, which the caller checks (a file not ending in a newline
+    fails that check)."""
+    snapshot = parse_snapshot_file(content)
+    lines = CellLines({})
+    lines._addresses = list(snapshot.cells)  # file order
+    lines._lines = content.split("\n")[1 if snapshot.attestation is None else 2 : -1]
+    return snapshot, lines
 
 
 def encode_content(content: CellContent) -> str:
@@ -572,10 +617,7 @@ def decode_content(text: str) -> CellContent:
 def snapshot_digest(snapshot: Snapshot) -> str:
     """64 lowercase hex chars of SHA-256 over the content-only canonical
     bytes (workbook id plus sorted cell lines)."""
-    lines = [f"SNAP1\t{_escape(snapshot.workbook_id)}"]
-    lines.extend(_sorted_cell_lines(snapshot))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return CellLines(snapshot.cells).digest(snapshot.workbook_id)
 
 
 def content_value(content: CellContent) -> CellValue | None:

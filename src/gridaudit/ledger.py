@@ -21,10 +21,12 @@ Appends must be serialized by the caller (one writer per workbook);
 readers may run concurrently; opening a ledger writes nothing.
 
 History comes from the first stored snapshot plus the change sets, which
-must link each ingested digest to the next: cell series and usage metrics
-replay them, and each payload is decoded once per process
-(LedgerRecord.body).  Objects are checked against their digest name on
-load; a snapshot's timestamp, actor and ATTEST line are outside it.
+must link each ingested digest to the next.  Usage metrics, cell series
+and cell histories replay them, each step checked against its to_digest
+(diffing.replay); each payload is decoded once per process
+(LedgerRecord.body) and each object parsed once per Ledger.  Objects are
+checked against their digest name on load; a snapshot's timestamp, actor
+and ATTEST line are outside it.
 """
 
 from __future__ import annotations
@@ -32,16 +34,18 @@ from __future__ import annotations
 import base64
 import hashlib
 import re
+from collections.abc import Iterator
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import audit as audit_mod
-from .diffing import ChangeEvent, ChangeKind, ChangeSet, DigestMismatch, WorkbookMismatch, diff_snapshots
+from .diffing import ChangeEvent, ChangeKind, ChangeSet, DigestMismatch, WorkbookMismatch, diff_snapshots, replay
 from .findings import RULE_SEVERITY, Finding
 from .grid import (
     CellAddress,
+    CellLines,
     CellValue,
     ErrorValue,
     Snapshot,
@@ -54,9 +58,8 @@ from .grid import (
     parse_a1,
     parse_instant,
     parse_location,
-    parse_snapshot_file,
+    parse_stored_snapshot,
     record,
-    snapshot_digest,
     write_snapshot_file,
 )
 
@@ -298,12 +301,20 @@ def parse_findings(payload: bytes) -> list[Finding]:
 # --- the ledger itself -------------------------------------------------------
 
 
+def _own_cells(snapshot: Snapshot) -> Snapshot:
+    return Snapshot(snapshot.workbook_id, snapshot.timestamp, snapshot.actor, dict(snapshot.cells), snapshot.attestation)
+
+
 class Ledger:
     def __init__(self, directory: Path | None = None, raw_lines: list[str] | None = None):
         self.directory = directory
         self.raw_lines: list[str] = [] if raw_lines is None else raw_lines
         self._objects: dict[str, bytes] = {}
+        # digest -> the object (parsed, or the snapshot this ledger stored) and its cell lines
+        self._parsed: dict[str, tuple[Snapshot, CellLines]] = {}
         self._records: list[LedgerRecord | None] = []
+        self._workbook_id: str | None = None
+        self._replay_checked_at = -1  # record count when the change sets last replayed
         # a prefix view keeps reading objects from its parent's directory
         self._fallback_directory: Path | None = None
 
@@ -341,10 +352,12 @@ class Ledger:
 
     @property
     def workbook_id(self) -> str | None:
-        for record in self._records:
-            if record is not None and record.kind == "INGEST":
-                return self.load_snapshot(record.body[0]).workbook_id
-        return None
+        if self._workbook_id is None:
+            for record in self._records:
+                if record is not None and record.kind == "INGEST":
+                    self._workbook_id = self._stored(record.body[0])[0].workbook_id
+                    break
+        return self._workbook_id
 
     def prefix_view(self, length: int) -> "Ledger":
         """Read-only view of the first `length` records, sharing the
@@ -352,15 +365,21 @@ class Ledger:
         view = Ledger(directory=None, raw_lines=self.raw_lines[:length])
         view._records = list(self._records[:length])
         view._objects = self._objects
+        view._parsed = self._parsed
         view._fallback_directory = self.directory
         return view
 
     # --- object store ---
 
-    def store_snapshot(self, snapshot: Snapshot) -> str:
-        digest = snapshot_digest(snapshot)
+    def store_snapshot(self, snapshot: Snapshot, lines: CellLines | None = None) -> str:
+        """Store the snapshot's bytes under its digest; lines, if given,
+        are its CellLines, already rendered.  The snapshot stands in for
+        the parse of those bytes, which it equals."""
+        lines = CellLines(snapshot.cells) if lines is None else lines
+        digest = lines.digest(snapshot.workbook_id)
         if digest not in self._objects:
-            self._objects[digest] = write_snapshot_file(snapshot).encode("utf-8")
+            self._objects[digest] = write_snapshot_file(snapshot, lines).encode("utf-8")
+            self._parsed[digest] = (_own_cells(snapshot), lines)
             if self.directory is not None:
                 path = self.directory / "objects" / digest
                 if not path.exists():
@@ -369,11 +388,14 @@ class Ledger:
         return digest
 
     def load_snapshot(self, digest: str) -> Snapshot:
-        """The stored snapshot named by digest.  An object read from disk
-        must hash to its name (checked once, when it is first read)."""
-        data = self._objects.get(digest)
-        if data is not None:
-            return parse_snapshot_file(data.decode("utf-8"))
+        """The stored snapshot named by digest, with a cells dict of its own."""
+        return _own_cells(self._stored(digest)[0])
+
+    def _stored(self, digest: str) -> tuple[Snapshot, CellLines]:
+        """The object named by digest with its cell lines, parsed once per
+        ledger.  An object read from disk must hash to its name."""
+        if digest in self._parsed:
+            return self._parsed[digest]
         for directory in (self.directory, self._fallback_directory):
             if directory is not None and (directory / "objects" / digest).exists():
                 data = (directory / "objects" / digest).read_bytes()
@@ -381,13 +403,16 @@ class Ledger:
         else:
             raise MissingObject(f"no stored snapshot for digest {digest[:12]}...")
         try:
-            snapshot = parse_snapshot_file(data.decode("utf-8"))
+            snapshot, lines = parse_stored_snapshot(data.decode("utf-8"))
         except ValueError as exc:  # undecodable bytes or a malformed snapshot file
             raise DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
-        if snapshot_digest(snapshot) != digest:
+        # hashed as stored, so a line that parses to the same cell but is
+        # not the canonical one fails too
+        if lines.digest(snapshot.workbook_id) != digest:
             raise DigestMismatch(f"stored object {digest[:12]}... does not hash to its name")
         self._objects[digest] = data
-        return snapshot
+        self._parsed[digest] = (snapshot, lines)
+        return self._parsed[digest]
 
     # --- appends ---
 
@@ -430,6 +455,23 @@ class Ledger:
             raise DigestMismatch("change sets do not link the ingested snapshots")
         return changesets
 
+    def snapshots(self) -> Iterator[Snapshot]:
+        """The snapshot at each ingest: the first stored one, then each
+        change set replayed on it (diffing.replay checks every step)."""
+        ingests = self.ingests()
+        if ingests:
+            first = ingests[0][0]
+            yield from replay(self.load_snapshot(first), self.changesets(), self._stored(first)[1])
+
+    def _replayed_changesets(self) -> list[ChangeSet]:
+        """changesets(), each checked to replay to its to_digest; the replay
+        runs once per ledger length, not once per query."""
+        if self._replay_checked_at != len(self._records):
+            for _ in self.snapshots():
+                pass
+            self._replay_checked_at = len(self._records)
+        return self.changesets()
+
     def verify_chain(self) -> ChainVerification:
         prev = GENESIS_HASH
         for i, line in enumerate(self.raw_lines):
@@ -443,13 +485,14 @@ class Ledger:
         """Value history of one cell across ingested snapshots, oldest
         first: the cell in the first stored snapshot, then its content
         after each change set.  Cells that are absent, have no value, or
-        hold an error value leave a gap."""
+        hold an error value leave a gap.  Change sets that do not replay
+        raise ConflictingEvent or DigestMismatch."""
         ingests = self.ingests()
         if not ingests:
             return CellSeries(address, ())
-        content = self.load_snapshot(ingests[0][0]).cells.get(address)
+        content = self._stored(ingests[0][0])[0].cells.get(address)
         states = [(ingests[0][1], content)]
-        for changes in self.changesets():
+        for changes in self._replayed_changesets():
             for event in changes.events:
                 if event.address == address:
                     content = event.after
@@ -459,8 +502,10 @@ class Ledger:
         return CellSeries(address, points)
 
     def change_history(self, address: CellAddress) -> list[AttributedChange]:
+        """Every event at the address, oldest first, once the change sets
+        replay (as for series_for_cell)."""
         history = []
-        for changes in self.changesets():
+        for changes in self._replayed_changesets():
             for event in changes.events:
                 if event.address == address:
                     history.append(AttributedChange(event, changes.actor, changes.to_time))
@@ -494,7 +539,8 @@ class Ledger:
             raise WorkbookMismatch(
                 f"policy is for {policy.workbook_id!r}, snapshot is {snapshot.workbook_id!r}"
             )
-        digest = snapshot_digest(snapshot)
+        lines = CellLines(snapshot.cells)
+        digest = lines.digest(snapshot.workbook_id)
         ingests = self.ingests()
         previous = None
         if ingests:
@@ -507,12 +553,12 @@ class Ledger:
                     f"advance past {format_instant(last_at)}"
                 )
             previous = self.load_snapshot(last_digest)
-        self.store_snapshot(snapshot)
+        self.store_snapshot(snapshot, lines)
 
         findings: list[Finding] = []
         changes: ChangeSet | None = None
         if previous is not None:
-            changes = diff_snapshots(previous, snapshot)
+            changes = diff_snapshots(previous, snapshot, digests=(last_digest, digest))
             findings.extend(audit_mod.audit_workbook(snapshot, cfg))
             if policy is not None:
                 from .controls import evaluate_policies

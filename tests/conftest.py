@@ -7,6 +7,7 @@ from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import strategies as st
 
 from gridaudit.grid import (
     Boolean,
@@ -101,6 +102,27 @@ def mutate_snapshot(rng: random.Random, snapshot: Snapshot, at: datetime, actor:
         if address not in cells:
             cells[address] = _random_content(rng)
     return Snapshot(snapshot.workbook_id, at, actor, cells)
+
+
+# --- Hypothesis strategies for ledger history --------------------------------
+
+# texts that need every backslash escape of the snapshot and change-set formats
+TEXTS = ["x", "y", "tab\there", "new\nline", "back\\slash", "cr\rhere"]
+
+CONTENTS = st.one_of(
+    st.integers(-3, 3).map(lambda n: Literal(Number(Decimal(n)))),
+    st.sampled_from(TEXTS).map(lambda t: Literal(Text(t))),
+    st.sampled_from(["#N/A", "#REF!"]).map(lambda code: Literal(ErrorValue(code))),
+    st.builds(
+        Formula,
+        st.sampled_from(["=S!A1", "=S!A1+1", "=SUM(S!A1:B2)"]),
+        st.one_of(
+            st.none(),
+            st.integers(0, 3).map(lambda n: Number(Decimal(n))),
+            st.just(ErrorValue("#DIV/0!")),
+        ),
+    ),
+)
 
 
 @pytest.fixture

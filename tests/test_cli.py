@@ -312,6 +312,8 @@ class TestReport:
 class TestStoredObjectDigest:
     FORGERIES = {
         "edited-value": lambda data: data.replace(b"S\tA1\tV\tN\t5\n", b"S\tA1\tV\tN\t999999\n"),
+        # parses to an equal value, but its stored line is no longer the canonical one
+        "re-encoded-value": lambda data: data.replace(b"S\tA1\tV\tN\t5\n", b"S\tA1\tV\tN\t5.000\n"),
         "undecodable-byte": lambda data: data + b"\xff",
         "truncated-line": lambda data: data[:-3],
     }
@@ -328,6 +330,7 @@ class TestStoredObjectDigest:
         capsys.readouterr()
         for argv in (
             ["trend", files["ledger"], "S!A1"],
+            ["history", files["ledger"], "S!A1"],
             ["profile", files["ledger"]],
             ["report", files["ledger"], "--policy", files["policy.txt"], *TestReport.ARGS],
         ):
@@ -400,12 +403,17 @@ class TestDamagedChangeSet:
         self._rechain(files, tmp_path / "damaged", edit)
         capsys.readouterr()
         assert run(["verify", str(tmp_path / "damaged")]) == 0
+        capsys.readouterr()
         for argv in (
+            ["trend", str(tmp_path / "damaged"), "S!A1"],
+            ["history", str(tmp_path / "damaged"), "S!A1"],
             ["profile", str(tmp_path / "damaged")],
             ["report", str(tmp_path / "damaged"), "--policy", files["policy.txt"], *TestReport.ARGS],
         ):
             assert run(argv) == 3
-            assert "integrity error" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "integrity error" in captured.err
 
     @pytest.mark.parametrize("damage", ["dropped-change-set", "stopped-after-ingest"])
     def test_unlinked_change_sets_are_an_integrity_error(self, capsys, files, tmp_path, damage):

@@ -12,7 +12,7 @@ from decimal import Decimal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, hours
+from conftest import CONTENTS, T0, hours
 from oracles import series_for_cell_by_rescan, usage_metrics_by_rescan
 
 from gridaudit.assess import usage_metrics
@@ -20,22 +20,6 @@ from gridaudit.grid import CellAddress, ErrorValue, Formula, Literal, Number, Sn
 from gridaudit.ledger import Ledger
 
 ADDRESSES = [CellAddress(sheet, row, col) for sheet in ("S", "T") for row in (1, 2, 3) for col in (1, 2)]
-
-CONTENTS = st.one_of(
-    st.integers(-3, 3).map(lambda n: Literal(Number(Decimal(n)))),
-    st.sampled_from(["x", "y"]).map(lambda t: Literal(Text(t))),
-    st.sampled_from(["#N/A", "#REF!"]).map(lambda code: Literal(ErrorValue(code))),
-    st.builds(
-        Formula,
-        st.sampled_from(["=S!A1", "=S!A1+1", "=SUM(S!A1:B2)"]),
-        st.one_of(
-            st.none(),
-            st.integers(0, 3).map(lambda n: Number(Decimal(n))),
-            st.just(ErrorValue("#DIV/0!")),
-        ),
-    ),
-)
-
 
 @st.composite
 def ingest_sequences(draw):

@@ -12,6 +12,7 @@ from oracles import sha256_hex
 
 from gridaudit.diffing import ChangeKind, WorkbookMismatch, apply_changes
 from gridaudit.grid import Number, Text, format_instant, snapshot_digest
+from gridaudit.grid import parse_snapshot_file as parse
 from gridaudit.ledger import (
     GENESIS_HASH,
     Ledger,
@@ -295,3 +296,30 @@ class TestQueries:
             make_finding("LOCKED_REGION_CHANGE", Region("S", 1, 1, 5, 5), "locked", "Added"),
         ]
         assert parse_findings(serialize_findings(findings)) == findings
+
+
+class TestObjectCache:
+    def _ledger(self, ledger):
+        ingest_sequence(ledger, [(0, "alice", {"S!A1": 1, "S!B1": "x"}), (1, "bob", {"S!A1": 2, "S!B1": "x"})])
+        return Ledger.open(ledger.directory)
+
+    def test_each_object_is_parsed_once(self, ledger, monkeypatch):
+        reopened = self._ledger(ledger)
+        parses = []
+        monkeypatch.setattr("gridaudit.grid.parse_snapshot_file", lambda text: parses.append(text) or parse(text))
+        first, last = (digest for digest, _, _ in reopened.ingests())
+        for _ in range(2):
+            assert reopened.workbook_id == "wb1"
+            reopened.series_for_cell(addr("S!A1"))
+            reopened.change_history(addr("S!A1"))
+            reopened.load_snapshot(first)
+            reopened.load_snapshot(last)
+        assert len(parses) == 2
+
+    def test_each_load_has_cells_of_its_own(self, ledger):
+        reopened = self._ledger(ledger)
+        digest = reopened.ingests()[0][0]
+        loaded = reopened.load_snapshot(digest)
+        loaded.cells.clear()
+        assert reopened.load_snapshot(digest).cells == snap({"S!A1": 1, "S!B1": "x"}).cells
+        assert [v.value for _, v in reopened.series_for_cell(addr("S!A1")).points] == [1, 2]
