@@ -220,10 +220,10 @@ def build_report(
     start, end = period
     if start >= end:
         raise ValueError("period start must precede period end")
-    if not ledger.raw_lines:
+    chain = ledger.verify_chain()
+    if not chain.record_count:
         raise EmptyLedger("cannot report on an empty ledger")
     classifier = classifier or ClassifierConfig()
-    chain = ledger.verify_chain()
     findings = findings_in_period(ledger, start, end) if chain.ok else []
     if not chain.ok:
         findings.append(
@@ -246,7 +246,7 @@ def build_report(
         period_start=start,
         period_end=end,
         generated_at=generated_at,
-        record_count=len(ledger.raw_lines),
+        record_count=chain.record_count,
         chain_verified=chain.ok,
         findings_by_sox=by_section,
         material_weaknesses=[f for f in findings if f.severity == CRITICAL],

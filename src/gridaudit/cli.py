@@ -24,14 +24,13 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .assess import EmptyLedger, build_profile, build_report, render_report_json, render_report_text
-from .audit import AuditConfig, ConfigError, audit_workbook, load_audit_config
-from .controls import ControlPolicy, PolicyError, TrendRule, evaluate_policies, parse_policy_file, trend_deviation
-from .diffing import ConflictingEvent, DiffError, DigestMismatch, diff_snapshots
+from .assess import build_profile, build_report, render_report_json, render_report_text
+from .audit import AuditConfig, audit_workbook, load_audit_config
+from .controls import ControlPolicy, TrendRule, evaluate_policies, parse_policy_file, trend_deviation
+from .diffing import ConflictingEvent, DigestMismatch, diff_snapshots
 from .findings import Finding, has_critical
 from .grid import (
     Number,
-    SnapshotError,
     format_instant,
     parse_instant,
     parse_qualified_address,
@@ -39,7 +38,7 @@ from .grid import (
     render_content,
     render_value,
 )
-from .ledger import CellSeries, Ledger, LedgerCorrupt, LedgerError, MissingObject, NonMonotonicTimestamp
+from .ledger import CellSeries, Ledger, LedgerCorrupt, LedgerError, MissingObject
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -282,17 +281,7 @@ def run(argv: list[str]) -> int:
     except (LedgerCorrupt, DigestMismatch, ConflictingEvent, MissingObject) as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except (
-        SnapshotError,
-        DiffError,
-        PolicyError,
-        ConfigError,
-        NonMonotonicTimestamp,
-        EmptyLedger,
-        ValueError,
-        LedgerError,
-        OSError,
-    ) as exc:
+    except (ValueError, LedgerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

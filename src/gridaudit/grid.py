@@ -564,7 +564,9 @@ def parse_snapshot_file(content: str) -> Snapshot:
 
     body = lines[1:]
     attestation = None
-    if body and body[0].startswith("ATTEST\t"):
+    # the writer escapes every tab in the text, so its ATTEST line has two
+    # fields; a cell line on a sheet named ATTEST has at least four
+    if body and body[0].startswith("ATTEST\t") and body[0].count("\t") == 1:
         try:
             attestation = _unescape(body[0][len("ATTEST\t") :])
         except ValueError as exc:

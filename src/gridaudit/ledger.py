@@ -10,6 +10,10 @@ Each record hash is SHA-256 over (seq, prev_hash, kind, payload bytes,
 recorded_at) with newline separators; record 0 links from 64 zeros and
 record n links from record n-1's hash, so altering any stored byte or
 reordering records breaks verification at or before the altered position.
+Building a Ledger checks every line once, in order (decode_record); the
+first corrupt line stops the decode and its LedgerCorrupt, which names the
+reason, is kept.  verify_chain reports that check without hashing again,
+and every other read raises the kept LedgerCorrupt.
 
 Record timestamps come from the ingested snapshot, not a wall clock, so a
 ledger built from the same snapshot files is byte-identical every time.
@@ -84,6 +88,7 @@ class LedgerCorrupt(LedgerError):
     def __init__(self, seq: int, reason: str):
         super().__init__(f"ledger record {seq} is corrupt: {reason}")
         self.seq = seq
+        self.reason = reason
 
 
 class MissingObject(LedgerError):
@@ -149,42 +154,35 @@ def encode_record(record: LedgerRecord) -> str:
     )
 
 
-def _check_record_line(index: int, line: str, prev_hash: str) -> LedgerRecord | str:
-    """The record when the line is valid at this position, else the
-    reason it is not.  Field text is checked as stored so any byte flip
-    breaks either the structure or the hash."""
+def decode_record(index: int, line: str, prev_hash: str) -> LedgerRecord:
+    """The record on this line, or LedgerCorrupt naming why the line is
+    not valid at this position.  Field text is checked as stored so any
+    byte flip breaks either the structure or the hash."""
     fields = line.split("\t")
     if len(fields) != 6:
-        return f"expected 6 fields, found {len(fields)}"
+        raise LedgerCorrupt(index, f"expected 6 fields, found {len(fields)}")
     seq_text, prev_text, kind, at_text, payload_b64, hash_text = fields
     if seq_text != str(index):
-        return f"sequence field {seq_text!r} at position {index}"
+        raise LedgerCorrupt(index, f"sequence field {seq_text!r} at position {index}")
     if prev_text != prev_hash:
-        return "previous-hash link broken"
+        raise LedgerCorrupt(index, "previous-hash link broken")
     if kind not in RECORD_KINDS:
-        return f"unknown record kind {kind!r}"
+        raise LedgerCorrupt(index, f"unknown record kind {kind!r}")
     if not _HEX64_RE.fullmatch(hash_text):
-        return "hash field is not 64 lowercase hex chars"
+        raise LedgerCorrupt(index, "hash field is not 64 lowercase hex chars")
     try:
         payload = base64.b64decode(payload_b64.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError):
-        return "payload is not valid base64"
+    except ValueError:  # binascii.Error or UnicodeEncodeError
+        raise LedgerCorrupt(index, "payload is not valid base64") from None
     if base64.b64encode(payload).decode("ascii") != payload_b64:
-        return "payload base64 is not canonical"
+        raise LedgerCorrupt(index, "payload base64 is not canonical")
     try:
         recorded_at = parse_instant(at_text)
     except ValueError:
-        return "unparseable recorded_at"
+        raise LedgerCorrupt(index, "unparseable recorded_at") from None
     if record_hash(seq_text, prev_text, kind, payload, at_text) != hash_text:
-        return "record hash does not match contents"
+        raise LedgerCorrupt(index, "record hash does not match contents")
     return LedgerRecord(index, prev_text, kind, recorded_at, payload, hash_text)
-
-
-def decode_record(index: int, line: str, prev_hash: str) -> LedgerRecord:
-    result = _check_record_line(index, line, prev_hash)
-    if isinstance(result, str):
-        raise LedgerCorrupt(index, result)
-    return result
 
 
 # --- payload serializations -------------------------------------------------
@@ -307,54 +305,54 @@ def _own_cells(snapshot: Snapshot) -> Snapshot:
 
 class Ledger:
     def __init__(self, directory: Path | None = None, raw_lines: list[str] | None = None):
+        """A ledger over the log lines, each checked here, once, in order.
+        The first corrupt line ends the decode; its LedgerCorrupt is kept
+        for verify_chain to report and for records to raise."""
         self.directory = directory
         self.raw_lines: list[str] = [] if raw_lines is None else raw_lines
         self._objects: dict[str, bytes] = {}
         # digest -> the object (parsed, or the snapshot this ledger stored) and its cell lines
         self._parsed: dict[str, tuple[Snapshot, CellLines]] = {}
-        self._records: list[LedgerRecord | None] = []
+        self._records: list[LedgerRecord] = []  # the valid records before any corrupt line
+        self._corrupt: LedgerCorrupt | None = None
         self._workbook_id: str | None = None
         self._replay_checked_at = -1  # record count when the change sets last replayed
         # a prefix view keeps reading objects from its parent's directory
         self._fallback_directory: Path | None = None
+        prev = GENESIS_HASH
+        for i, line in enumerate(self.raw_lines):
+            try:
+                record = decode_record(i, line, prev)
+            except LedgerCorrupt as exc:
+                self._corrupt = exc
+                break
+            self._records.append(record)
+            prev = record.hash
 
     @classmethod
     def open(cls, directory: str | Path) -> "Ledger":
         """Load a ledger directory; an absent one reads as empty and is not
-        created.  Corrupt record lines are tolerated here so verify_chain can
-        report them; any other operation on a corrupt ledger raises LedgerCorrupt."""
+        created.  A corrupt ledger opens so verify_chain can report it; any
+        other operation on it raises LedgerCorrupt."""
         directory = Path(directory)
-        ledger = cls(directory=directory)
         log = directory / "ledger.log"
-        if log.exists():
-            raw = log.read_text(encoding="utf-8").split("\n")
-            if raw and raw[-1] == "":
-                raw.pop()
-            ledger.raw_lines = raw
-        prev = GENESIS_HASH
-        for i, line in enumerate(ledger.raw_lines):
-            try:
-                record = decode_record(i, line, prev)
-            except LedgerCorrupt:
-                ledger._records.append(None)
-                prev = line.split("\t")[5] if len(line.split("\t")) == 6 else ""
-                continue
-            ledger._records.append(record)
-            prev = record.hash
-        return ledger
+        lines = log.read_text(encoding="utf-8").split("\n") if log.exists() else []
+        if lines and lines[-1] == "":
+            lines.pop()
+        return cls(directory, lines)
 
     @property
     def records(self) -> list[LedgerRecord]:
-        for i, record in enumerate(self._records):
-            if record is None:
-                raise LedgerCorrupt(i, "cannot operate on a corrupt ledger")
-        return self._records  # type: ignore[return-value]
+        if self._corrupt is not None:
+            # a bare re-raise would extend the kept traceback each time
+            raise self._corrupt.with_traceback(None)
+        return self._records
 
     @property
     def workbook_id(self) -> str | None:
         if self._workbook_id is None:
-            for record in self._records:
-                if record is not None and record.kind == "INGEST":
+            for record in self.records:
+                if record.kind == "INGEST":
                     self._workbook_id = self._stored(record.body[0])[0].workbook_id
                     break
         return self._workbook_id
@@ -362,8 +360,9 @@ class Ledger:
     def prefix_view(self, length: int) -> "Ledger":
         """Read-only view of the first `length` records, sharing the
         object store.  Used to re-evaluate a delta in its original state."""
-        view = Ledger(directory=None, raw_lines=self.raw_lines[:length])
-        view._records = list(self._records[:length])
+        view = Ledger()
+        view.raw_lines = self.raw_lines[:length]
+        view._records = self.records[:length]  # already checked
         view._objects = self._objects
         view._parsed = self._parsed
         view._fallback_directory = self.directory
@@ -473,13 +472,11 @@ class Ledger:
         return self.changesets()
 
     def verify_chain(self) -> ChainVerification:
-        prev = GENESIS_HASH
-        for i, line in enumerate(self.raw_lines):
-            result = _check_record_line(i, line, prev)
-            if isinstance(result, str):
-                return ChainVerification(False, i, len(self.raw_lines), result)
-            prev = result.hash
-        return ChainVerification(True, None, len(self.raw_lines))
+        """The outcome of the check every line passed through when this
+        ledger was built; nothing is hashed again."""
+        if self._corrupt is None:
+            return ChainVerification(True, None, len(self.raw_lines))
+        return ChainVerification(False, self._corrupt.seq, len(self.raw_lines), self._corrupt.reason)
 
     def series_for_cell(self, address: CellAddress) -> CellSeries:
         """Value history of one cell across ingested snapshots, oldest

@@ -28,6 +28,7 @@ from gridaudit.assess import (
 from gridaudit.controls import ControlPolicy, Mode, RegionRule, parse_policy_file
 from gridaudit.findings import CRITICAL, make_finding
 from gridaudit.grid import parse_region
+from gridaudit import ledger as ledger_mod
 from gridaudit.ledger import Ledger
 
 
@@ -246,6 +247,15 @@ class TestReports:
         assert not report.chain_verified
         assert [f.rule_id for f in report.findings_by_sox[103]] == ["LEDGER_TAMPER"]
         assert report.material_weaknesses[0].rule_id == "LEDGER_TAMPER"
+
+    def test_each_record_is_hashed_once(self, tmp_path, monkeypatch):
+        ledger, policy = _build_violation_ledger(tmp_path)
+        calls = []
+        original = ledger_mod.record_hash
+        monkeypatch.setattr(ledger_mod, "record_hash", lambda *args: calls.append(1) or original(*args))
+        report = build_report(Ledger.open(ledger.directory), policy, self.PERIOD, self.GENERATED)
+        assert report.chain_verified
+        assert len(calls) == report.record_count == len(ledger.records)
 
     def test_period_filters_findings(self, tmp_path):
         ledger, policy = _build_violation_ledger(tmp_path)

@@ -191,6 +191,19 @@ class TestVerify:
         assert captured.err == f"reason: {reason}\n"
         assert Ledger.open(files["ledger"]).verify_chain().reason == reason
 
+    def test_other_commands_name_the_reason(self, capsys, files, tmp_path):
+        run(["ingest", files["ledger"], files["s1.snap"]])
+        run(["ingest", files["ledger"], files["s2.snap"]])
+        log = tmp_path / "ledger" / "ledger.log"
+        lines = log.read_text().split("\n")
+        lines[2] = lines[2][:-1] + ("0" if lines[2][-1] != "0" else "1")
+        log.write_text("\n".join(lines))
+        capsys.readouterr()
+        assert run(["trend", files["ledger"], "S!A1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "integrity error: ledger record 2 is corrupt: record hash does not match contents\n"
+
 
 class TestQueries:
     def _seed(self, files):

@@ -122,6 +122,12 @@ class TestSnapshotFile:
         assert text.splitlines()[1] == "ATTEST\treviewed"
         assert parse_snapshot_file(text).attestation == "reviewed"
 
+    def test_sheet_named_attest_first_is_a_cell_not_an_attestation(self):
+        s = snap({"ATTEST!A1": 5, "S!A1": 6})
+        parsed = parse_snapshot_file(write_snapshot_file(s))
+        assert parsed == s
+        assert parsed.attestation is None
+
     def test_malformed_header(self):
         with pytest.raises(MalformedHeader):
             parse_snapshot_file("")

@@ -13,9 +13,11 @@ from oracles import sha256_hex
 from gridaudit.diffing import ChangeKind, WorkbookMismatch, apply_changes
 from gridaudit.grid import Number, Text, format_instant, snapshot_digest
 from gridaudit.grid import parse_snapshot_file as parse
+from gridaudit import ledger as ledger_mod
 from gridaudit.ledger import (
     GENESIS_HASH,
     Ledger,
+    LedgerCorrupt,
     NonMonotonicTimestamp,
     parse_changeset,
     parse_findings,
@@ -195,6 +197,27 @@ class TestVerification:
         result = Ledger.open(ledger.directory).verify_chain()
         assert not result.ok and result.first_bad_seq == 1
 
+    def test_each_record_is_hashed_once(self, ledger, monkeypatch):
+        self._build(ledger)
+        calls = []
+        original = ledger_mod.record_hash
+        monkeypatch.setattr(ledger_mod, "record_hash", lambda *args: calls.append(1) or original(*args))
+        assert Ledger.open(ledger.directory).verify_chain().ok
+        assert len(calls) == len(ledger.records)
+
+    def test_reason_is_kept_for_every_operation(self, ledger):
+        self._build(ledger)
+        log = ledger.directory / "ledger.log"
+        lines = log.read_text().split("\n")
+        lines[3] = "\t".join(lines[3].split("\t")[:5])
+        log.write_text("\n".join(lines))
+        reopened = Ledger.open(ledger.directory)
+        result = reopened.verify_chain()
+        assert (result.ok, result.first_bad_seq, result.reason) == (False, 3, "expected 6 fields, found 5")
+        with pytest.raises(LedgerCorrupt) as caught:
+            reopened.records
+        assert (caught.value.seq, caught.value.reason) == (3, "expected 6 fields, found 5")
+
     def test_reload_round_trip(self, ledger):
         self._build(ledger)
         reloaded = Ledger.open(ledger.directory)
@@ -203,6 +226,17 @@ class TestVerification:
 
 
 class TestQueries:
+    def test_sheet_named_attest_reloads_from_the_object_store(self, ledger):
+        ingest_sequence(
+            ledger,
+            [
+                (0, "a", {"ATTEST!A1": 5, "S!A1": 6}),
+                (1, "a", {"ATTEST!A1": 7, "S!A1": 6}),
+            ],
+        )
+        series = Ledger.open(ledger.directory).series_for_cell(addr("ATTEST!A1"))
+        assert [v.value for _, v in series.points] == [Decimal(5), Decimal(7)]
+
     def test_series_for_cell(self, ledger):
         ingest_sequence(
             ledger,
