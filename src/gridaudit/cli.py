@@ -121,7 +121,7 @@ def _cmd_check(args) -> int:
     seq = changeset_seqs[-1]
     changes = ledger.records[seq].body
     cut = seq - 1 if seq > 0 and ledger.records[seq - 1].kind == "INGEST" else seq
-    view = ledger.prefix_view(cut)
+    view = Ledger(ledger.directory, ledger.raw_lines[:cut])
     return _print_findings(evaluate_policies(changes, policy, view))
 
 

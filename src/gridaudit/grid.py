@@ -304,13 +304,6 @@ class Snapshot:
     def formula_cells(self) -> dict[CellAddress, Formula]:
         return {a: c for a, c in self.cells.items() if isinstance(c, Formula)}
 
-    def sheets(self) -> list[str]:
-        """Stored sheet names, deduplicated case-insensitively, sorted."""
-        seen: dict[str, str] = {}
-        for address in self.cells:
-            seen.setdefault(address.sheet.lower(), address.sheet)
-        return [seen[k] for k in sorted(seen)]
-
 
 def canonical_decimal(value: Decimal) -> str:
     """Deterministic text for a Decimal: equal values render identically,
@@ -444,6 +437,24 @@ def _content_fields(content: CellContent) -> list[str]:
     return fields
 
 
+def _parse_content_fields(fields: list[str]) -> CellContent:
+    """The content _content_fields rendered: V kind value, or F source
+    with an optional kind and value for the cached result."""
+    if len(fields) < 2:
+        raise ValueError(f"cell content needs at least 2 fields, found {len(fields)}")
+    kind = fields[0]
+    if kind == "V":
+        if len(fields) != 3:
+            raise ValueError(f"literal content needs 3 fields, found {len(fields)}")
+        return Literal(_parse_value_fields(fields[1], fields[2]))
+    if kind == "F":
+        if len(fields) not in (2, 4):
+            raise ValueError(f"formula content needs 2 or 4 fields, found {len(fields)}")
+        cached = _parse_value_fields(fields[2], fields[3]) if len(fields) == 4 else None
+        return Formula(_unescape(fields[1]), cached)
+    raise ValueError(f"unknown cell kind {kind!r}")
+
+
 def _cell_line(address: CellAddress, content: CellContent) -> str:
     return "\t".join([_escape(address.sheet), address.a1, *_content_fields(content)])
 
@@ -512,32 +523,11 @@ def write_snapshot_file(snapshot: Snapshot, lines: CellLines | None = None) -> s
 
 def _parse_cell_line(lineno: int, line: str) -> tuple[CellAddress, CellContent]:
     fields = line.split("\t")
-    if len(fields) < 4:
-        raise BadAddress(lineno, f"cell line needs at least 4 fields: {line!r}")
+    if len(fields) < 2:
+        raise BadAddress(lineno, f"cell line needs a sheet and an address: {line!r}")
     try:
-        sheet = _unescape(fields[0])
-        if not sheet:
-            raise ValueError("empty sheet name")
-        row, col = parse_a1(fields[1])
-        address = CellAddress(sheet, row, col)
-    except ValueError as exc:
-        raise BadAddress(lineno, str(exc)) from exc
-    kind = fields[2]
-    try:
-        if kind == "V":
-            if len(fields) != 5:
-                raise ValueError("literal line needs exactly 5 fields")
-            return address, Literal(_parse_value_fields(fields[3], fields[4]))
-        if kind == "F":
-            source = _unescape(fields[3])
-            if len(fields) == 4:
-                return address, Formula(source)
-            if len(fields) == 6:
-                return address, Formula(source, _parse_value_fields(fields[4], fields[5]))
-            raise ValueError("formula line needs 4 or 6 fields")
-        raise ValueError(f"unknown cell kind {kind!r}")
-    except BadAddress:
-        raise
+        address = CellAddress(_unescape(fields[0]), *parse_a1(fields[1]))
+        return address, _parse_content_fields(fields[2:])
     except ValueError as exc:
         raise BadAddress(lineno, str(exc)) from exc
 
@@ -603,17 +593,8 @@ def encode_content(content: CellContent) -> str:
 
 
 def decode_content(text: str) -> CellContent:
-    fields = text.split("\t")
-    kind = fields[0]
-    if kind == "V" and len(fields) == 3:
-        return Literal(_parse_value_fields(fields[1], fields[2]))
-    if kind == "F":
-        source = _unescape(fields[1])
-        if len(fields) == 2:
-            return Formula(source)
-        if len(fields) == 4:
-            return Formula(source, _parse_value_fields(fields[2], fields[3]))
-    raise ValueError(f"bad cell content encoding {text!r}")
+    """The content encode_content rendered."""
+    return _parse_content_fields(text.split("\t"))
 
 
 def snapshot_digest(snapshot: Snapshot) -> str:

@@ -21,6 +21,8 @@ ledger built from the same snapshot files is byte-identical every time.
 Ingesting appends INGEST, then (after the first snapshot) CHANGESET and
 FINDINGS, then ATTEST when the snapshot carries an attestation.  The
 trailing ATTEST closes a workflow period including its own changes.
+A ledger as of record k is Ledger(directory, raw_lines[:k]); `check`
+re-evaluates the latest change set on the ledger before its INGEST.
 Appends must be serialized by the caller (one writer per workbook);
 readers may run concurrently; opening a ledger writes nothing.
 
@@ -227,14 +229,14 @@ def serialize_changeset(changes: ChangeSet) -> bytes:
 
 
 def parse_changeset(payload: bytes) -> ChangeSet:
-    lines = payload.decode("utf-8").split("\n")
+    head_line, *lines = payload.decode("utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    head = lines[0].split("\t")
+    head = head_line.split("\t")
     if len(head) != 7 or head[0] != "CS1":
-        raise ValueError(f"bad change set header {lines[0]!r}")
+        raise ValueError(f"bad change set header {head_line!r}")
     events = []
-    for line in lines[1:]:
+    for line in lines:
         sheet, a1, kind, before, after = line.split("\t")
         row, col = parse_a1(a1)
         events.append(
@@ -317,8 +319,6 @@ class Ledger:
         self._corrupt: LedgerCorrupt | None = None
         self._workbook_id: str | None = None
         self._replay_checked_at = -1  # record count when the change sets last replayed
-        # a prefix view keeps reading objects from its parent's directory
-        self._fallback_directory: Path | None = None
         prev = GENESIS_HASH
         for i, line in enumerate(self.raw_lines):
             try:
@@ -357,17 +357,6 @@ class Ledger:
                     break
         return self._workbook_id
 
-    def prefix_view(self, length: int) -> "Ledger":
-        """Read-only view of the first `length` records, sharing the
-        object store.  Used to re-evaluate a delta in its original state."""
-        view = Ledger()
-        view.raw_lines = self.raw_lines[:length]
-        view._records = self.records[:length]  # already checked
-        view._objects = self._objects
-        view._parsed = self._parsed
-        view._fallback_directory = self.directory
-        return view
-
     # --- object store ---
 
     def store_snapshot(self, snapshot: Snapshot, lines: CellLines | None = None) -> str:
@@ -395,12 +384,10 @@ class Ledger:
         ledger.  An object read from disk must hash to its name."""
         if digest in self._parsed:
             return self._parsed[digest]
-        for directory in (self.directory, self._fallback_directory):
-            if directory is not None and (directory / "objects" / digest).exists():
-                data = (directory / "objects" / digest).read_bytes()
-                break
-        else:
+        path = None if self.directory is None else self.directory / "objects" / digest
+        if path is None or not path.exists():
             raise MissingObject(f"no stored snapshot for digest {digest[:12]}...")
+        data = path.read_bytes()
         try:
             snapshot, lines = parse_stored_snapshot(data.decode("utf-8"))
         except ValueError as exc:  # undecodable bytes or a malformed snapshot file

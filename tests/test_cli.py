@@ -267,6 +267,34 @@ class TestQueries:
         capsys.readouterr()
         assert run(["check", files["ledger"], "--policy", files["policy.txt"]]) == 2
 
+    def test_check_evaluates_on_the_ledger_before_the_latest_ingest(self, capsys, tmp_path):
+        # the last ingest ends a workflow period with an ATTEST, and its own
+        # value would join B1's trend history: evaluated on the whole
+        # ledger, calc and publish look out of order and B1 looks ordinary
+        policy = tmp_path / "policy.txt"
+        policy.write_text(
+            "workbook = wb1\n\n[trend]\ncell = S!B1\nwindow = 5\n\n"
+            "[workflow]\nstep = load S!A1\nstep = calc S!B1\nstep = publish S!C1\n"
+        )
+        ledger_dir = str(tmp_path / "ledger")
+        for day in range(1, 8):
+            last = day == 7
+            snap_file = tmp_path / f"c{day}.snap"
+            snap_file.write_text(
+                f"SNAP1\twb1\t2024-03-{day:02d}T09:00:00Z\talice\n"
+                + ("ATTEST\tclosed by bob\n" if last else "")
+                + f"S\tA1\tV\tN\t{1 if day < 3 else 2}\n"
+                + f"S\tB1\tV\tN\t{50 if last else 10}\n"
+                + f"S\tC1\tV\tN\t{2 if last else 1}\n"
+                + f"S\tD1\tV\tN\t{day}\n"
+            )
+            capsys.readouterr()
+            code = run(["ingest", ledger_dir, str(snap_file), "--policy", str(policy)])
+        expected = "critical\tTREND_DEVIATION\tS!B1\tnew value 50 departs from constant history 10.000000\n"
+        assert (code, capsys.readouterr().out) == (1, expected)
+        assert run(["check", ledger_dir, "--policy", str(policy)]) == 1
+        assert capsys.readouterr().out == expected
+
 
 class TestMissingObject:
     def test_check_reports_missing_object_as_integrity_error(self, capsys, files, tmp_path):
@@ -452,6 +480,20 @@ class TestDamagedChangeSet:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "integrity error" in captured.err
+
+    def test_empty_change_set_payload_is_a_usage_error(self, capsys, files, tmp_path):
+        self._rechain(files, tmp_path / "damaged", lambda r: b"" if r.kind == "CHANGESET" else r.payload)
+        capsys.readouterr()
+        for argv in (
+            ["trend", str(tmp_path / "damaged"), "S!A1"],
+            ["history", str(tmp_path / "damaged"), "S!A1"],
+            ["profile", str(tmp_path / "damaged")],
+            ["report", str(tmp_path / "damaged"), "--policy", files["policy.txt"], *TestReport.ARGS],
+        ):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: bad change set header")
 
 
 class TestInternalError:

@@ -11,7 +11,7 @@ from conftest import T0, addr, hours, snap
 from oracles import sha256_hex
 
 from gridaudit.diffing import ChangeKind, WorkbookMismatch, apply_changes
-from gridaudit.grid import Number, Text, format_instant, snapshot_digest
+from gridaudit.grid import Number, Text, decode_content, format_instant, snapshot_digest
 from gridaudit.grid import parse_snapshot_file as parse
 from gridaudit import ledger as ledger_mod
 from gridaudit.ledger import (
@@ -320,6 +320,11 @@ class TestQueries:
         changes = parse_changeset(record.payload)
         assert changes.workbook_id == "wb1"
         assert {str(e.address) for e in changes.events} == {"S!A1", "S!C3"}
+
+    @pytest.mark.parametrize("decode, payload", [(parse_changeset, b""), (decode_content, "F")])
+    def test_truncated_payload_is_a_value_error(self, decode, payload):
+        with pytest.raises(ValueError):
+            decode(payload)
 
     def test_findings_payload_round_trip(self):
         from gridaudit.findings import make_finding
