@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .controls import ControlPolicy, Mode
 from .diffing import volatility_metrics
-from .findings import CRITICAL, RULE_SEVERITY, Finding
+from .findings import CRITICAL, RULE_SEVERITY, Finding, finding_line
 from .grid import format_instant, record
 from .ledger import Ledger
 
@@ -261,11 +261,6 @@ def build_report(
     )
 
 
-def _finding_line(finding: Finding) -> str:
-    parts = [finding.severity, finding.rule_id, str(finding.location), finding.message]
-    return "\t".join(parts)
-
-
 def _policy_lines(policy: ControlPolicy | None) -> list[str]:
     if policy is None:
         return ["  none declared"]
@@ -322,13 +317,13 @@ def render_report_text(report: ComplianceReport) -> str:
         lines.append(f"SECTION {section}: {_SECTION_TITLES[section]}")
         section_findings = report.findings_by_sox[section]
         if section_findings:
-            lines.extend(f"  {_finding_line(f)}" for f in section_findings)
+            lines.extend(f"  {finding_line(f)}" for f in section_findings)
         else:
             lines.append("  no findings")
     lines.append("")
     lines.append("MATERIAL WEAKNESSES")
     if report.material_weaknesses:
-        lines.extend(f"  {_finding_line(f)}" for f in report.material_weaknesses)
+        lines.extend(f"  {finding_line(f)}" for f in report.material_weaknesses)
     else:
         lines.append("  none")
     lines.append("")

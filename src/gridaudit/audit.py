@@ -90,9 +90,10 @@ def load_audit_config(text: str) -> AuditConfig:
             elif key == "majority_fraction":
                 values[key] = Fraction(value)
             elif key == "constant_whitelist":
-                values[key] = frozenset(
-                    Decimal(part.strip()) for part in value.split(",") if part.strip()
-                )
+                constants = [Decimal(part.strip()) for part in value.split(",") if part.strip()]
+                if not all(c.is_finite() for c in constants):
+                    raise ConfigError(f"line {lineno}: constant_whitelist takes finite numbers only")
+                values[key] = frozenset(constants)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
         except (ValueError, ArithmeticError) as exc:

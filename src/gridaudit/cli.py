@@ -28,7 +28,7 @@ from .assess import build_profile, build_report, render_report_json, render_repo
 from .audit import AuditConfig, audit_workbook, load_audit_config
 from .controls import ControlPolicy, TrendRule, evaluate_policies, parse_policy_file, trend_deviation
 from .diffing import ConflictingEvent, DigestMismatch, diff_snapshots
-from .findings import Finding, has_critical
+from .findings import Finding, finding_line, has_critical
 from .grid import (
     Number,
     format_instant,
@@ -49,7 +49,7 @@ EXIT_INTERNAL = 4
 
 def _print_findings(findings: list[Finding]) -> int:
     for f in findings:
-        print(f"{f.severity}\t{f.rule_id}\t{f.location}\t{f.message}")
+        print(finding_line(f))
     return EXIT_FINDINGS if has_critical(findings) else EXIT_OK
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from enum import IntEnum
+from math import isfinite
 from statistics import fmean, stdev
 from typing import TYPE_CHECKING
 
@@ -97,6 +98,10 @@ class BoundRule:
     minimum: Decimal | None = None
     maximum: Decimal | None = None
 
+    def __post_init__(self):
+        if not all(b is None or b.is_finite() for b in (self.minimum, self.maximum)):
+            raise ValueError("bounds must be finite numbers")
+
     def bounds_text(self) -> str:
         parts = []
         if self.minimum is not None:
@@ -116,10 +121,12 @@ class TrendRule:
     def __post_init__(self):
         if self.window < 5:
             raise ValueError("trend window must be >= 5")
-        if self.z_threshold <= 0:
-            raise ValueError("z threshold must be > 0")
+        if not (isfinite(self.z_threshold) and self.z_threshold > 0):
+            raise ValueError("z threshold must be a finite number > 0")
         if self.min_points < 5:
             raise ValueError("min_points must be >= 5")
+        if self.min_points > self.window:
+            raise ValueError("min_points must not exceed window")
 
 
 @record
@@ -183,44 +190,29 @@ def _attestation_for(changes: ChangeSet, ledger: "Ledger | None") -> str | None:
 def _check_regions(changes: ChangeSet, policy: ControlPolicy, attestation: str | None) -> list[Finding]:
     findings = []
     for rule in policy.region_rules:
+        if rule.mode is Mode.LOCKED:
+            rule_id, tail, expected = "LOCKED_REGION_CHANGE", f"in locked region {rule.region}", "no change"
+        elif rule.mode is Mode.DATA_ONLY:
+            rule_id, expected = "DATA_ONLY_LOGIC_CHANGE", "data changes only"
+            tail = f"alters logic in data-only region {rule.region}"
+        elif rule.mode is Mode.FORMULA_MAINTAINED and not (
+            attestation and (not rule.ticket_required or _TICKET_RE.search(attestation))
+        ):
+            expected = "a ticket-referencing attestation" if rule.ticket_required else "attestation"
+            rule_id, tail = "UNATTESTED_LOGIC_CHANGE", f"in maintained region {rule.region} without {expected}"
+        else:
+            continue  # FREE, or a maintained region whose change is attested
         for event in changes.events:
-            if not rule.region.contains(event.address):
-                continue
-            if rule.mode is Mode.LOCKED:
+            if rule.region.contains(event.address) and (rule.mode is Mode.LOCKED or event.alters_logic()):
                 findings.append(
                     make_finding(
-                        "LOCKED_REGION_CHANGE",
+                        rule_id,
                         event.address,
-                        f"{event.kind.value} in locked region {rule.region}",
+                        f"{event.kind.value} {tail}",
                         observed=event.kind.value,
-                        expected="no change",
+                        expected=expected,
                     )
                 )
-            elif rule.mode is Mode.DATA_ONLY and event.alters_logic():
-                findings.append(
-                    make_finding(
-                        "DATA_ONLY_LOGIC_CHANGE",
-                        event.address,
-                        f"{event.kind.value} alters logic in data-only region {rule.region}",
-                        observed=event.kind.value,
-                        expected="data changes only",
-                    )
-                )
-            elif rule.mode is Mode.FORMULA_MAINTAINED and event.alters_logic():
-                attested = bool(attestation) and (
-                    not rule.ticket_required or _TICKET_RE.search(attestation or "")
-                )
-                if not attested:
-                    need = "a ticket-referencing attestation" if rule.ticket_required else "attestation"
-                    findings.append(
-                        make_finding(
-                            "UNATTESTED_LOGIC_CHANGE",
-                            event.address,
-                            f"{event.kind.value} in maintained region {rule.region} without {need}",
-                            observed=event.kind.value,
-                            expected=need,
-                        )
-                    )
     return findings
 
 
@@ -405,25 +397,23 @@ class PolicyError(ValueError):
     pass
 
 
+def _weekday(name: str, text: str) -> int:
+    try:
+        return _DAY_NAMES.index(name.strip().capitalize())
+    except ValueError:
+        raise PolicyError(f"unknown weekday in {text!r}") from None
+
+
 def _parse_days(text: str) -> frozenset[int]:
     days: set[int] = set()
     for part in text.split(","):
         part = part.strip()
-        if "-" in part:
-            lo, _, hi = part.partition("-")
-            try:
-                a = _DAY_NAMES.index(lo.strip().capitalize())
-                b = _DAY_NAMES.index(hi.strip().capitalize())
-            except ValueError as exc:
-                raise PolicyError(f"unknown weekday in {text!r}") from exc
-            if a > b:
-                raise PolicyError(f"weekday range {part!r} runs backwards")
-            days.update(range(a, b + 1))
-        else:
-            try:
-                days.add(_DAY_NAMES.index(part.strip().capitalize()))
-            except ValueError as exc:
-                raise PolicyError(f"unknown weekday in {text!r}") from exc
+        lo, dash, hi = part.partition("-")
+        a = _weekday(lo, text)
+        b = _weekday(hi, text) if dash else a
+        if a > b:
+            raise PolicyError(f"weekday range {part!r} runs backwards")
+        days.update(range(a, b + 1))
     return frozenset(days)
 
 
@@ -447,13 +437,36 @@ def _parse_bool(text: str) -> bool:
     raise PolicyError(f"expected a boolean, got {text!r}")
 
 
+def _parse_mode(text: str) -> Mode:
+    try:
+        return Mode[text.upper()]
+    except KeyError:
+        raise PolicyError(f"[region] stanza has unknown mode {text!r}") from None
+
+
+# stanza kind -> the keys it takes; `window` in [cadence] and `step` in
+# [workflow] may repeat
+_STANZA_KEYS = {
+    "region": ("range", "mode", "ticket_required"),
+    "cadence": ("range", "window"),
+    "bounds": ("range", "min", "max"),
+    "trend": ("cell", "window", "z_threshold", "min_points"),
+    "workflow": ("step",),
+}
+
+
 def _build_rule(kind: str, entries: list[tuple[str, str]]):
-    single = {k: v for k, v in entries}
+    if kind not in _STANZA_KEYS:
+        raise PolicyError(f"unknown stanza [{kind}]")
+    for key, _ in entries:
+        if key not in _STANZA_KEYS[kind]:
+            raise PolicyError(f"[{kind}] stanza has unknown key {key!r}")
+    single = dict(entries)
     try:
         if kind == "region":
             return RegionRule(
                 region=parse_region(single["range"]),
-                mode=Mode[single["mode"].upper()],
+                mode=_parse_mode(single["mode"]),
                 ticket_required=_parse_bool(single.get("ticket_required", "false")),
             )
         if kind == "cadence":
@@ -472,23 +485,19 @@ def _build_rule(kind: str, entries: list[tuple[str, str]]):
                 z_threshold=float(single.get("z_threshold", "3.0")),
                 min_points=int(single.get("min_points", "5")),
             )
-        if kind == "workflow":
-            steps = []
-            for k, v in entries:
-                if k != "step":
-                    raise PolicyError(f"unknown workflow key {k!r}")
-                step_id, _, region = v.partition(" ")
-                if not region:
-                    raise PolicyError(f"workflow step needs `id region`: {v!r}")
-                steps.append(WorkflowStep(step_id, parse_region(region.strip())))
-            return Workflow(tuple(steps))
+        steps = []  # [workflow], the one kind left
+        for _, v in entries:
+            step_id, _, region = v.partition(" ")
+            if not region:
+                raise PolicyError(f"workflow step needs `id region`: {v!r}")
+            steps.append(WorkflowStep(step_id, parse_region(region.strip())))
+        return Workflow(tuple(steps))
     except KeyError as exc:
         raise PolicyError(f"[{kind}] stanza is missing key {exc.args[0]!r}") from exc
     except (ValueError, ArithmeticError) as exc:
         if isinstance(exc, PolicyError):
             raise
         raise PolicyError(f"bad [{kind}] stanza: {exc}") from exc
-    raise PolicyError(f"unknown stanza [{kind}]")
 
 
 def parse_policy_file(text: str) -> ControlPolicy:
@@ -546,30 +555,17 @@ def parse_policy_file(text: str) -> ControlPolicy:
     if not workbook_id:
         raise PolicyError("policy file must declare `workbook = <id>`")
 
-    region_rules: list[RegionRule] = []
-    cadence_rules: list[CadenceRule] = []
-    bound_rules: list[BoundRule] = []
-    trend_rules: list[TrendRule] = []
-    workflow: Workflow | None = None
+    rules: dict[str, list] = {kind: [] for kind in _STANZA_KEYS}
     for kind, entries in stanzas:
         rule = _build_rule(kind, entries)
-        if isinstance(rule, RegionRule):
-            region_rules.append(rule)
-        elif isinstance(rule, CadenceRule):
-            cadence_rules.append(rule)
-        elif isinstance(rule, BoundRule):
-            bound_rules.append(rule)
-        elif isinstance(rule, TrendRule):
-            trend_rules.append(rule)
-        else:
-            if workflow is not None:
-                raise PolicyError("at most one [workflow] stanza is allowed")
-            workflow = rule
+        if kind == "workflow" and rules["workflow"]:
+            raise PolicyError("at most one [workflow] stanza is allowed")
+        rules[kind].append(rule)
     return ControlPolicy(
         workbook_id=workbook_id,
-        region_rules=tuple(region_rules),
-        cadence_rules=tuple(cadence_rules),
-        bound_rules=tuple(bound_rules),
-        trend_rules=tuple(trend_rules),
-        workflow=workflow,
+        region_rules=tuple(rules["region"]),
+        cadence_rules=tuple(rules["cadence"]),
+        bound_rules=tuple(rules["bounds"]),
+        trend_rules=tuple(rules["trend"]),
+        workflow=rules["workflow"][0] if rules["workflow"] else None,
     )

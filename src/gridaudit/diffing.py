@@ -209,20 +209,10 @@ def volatility_metrics(changes: ChangeSet, before: Snapshot) -> VolatilityMetric
     for event in changes.events:
         if event.kind is ChangeKind.ADDED:
             added += 1
-            continue
-        gone_or_changed = event.kind in (
-            ChangeKind.REMOVED,
-            ChangeKind.KIND_CHANGED,
-            ChangeKind.LOGIC_CHANGED,
-            ChangeKind.DATA_CHANGED,
-        )
-        if not gone_or_changed:
-            continue
-        if isinstance(event.before, Formula):
-            if event.kind is not ChangeKind.DATA_CHANGED:
-                structural += 1
-        elif isinstance(event.before, Literal):
+        elif not isinstance(event.before, Formula):
             data += 1
+        elif event.kind is not ChangeKind.DATA_CHANGED:
+            structural += 1
     return VolatilityMetrics(
         structural_volatility=Fraction(structural, formula_count) if formula_count else Fraction(0),
         data_volatility=Fraction(data, literal_count) if literal_count else Fraction(0),

@@ -68,5 +68,10 @@ def make_finding(
     return Finding(rule_id, RULE_SEVERITY[rule_id], location, message, observed, expected)
 
 
+def finding_line(finding: Finding) -> str:
+    """severity<TAB>rule_id<TAB>location<TAB>message, as the CLI prints findings."""
+    return f"{finding.severity}\t{finding.rule_id}\t{finding.location}\t{finding.message}"
+
+
 def has_critical(findings: list[Finding]) -> bool:
     return any(f.severity == CRITICAL for f in findings)

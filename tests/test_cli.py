@@ -496,6 +496,26 @@ class TestDamagedChangeSet:
             assert captured.err.startswith("error: bad change set header")
 
 
+class TestNonFiniteNumbers:
+    def test_nan_bound_is_a_usage_error(self, capsys, files, tmp_path):
+        policy = tmp_path / "nan.txt"
+        policy.write_text("workbook = wb1\n\n[bounds]\nrange = S!A1:A9\nmin = NaN\n")
+        codes = [
+            run(["ingest", files["ledger"], files[name], "--policy", str(policy)]) for name in ("s1.snap", "s2.snap")
+        ]
+        assert codes == [2, 2]
+        assert "bounds must be finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constant", ["sNaN", "NaN", "-Infinity"])
+    def test_non_finite_whitelist_constant_is_a_usage_error(self, capsys, files, tmp_path, constant):
+        config = tmp_path / "audit.cfg"
+        config.write_text(f"constant_whitelist = 0, 1, {constant}\n")
+        assert run(["audit", files["deep.snap"], "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: constant_whitelist takes finite numbers only\n"
+
+
 class TestInternalError:
     def test_uncaught_exception_exits_four(self, capsys, files, monkeypatch):
         def crash(*args, **kwargs):

@@ -3,6 +3,7 @@
 import itertools
 from datetime import datetime, timezone
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from gridaudit.controls import (
     TrendRule,
     Workflow,
     WorkflowStep,
+    _check_regions,
     check_bounds,
     check_cadence,
     check_task_order,
@@ -28,6 +30,7 @@ from gridaudit.controls import (
     trend_deviation,
 )
 from gridaudit.diffing import diff_snapshots
+from gridaudit.findings import Finding
 from gridaudit.grid import Number, parse_region
 from gridaudit.ledger import CellSeries, Ledger
 
@@ -123,6 +126,32 @@ class TestFormulaMaintained:
     def test_data_changes_pass_without_attestation(self, tmp_path):
         p = policy(region_rules=(region_rule("S!A1:D9", Mode.FORMULA_MAINTAINED),))
         assert evaluate_policies(changeset({"S!A1": 1}, {"S!A1": 2}), p) == []
+
+
+class TestRegionFindingText:
+    """Each region mode's finding, pinned field by field."""
+
+    @pytest.mark.parametrize(
+        "mode, ticket, attestation, rule_id, message, expected",
+        [
+            (Mode.LOCKED, False, None, "LOCKED_REGION_CHANGE",
+             "LogicChanged in locked region S!A1:D9", "no change"),
+            (Mode.DATA_ONLY, False, None, "DATA_ONLY_LOGIC_CHANGE",
+             "LogicChanged alters logic in data-only region S!A1:D9", "data changes only"),
+            (Mode.FORMULA_MAINTAINED, False, None, "UNATTESTED_LOGIC_CHANGE",
+             "LogicChanged in maintained region S!A1:D9 without attestation", "attestation"),
+            (Mode.FORMULA_MAINTAINED, True, "reviewed informally", "UNATTESTED_LOGIC_CHANGE",
+             "LogicChanged in maintained region S!A1:D9 without a ticket-referencing attestation",
+             "a ticket-referencing attestation"),
+        ],
+        ids=["locked", "data-only", "unattested", "no-ticket"],
+    )
+    def test_logic_change_finding(self, mode, ticket, attestation, rule_id, message, expected):
+        p = policy(region_rules=(region_rule("S!A1:D9", mode, ticket),))
+        changes = changeset({"S!A1": "=B1"}, {"S!A1": "=B2"})
+        assert _check_regions(changes, p, attestation) == [
+            Finding(rule_id, "critical", addr("S!A1"), message, "LogicChanged", expected)
+        ]
 
 
 class TestCadence:
@@ -432,3 +461,37 @@ class TestPolicyFile:
     def test_rejects_bad_files(self, text):
         with pytest.raises(PolicyError):
             parse_policy_file(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[region]\nrange = S!A1\nmode = FORMULA_MAINTAINED\ntiket_required = true\n",
+             r"\[region\] stanza has unknown key 'tiket_required'"),
+            ("[bounds]\nrange = S!A1:A9\nmni = 0\n", r"\[bounds\] stanza has unknown key 'mni'"),
+            ("[workflow]\nstep = load S!A1\nstage = publish S!C1\n",
+             r"\[workflow\] stanza has unknown key 'stage'"),
+            ("[region]\nrange = S!A1\nmode = SHUT\n", r"\[region\] stanza has unknown mode 'SHUT'"),
+            ("[bounds]\nrange = S!A1:A9\nmin = NaN\n", r"bad \[bounds\] stanza: bounds must be finite"),
+            ("[bounds]\nrange = S!A1:A9\nmax = -Infinity\n", r"bad \[bounds\] stanza: bounds must be finite"),
+            ("[trend]\ncell = S!B2\nz_threshold = nan\n", r"bad \[trend\] stanza: z threshold must be a finite"),
+            ("[trend]\ncell = S!B2\nz_threshold = inf\n", r"bad \[trend\] stanza: z threshold must be a finite"),
+            ("[trend]\ncell = S!B2\nwindow = 6\nmin_points = 7\n",
+             r"bad \[trend\] stanza: min_points must not exceed window"),
+        ],
+        ids=["misspelt-key", "bounds-typo", "workflow-key", "unknown-mode", "nan-min", "infinite-max",
+             "nan-z", "infinite-z", "min-points-over-window"],
+    )
+    def test_rejection_names_the_cause(self, text, message):
+        with pytest.raises(PolicyError, match=message):
+            parse_policy_file("workbook = wb1\n" + text)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("## Policy files", 1)[1].split("```")[1]
+        p = parse_policy_file(example)
+        assert p.workbook_id == "wb-ops"
+        assert [(r.mode, r.ticket_required) for r in p.region_rules] == [(Mode.LOCKED, True)]
+        assert [str(w) for w in p.cadence_rules[0].windows] == ["Mon,Tue,Wed,Thu,Fri 9-17"]
+        assert (p.bound_rules[0].minimum, p.bound_rules[0].maximum) == (Decimal(0), Decimal(100))
+        assert p.trend_rules[0].min_points == 5
+        assert [s.step_id for s in p.workflow.steps] == ["load", "compute", "publish"]
