@@ -1,10 +1,12 @@
 """Static audit of one snapshot for error-prone logic.
 
 `audit_workbook` is the only pass over a snapshot.  It visits every cell
-once: it records error values, parses each formula once and renders it
-once in host-relative R1C1 form, checks that one tree for deep IF
-nesting and buried numeric constants, and finally compares each formula's
-R1C1 form with the majority form of its copy runs across all sheets.
+once: it records error values and reads each formula's copy key
+(`formula.copy_key`).  It parses each distinct copy form once, renders
+it once in host-relative R1C1 form and checks that one tree for deep IF
+nesting and buried numeric constants; copies with the same key reuse
+those results.  Finally it compares each formula's R1C1 form with the
+majority form of its copy runs across all sheets.
 
 Rules:
 
@@ -34,6 +36,7 @@ from .formula import (
     FormulaError,
     NumberLit,
     Unary,
+    copy_key,
     fold,
     normalize_relative,
     parse_formula,
@@ -190,36 +193,32 @@ def _embedded_constants(node: FormulaAst) -> list[Decimal]:
     return fold(node, combine)
 
 
-def _tree_findings(address: CellAddress, tree: FormulaAst, cfg: AuditConfig) -> list[Finding]:
-    """IF-nesting and embedded-constant findings for one parsed formula.
-    A bare literal cell (`=42`, `=-42`) is data, not buried logic, so its
-    constant passes."""
+def _tree_findings(tree: FormulaAst, cfg: AuditConfig) -> list[tuple[str, str, str, str | None]]:
+    """(rule id, message, observed, expected) of the IF-nesting and
+    embedded-constant findings for one parsed formula; none depends on the
+    host cell.  A bare literal cell (`=42`, `=-42`) is data, not buried
+    logic, so its constant passes."""
     findings = []
     depth = if_nesting_depth(tree)
     if depth > cfg.if_depth_threshold:
-        findings.append(
-            make_finding(
-                "DEEP_NESTING",
-                address,
-                f"IF nesting depth {depth} exceeds threshold {cfg.if_depth_threshold}",
-                observed=str(depth),
-                expected=f"<= {cfg.if_depth_threshold}",
-            )
-        )
+        findings.append((
+            "DEEP_NESTING",
+            f"IF nesting depth {depth} exceeds threshold {cfg.if_depth_threshold}",
+            str(depth),
+            f"<= {cfg.if_depth_threshold}",
+        ))
     bare = tree.child if isinstance(tree, Unary) and tree.op == "neg" else tree
     if isinstance(bare, NumberLit):
         return findings
     offenders = [c for c in _embedded_constants(tree) if c not in cfg.constant_whitelist]
     if offenders:
         rendered = ", ".join(canonical_decimal(c) for c in offenders)
-        findings.append(
-            make_finding(
-                "EMBEDDED_CONSTANT",
-                address,
-                f"formula embeds constant(s) {rendered} outside the whitelist",
-                observed=rendered,
-            )
-        )
+        findings.append((
+            "EMBEDDED_CONSTANT",
+            f"formula embeds constant(s) {rendered} outside the whitelist",
+            rendered,
+            None,
+        ))
     return findings
 
 
@@ -229,6 +228,8 @@ def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[F
     cfg = cfg or AuditConfig()
     findings: list[Finding] = []
     forms: dict[CellAddress, str] = {}
+    # copy key -> (R1C1 form, tree findings), so each copy form is parsed once
+    by_key: dict[tuple, tuple[str, list[tuple]]] = {}
     for address, cell in snapshot.cells.items():
         value = content_value(cell)
         if isinstance(value, ErrorValue):
@@ -244,21 +245,22 @@ def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[F
         if not isinstance(cell, Formula):
             continue
         try:
-            tree = parse_formula(cell.source)
-        except FormulaError as exc:
-            findings.append(
-                make_finding(
-                    "PARSE_FAILURE",
-                    address,
-                    f"formula could not be parsed: {exc}",
-                    observed=cell.source,
-                )
-            )
-            # a broken cell still breaks its run's uniformity rather than splitting it
-            forms[address] = f"!unparsed:{cell.source}"
-            continue
-        forms[address] = normalize_relative(tree, address)
-        findings.extend(_tree_findings(address, tree, cfg))
+            key = copy_key(cell.source, address)
+        except FormulaError:
+            key = None  # parse_formula raises the same error below, so None is never stored
+        if key not in by_key:
+            try:
+                tree = parse_formula(cell.source)
+            except FormulaError as exc:
+                # never cached: the message carries this source's own offsets
+                message = f"formula could not be parsed: {exc}"
+                findings.append(make_finding("PARSE_FAILURE", address, message, observed=cell.source))
+                # a broken cell still breaks its run's uniformity rather than splitting it
+                forms[address] = f"!unparsed:{cell.source}"
+                continue
+            by_key[key] = (normalize_relative(tree, address), _tree_findings(tree, cfg))
+        forms[address], shapes = by_key[key]
+        findings += [make_finding(rule_id, address, *fields) for rule_id, *fields in shapes]
     findings.extend(_copy_findings(forms, cfg))
     return sorted(findings, key=Finding.sort_key)
 

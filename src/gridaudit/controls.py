@@ -101,6 +101,8 @@ class BoundRule:
     def __post_init__(self):
         if not all(b is None or b.is_finite() for b in (self.minimum, self.maximum)):
             raise ValueError("bounds must be finite numbers")
+        if self.minimum is not None and self.maximum is not None and self.minimum > self.maximum:
+            raise ValueError("min must not exceed max")
 
     def bounds_text(self) -> str:
         parts = []
@@ -444,8 +446,7 @@ def _parse_mode(text: str) -> Mode:
         raise PolicyError(f"[region] stanza has unknown mode {text!r}") from None
 
 
-# stanza kind -> the keys it takes; `window` in [cadence] and `step` in
-# [workflow] may repeat
+# stanza kind -> the keys it takes; only the keys in _REPEATABLE may repeat
 _STANZA_KEYS = {
     "region": ("range", "mode", "ticket_required"),
     "cadence": ("range", "window"),
@@ -453,15 +454,19 @@ _STANZA_KEYS = {
     "trend": ("cell", "window", "z_threshold", "min_points"),
     "workflow": ("step",),
 }
+_REPEATABLE = {("cadence", "window"), ("workflow", "step")}
 
 
 def _build_rule(kind: str, entries: list[tuple[str, str]]):
     if kind not in _STANZA_KEYS:
         raise PolicyError(f"unknown stanza [{kind}]")
-    for key, _ in entries:
+    single: dict[str, str] = {}
+    for key, value in entries:
         if key not in _STANZA_KEYS[kind]:
             raise PolicyError(f"[{kind}] stanza has unknown key {key!r}")
-    single = dict(entries)
+        if key in single and (kind, key) not in _REPEATABLE:
+            raise PolicyError(f"[{kind}] stanza repeats key {key!r}")
+        single[key] = value
     try:
         if kind == "region":
             return RegionRule(
@@ -528,7 +533,8 @@ def parse_policy_file(text: str) -> ControlPolicy:
         step = load Sheet1!A1:A10
         step = publish Sheet1!C1:C10
 
-    One rule per stanza; stanza kinds may repeat.  Regions are written
+    One rule per stanza; stanza kinds may repeat, but within a stanza only
+    `[cadence] window` and `[workflow] step` may.  Regions are written
     `Sheet1!A1:D20`, hours are whole UTC hours with the end exclusive.
     """
     workbook_id: str | None = None
@@ -549,6 +555,8 @@ def parse_policy_file(text: str) -> ControlPolicy:
         if current is None:
             if key != "workbook":
                 raise PolicyError(f"line {lineno}: expected `workbook = <id>` before stanzas")
+            if workbook_id is not None:
+                raise PolicyError(f"line {lineno}: `workbook` is declared twice")
             workbook_id = value
         else:
             current.append((key, value))

@@ -30,6 +30,8 @@ tree is a rule over the iterative ``fold``, so a chain of any length
 cell, so translated copies of one formula produce identical text.
 Sheet-qualified references keep their sheet name and always render with
 absolute coordinates: a cross-sheet reference is never host-relative.
+``copy_key`` reads the same tokens without parsing, so a caller can parse
+such copies once.
 """
 
 from __future__ import annotations
@@ -193,8 +195,10 @@ class _Token:
     value: CellRef | None = None  # set for "ref"
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _scan(source: str):
+    """Each non-space token of source as (kind, text, pos, ref), where ref
+    is (row, col, row_abs, col_abs, sheet) for a "ref" and None otherwise.
+    The one loop over _TOKEN_RE: _tokenize and copy_key both read it."""
     i = 0
     while i < len(source):
         m = _TOKEN_RE.match(source, i)
@@ -210,15 +214,23 @@ def _tokenize(source: str) -> list[_Token]:
                 raise UnknownToken(i, source[i : i + 8])
             kind = "ident"
         if kind != "space":
-            tokens.append(_Token(kind, m.group(), i, ref))
+            yield kind, m.group(), i, ref
         i = m.end()
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens = [
+        _Token(kind, text, pos, None if ref is None else CellRef(*ref))
+        for kind, text, pos, ref in _scan(source)
+    ]
     tokens.append(_Token("end", "", len(source)))
     return tokens
 
 
-def _accept_ref(source: str, m: re.Match) -> CellRef | None:
-    """The reference a ref-shaped match names, or None when the text is
-    really a function name (LOG10( ...) or the column is out of range."""
+def _accept_ref(source: str, m: re.Match) -> tuple | None:
+    """The (row, col, row_abs, col_abs, sheet) a ref-shaped match names, or
+    None when the text is really a function name (LOG10( ...) or the
+    column is out of range."""
     col = letters_to_col(m["letters"])
     if col > MAX_COL:
         return None
@@ -227,7 +239,37 @@ def _accept_ref(source: str, m: re.Match) -> CellRef | None:
         return None
     if sheet and sheet.startswith("'"):
         sheet = sheet[1:-1].replace("''", "'")
-    return CellRef(int(m["row"]), col, bool(row_abs), bool(col_abs), sheet or None)
+    return (int(m["row"]), col, bool(row_abs), bool(col_abs), sheet or None)
+
+
+def copy_key(source: str, host: CellAddress) -> tuple:
+    """A key that translated copies of one formula share.  It holds every
+    token's kind and text, except that a reference becomes its sheet, its
+    $ flags and its row and column, each axis absolute when it carries a $
+    or the reference is on a named sheet, else an offset from host.
+    Sources with equal keys parse alike and have equal R1C1 forms.  Raises
+    the error parse_formula raises for a source it cannot tokenize."""
+    if not source.startswith("="):
+        raise FormulaSyntaxError(0, "'=' at start of formula")
+    key: list = []
+    named = pinned = False
+    for kind, text, _, ref in _scan(source[1:]):
+        if ref is None:
+            key += (kind, text)
+            # the end of a range that starts on a named sheet renders absolute
+            pinned = named and text == ":"
+            named = False
+            continue
+        row, col, row_abs, col_abs, sheet = ref
+        named = sheet is not None
+        fixed = named or pinned
+        key.append((
+            sheet, row_abs, col_abs,
+            row if row_abs or fixed else row - host.row,
+            col if col_abs or fixed else col - host.col,
+        ))
+        pinned = False
+    return tuple(key)
 
 
 class _Parser:

@@ -20,6 +20,7 @@ from gridaudit.grid import (
     Number,
     Snapshot,
     Text,
+    col_to_letters,
     parse_qualified_address,
 )
 
@@ -123,6 +124,96 @@ CONTENTS = st.one_of(
         ),
     ),
 )
+
+
+# --- Hypothesis strategies for copied formulas --------------------------------
+#
+# A copy template is a list of pieces: text, or a reference spec
+# (prefix, col_abs, row_abs, row, col, moves).  Rendered at a host, a spec
+# places an axis that moves at the host plus (row, col), as a fill from A1
+# would, and any other axis at (row + 1, col + 1).  "copy" moves the axes
+# without a $, as a real copy does; "all" moves every axis and "none" no
+# axis, as a copy edited by hand might.  So one template rendered at
+# several hosts gives translated copies and near-misses, and edits to the
+# piece list give broken formulas.
+
+
+def _ref_specs(prefixes):
+    return st.tuples(
+        st.sampled_from(prefixes),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.sampled_from(["copy", "copy", "all", "none"]),
+    )
+
+
+_REF_SPECS = _ref_specs(["", "", "Data!", "data!", "'My Sheet'!"])
+
+
+def _copy_exprs(children):
+    def join(parts):
+        left, op, right = parts
+        return [*left, op, *right]
+
+    def call(parts):
+        name, args = parts
+        pieces = [name]
+        for i, arg in enumerate(args):
+            pieces += ([","] if i else []) + arg
+        return pieces + [")"]
+
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/", "^", "&", "=", "<>", "<=", " + "]), children).map(join),
+        children.map(lambda c: ["(", *c, ")"]),
+        children.map(lambda c: ["-", *c]),
+        children.map(lambda c: [*c, "%"]),
+        st.tuples(st.sampled_from(["SUM(", "IF(", "LOG10(", "sum ("]), st.lists(children, min_size=1, max_size=3)).map(call),
+    )
+
+
+_COPY_ATOMS = st.one_of(
+    _REF_SPECS.map(lambda ref: [ref]),
+    st.tuples(_REF_SPECS, _ref_specs(["", "", "", "Data!"])).map(lambda ends: [ends[0], ":", ends[1]]),
+    st.sampled_from(["1", "2.5", "100", '"t"', "TRUE", "#REF!", "7E2", "-1"]).map(lambda text: [text]),
+)
+
+# stray text an edit inserts: half-references, quotes, letters that merge
+# with a neighbouring reference, and so on
+_NOISE = st.sampled_from(["$", "!", ":", "'", '"', "(", ")", ",", "A", "b", "1", "0", " ", "#", ".", "X!"])
+
+
+def _edited(parts):
+    pieces, edits = parts
+    pieces = list(pieces)
+    for index, insert in edits:
+        at = index % (len(pieces) + 1)
+        if insert is None:
+            del pieces[at : at + 1]
+        else:
+            pieces.insert(at, insert)
+    return pieces
+
+
+COPY_TEMPLATES = st.tuples(
+    st.recursive(_COPY_ATOMS, _copy_exprs, max_leaves=8),
+    st.lists(st.tuples(st.integers(0, 40), st.none() | _NOISE), max_size=3),
+).map(_edited)
+
+
+def render_copy(template: list, host: CellAddress) -> str:
+    """The formula a copy template gives at host."""
+    text = "="
+    for piece in template:
+        if isinstance(piece, str):
+            text += piece
+            continue
+        prefix, col_abs, row_abs, row, col, moves = piece
+        row += host.row if moves == "all" or moves == "copy" and not row_abs else 1
+        col += host.col if moves == "all" or moves == "copy" and not col_abs else 1
+        text += f"{prefix}{'$' * col_abs}{col_to_letters(col)}{'$' * row_abs}{row}"
+    return text
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ the digest checks) so that each assertion is a genuine cross-check:
 * a step-by-step task-order simulation
 * brute-force ledger history: one stored snapshot re-read per ingest or
   per change set, the reference for the replayed change-set history
+* a static audit that parses and checks every formula cell on its own,
+  the reference for the audit's one parse per copy form
 """
 
 from __future__ import annotations
@@ -166,3 +168,38 @@ def usage_metrics_by_rescan(ledger):
         mean_data_volatility=sum(data, Fraction(0)) / len(data) if data else Fraction(0),
         ingest_count=len(ingests),
     )
+
+
+# --- static audit, one parse per cell ------------------------------------------
+
+
+def audit_by_cell(snapshot, cfg=None):
+    """audit_workbook's findings, with every formula cell parsed, rendered
+    in R1C1 form and checked on its own: no copy key and no cache."""
+    from gridaudit.audit import AuditConfig, _copy_findings, _tree_findings
+    from gridaudit.findings import Finding, make_finding
+    from gridaudit.formula import FormulaError, normalize_relative, parse_formula
+    from gridaudit.grid import ErrorValue, Formula, content_value
+
+    cfg = cfg or AuditConfig()
+    findings, forms = [], {}
+    for address, cell in snapshot.cells.items():
+        value = content_value(cell)
+        if isinstance(value, ErrorValue):
+            where = "cached" if isinstance(cell, Formula) else "literal"
+            findings.append(
+                make_finding("ERROR_VALUE", address, f"cell holds {where} error value {value.code}", value.code)
+            )
+        if not isinstance(cell, Formula):
+            continue
+        try:
+            tree = parse_formula(cell.source)
+        except FormulaError as exc:
+            message = f"formula could not be parsed: {exc}"
+            findings.append(make_finding("PARSE_FAILURE", address, message, cell.source))
+            forms[address] = f"!unparsed:{cell.source}"
+            continue
+        forms[address] = normalize_relative(tree, address)
+        findings += [make_finding(rule_id, address, *fields) for rule_id, *fields in _tree_findings(tree, cfg)]
+    findings += _copy_findings(forms, cfg)
+    return sorted(findings, key=Finding.sort_key)

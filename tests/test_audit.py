@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import addr, snap
+from conftest import COPY_TEMPLATES, T0, addr, render_copy, snap
+from oracles import audit_by_cell
 
+from gridaudit import audit
 from gridaudit.audit import (
     AuditConfig,
     ConfigError,
@@ -22,8 +24,8 @@ from gridaudit.audit import (
     if_nesting_depth,
     load_audit_config,
 )
-from gridaudit.formula import parse_formula
-from gridaudit.grid import CellAddress, col_to_letters
+from gridaudit.formula import copy_key, parse_formula
+from gridaudit.grid import CellAddress, Formula, Snapshot, col_to_letters
 
 
 def _copied_row(source_template, cols, row=1, sheet="S"):
@@ -252,6 +254,95 @@ class TestAuditWorkbook:
     def test_error_value_example(self):
         findings = audit_workbook(snap({"S!A1": ("=B1", "#REF!")}))
         assert [f.rule_id for f in findings] == ["ERROR_VALUE"]
+
+
+def _copy_workbook(runs):
+    """Cells of copy runs: each run is (template, sheet, row, col, length,
+    down, edits), and edits maps a position in the run to a template whose
+    copy replaces the cell there."""
+    cells = {}
+    for template, sheet, row, col, length, down, edits in runs:
+        for i in range(length):
+            host = CellAddress(sheet, row + i * down, col + i * (not down))
+            cells[host] = Formula(render_copy(edits.get(i, template), host))
+    return Snapshot("wb1", T0, "alice", cells)
+
+
+_RUNS = st.lists(
+    st.tuples(
+        COPY_TEMPLATES,
+        st.sampled_from(["S", "T"]),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(1, 8),
+        st.booleans(),
+        st.dictionaries(st.integers(0, 7), COPY_TEMPLATES, max_size=2),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestCopyFormCache:
+    """audit_workbook parses each copy form once; these pin what that must
+    not change."""
+
+    @given(_RUNS, st.sampled_from([AuditConfig(), AuditConfig(if_depth_threshold=1, min_run_length=3)]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_cell_audit(self, runs, cfg):
+        workbook = _copy_workbook(runs)
+        assert audit_workbook(workbook, cfg) == audit_by_cell(workbook, cfg)
+
+    def test_broken_copies_report_their_own_offsets(self):
+        assert copy_key("=A9+", addr("S!B9")) == copy_key("=A10+", addr("S!B10"))
+        findings = audit_workbook(snap({"S!B9": "=A9+", "S!B10": "=A10+"}))
+        assert [(str(f.location), f.message) for f in findings] == [
+            ("S!B9", "formula could not be parsed: at offset 3: expected an expression"),
+            ("S!B10", "formula could not be parsed: at offset 4: expected an expression"),
+        ]
+
+    @pytest.mark.parametrize(
+        "run, source, odd_one",
+        [
+            (["S!B1", "S!B2", "S!B3", "S!B4"], "=Data!A1:B2", "=Data!A1:B5"),  # the end of a named-sheet range
+            (["S!B1", "S!B2", "S!B3", "S!B4"], "=A$1*2", "=A$4*2"),
+            (["S!B1", "S!B2", "S!B3", "S!B4"], "=Data!A1*2", "=Data!A4*2"),
+            (["S!B1", "S!B2", "S!B3", "S!B4"], "=Data!A1*2", "=Other!A1*2"),
+            (["S!B1", "S!C1", "S!D1", "S!E1"], "=$A1*2", "=$D1*2"),
+        ],
+    )
+    def test_fixed_references_are_not_shared(self, run, source, odd_one):
+        """The last cell of the run differs from the others only in a fixed
+        reference (moved as far as the cell sits from the first, or on
+        another sheet): it must be flagged."""
+        cells = dict.fromkeys(run[:-1], source)
+        cells[run[-1]] = odd_one
+        findings = audit_workbook(snap(cells))
+        assert [str(f.location) for f in findings if f.rule_id == "COPY_INCONSISTENT"] == [run[-1]]
+
+    def test_parses_once_per_copy_form(self, monkeypatch):
+        sources = []
+
+        def counted(source):
+            sources.append(source)
+            return parse_formula(source)
+
+        monkeypatch.setattr(audit, "parse_formula", counted)
+        templates = ["={c}{d}*2", "=IF({c}{d}>5,{c}{d}-5,0)", "=SUM({c}{d}:{c}{e})", "={c}{d}*Data!$B$2"]
+        cells = {}
+        for row in range(1, 17):
+            for col in range(1, 31):
+                c = col_to_letters(col)
+                cells[f"S!{c}{row}"] = templates[row % 4].format(c=c, d=row + 1, e=row + 3)
+        # two seeded faults, each a form of its own, and two broken copies
+        cells["S!E1"], cells["S!G2"] = "=E2*3", "=G4*2"
+        cells["S!C3"], cells["S!D7"] = "=C4*2+", "=D8*2+"
+        workbook = snap(cells)
+        findings = audit_workbook(workbook)
+        assert len(workbook.cells) == 480
+        assert len(sources) == 4 + 2 + 2
+        assert [str(f.location) for f in findings if f.rule_id == "PARSE_FAILURE"] == ["S!C3", "S!D7"]
+        assert findings == audit_by_cell(workbook)
 
 
 class TestConfig:

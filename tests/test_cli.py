@@ -506,6 +506,34 @@ class TestNonFiniteNumbers:
         assert codes == [2, 2]
         assert "bounds must be finite numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "policy_text, message",
+        [
+            ("workbook = wb1\n\n[region]\nrange = S!A1:A9\nmode = LOCKED\nmode = FREE\n",
+             "[region] stanza repeats key 'mode'"),
+            ("workbook = wb1\nworkbook = wb2\n\n[region]\nrange = S!A1:A9\nmode = LOCKED\n",
+             "line 2: `workbook` is declared twice"),
+            ("workbook = wb1\n\n[bounds]\nrange = S!A1:A9\nmin = 10\nmax = 0\n",
+             "bad [bounds] stanza: min must not exceed max"),
+        ],
+        ids=["repeated-mode", "second-workbook", "crossed-bounds"],
+    )
+    def test_ambiguous_policy_is_a_usage_error(self, capsys, files, tmp_path, policy_text, message):
+        """A policy whose later line would silently undo an earlier one, or
+        whose bounds no value can meet, is refused before anything is written."""
+        policy = tmp_path / "ambiguous.txt"
+        policy.write_text(policy_text)
+        assert run(["ingest", files["ledger"], files["s1.snap"], "--policy", files["policy.txt"]]) == 0
+        log = tmp_path / "ledger" / "ledger.log"
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert run(["ingest", files["ledger"], files["s2.snap"], "--policy", str(policy)]) == 2
+        assert run(["check", files["ledger"], "--policy", str(policy)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(message) == 2
+        assert log.read_bytes() == before
+
     @pytest.mark.parametrize("constant", ["sNaN", "NaN", "-Infinity"])
     def test_non_finite_whitelist_constant_is_a_usage_error(self, capsys, files, tmp_path, constant):
         config = tmp_path / "audit.cfg"

@@ -477,13 +477,23 @@ class TestPolicyFile:
             ("[trend]\ncell = S!B2\nz_threshold = inf\n", r"bad \[trend\] stanza: z threshold must be a finite"),
             ("[trend]\ncell = S!B2\nwindow = 6\nmin_points = 7\n",
              r"bad \[trend\] stanza: min_points must not exceed window"),
+            ("[bounds]\nrange = S!A1:A9\nmin = 10\nmax = 0\n", r"bad \[bounds\] stanza: min must not exceed max"),
+            ("[region]\nrange = S!A1\nmode = LOCKED\nmode = FREE\n", r"\[region\] stanza repeats key 'mode'"),
+            ("[trend]\ncell = S!B2\nwindow = 20\nwindow = 6\n", r"\[trend\] stanza repeats key 'window'"),
+            ("[bounds]\nrange = S!A1:A9\nrange = S!B1:B9\nmin = 0\n", r"\[bounds\] stanza repeats key 'range'"),
+            ("workbook = wb2\n[region]\nrange = S!A1\nmode = LOCKED\n", r"line 2: `workbook` is declared twice"),
         ],
         ids=["misspelt-key", "bounds-typo", "workflow-key", "unknown-mode", "nan-min", "infinite-max",
-             "nan-z", "infinite-z", "min-points-over-window"],
+             "nan-z", "infinite-z", "min-points-over-window", "crossed-bounds", "repeated-mode",
+             "repeated-trend-window", "repeated-range", "second-workbook"],
     )
     def test_rejection_names_the_cause(self, text, message):
         with pytest.raises(PolicyError, match=message):
             parse_policy_file("workbook = wb1\n" + text)
+
+    def test_equal_bounds_are_allowed(self):
+        p = parse_policy_file("workbook = wb1\n[bounds]\nrange = S!A1\nmin = 5\nmax = 5\n")
+        assert (p.bound_rules[0].minimum, p.bound_rules[0].maximum) == (Decimal(5), Decimal(5))
 
     def test_readme_example_parses(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import addr
+from conftest import COPY_TEMPLATES, addr, render_copy
 
+from gridaudit.audit import AuditConfig, _tree_findings
+from gridaudit.grid import CellAddress
 from gridaudit.formula import (
     Binary,
     BoolLit,
@@ -24,6 +26,7 @@ from gridaudit.formula import (
     Unary,
     UnbalancedParens,
     UnknownToken,
+    copy_key,
     normalize_relative,
     parse_formula,
     print_formula,
@@ -383,3 +386,70 @@ def _relative_refs(tree):
             if ref.sheet is None and not (ref.row_abs and ref.col_abs):
                 out.append(ref)
     return out
+
+
+_HOSTS = [addr("S!A1"), addr("S!C7"), addr("S!AD999")]
+_KEY_CFG = AuditConfig(if_depth_threshold=1)
+
+
+# random text (one piece), and grammar templates with edits
+_KEY_TEMPLATES = st.one_of(
+    st.text(alphabet="=$!:'\"()+-*%,. #AaBcXZ019_", max_size=24).map(lambda text: [text]),
+    COPY_TEMPLATES,
+)
+
+
+class TestCopyKey:
+    """copy_key against parse_formula: equal keys must mean equal parses,
+    R1C1 forms and tree findings, and the key scan fails exactly where
+    tokenizing does."""
+
+    @given(st.lists(_KEY_TEMPLATES, min_size=1, max_size=3))
+    @settings(max_examples=500, deadline=None)
+    def test_equal_keys_audit_alike(self, templates):
+        outcome_of: dict[tuple, object] = {}
+        for host in _HOSTS:
+            for source in (render_copy(template, host) for template in templates):
+                try:
+                    key = copy_key(source, host)
+                except FormulaError as exc:
+                    with pytest.raises(FormulaError) as info:
+                        parse_formula(source)
+                    assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+                    continue
+                try:
+                    tree = parse_formula(source)
+                except FormulaError as exc:
+                    # only the parser can fail on a source the key scan read
+                    assert not isinstance(exc, UnknownToken) and getattr(exc, "expected", "") != "closing quote"
+                    outcome = None
+                else:
+                    outcome = (normalize_relative(tree, host), _tree_findings(tree, _KEY_CFG))
+                assert outcome_of.setdefault(key, outcome) == outcome
+
+    def test_source_without_equals_sign_fails_as_in_parsing(self):
+        with pytest.raises(FormulaSyntaxError, match="expected '=' at start of formula"):
+            copy_key("A1+1", addr("S!B1"))
+
+    def test_translated_copies_share_a_key(self):
+        key = copy_key("=SUM(B2:B4)*$A$1+Data!C3", addr("S!A1"))
+        assert copy_key("=SUM(C9:C11)*$A$1+Data!C3", addr("S!B8")) == key
+        assert copy_key("= sum( C9 : C11 ) * $A$1 + Data!C3", addr("S!B8")) != key
+
+    @pytest.mark.parametrize(
+        "first, second, step",
+        [
+            ("=Data!A1", "=Data!A2", (1, 0)),  # a named sheet pins both axes
+            ("=A$1", "=A$2", (1, 0)),  # a $ row stays put
+            ("=$A1", "=$B1", (0, 1)),  # a $ column stays put
+            ("=Data!A1:B2", "=Data!A1:B3", (1, 0)),  # so does the end of a named-sheet range
+            ("=Data!A1", "=Other!A1", (0, 0)),
+        ],
+    )
+    def test_fixed_references_keep_copies_apart(self, first, second, step):
+        """second sits step (rows, columns) from first's host, with every
+        reference moved as far; only a fixed reference tells them apart."""
+        host = addr("S!C1")
+        moved = CellAddress("S", host.row + step[0], host.col + step[1])
+        assert copy_key(first, host) != copy_key(second, moved)
+        assert normalize_relative(parse_formula(first), host) != normalize_relative(parse_formula(second), moved)
