@@ -24,9 +24,7 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .assess import build_profile, build_report, render_report_json, render_report_text
-from .audit import AuditConfig, audit_workbook, load_audit_config
-from .controls import ControlPolicy, TrendRule, evaluate_policies, parse_policy_file, trend_deviation
+from . import assess, audit, controls
 from .diffing import ConflictingEvent, DigestMismatch, diff_snapshots
 from .findings import Finding, finding_line, has_critical
 from .grid import (
@@ -57,12 +55,15 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _load_config(path: str | None) -> AuditConfig | None:
-    return load_audit_config(_read_text(path)) if path else None
+def _load_config(path: str | None) -> audit.AuditConfig:
+    # Resolved before the snapshot is read, even without a file: the first
+    # use of `audit` compiles it and `formula`, and doing that with a
+    # snapshot in memory raises the command's peak memory.
+    return audit.load_audit_config(_read_text(path)) if path else audit.AuditConfig()
 
 
-def _load_policy(path: str | None) -> ControlPolicy | None:
-    return parse_policy_file(_read_text(path)) if path else None
+def _load_policy(path: str | None) -> controls.ControlPolicy | None:
+    return controls.parse_policy_file(_read_text(path)) if path else None
 
 
 def _open_existing(ledger_dir: str) -> Ledger:
@@ -96,8 +97,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    cfg = _load_config(args.config)
     snapshot = parse_snapshot_file(_read_text(args.snapshot))
-    return _print_findings(audit_workbook(snapshot, _load_config(args.config)))
+    return _print_findings(audit.audit_workbook(snapshot, cfg))
 
 
 def _cmd_diff(args) -> int:
@@ -112,7 +114,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    policy = parse_policy_file(_read_text(args.policy))
+    policy = controls.parse_policy_file(_read_text(args.policy))
     ledger = _open_existing(args.ledger_dir)
     changeset_seqs = [r.seq for r in ledger.records if r.kind == "CHANGESET"]
     if not changeset_seqs:
@@ -122,22 +124,22 @@ def _cmd_check(args) -> int:
     changes = ledger.records[seq].body
     cut = seq - 1 if seq > 0 and ledger.records[seq - 1].kind == "INGEST" else seq
     view = Ledger(ledger.directory, ledger.raw_lines[:cut])
-    return _print_findings(evaluate_policies(changes, policy, view))
+    return _print_findings(controls.evaluate_policies(changes, policy, view))
 
 
 def _cmd_trend(args) -> int:
     ledger = _open_existing(args.ledger_dir)
     address = parse_qualified_address(args.cell)
+    rule = controls.TrendRule(address=address, window=args.window)
     series = ledger.series_for_cell(address)
     for at, value in series.points:
         print(f"{format_instant(at)}\t{render_value(value)}")
     numeric = [(at, v) for at, v in series.points if isinstance(v, Number)]
-    rule = TrendRule(address=address, window=args.window)
     if len(numeric) < rule.min_points + 1:
         print("TREND\tinsufficient-data")
         return EXIT_OK
     history = CellSeries(address, tuple(numeric[:-1]))
-    verdict = trend_deviation(history, numeric[-1][1].value, rule)
+    verdict = controls.trend_deviation(history, numeric[-1][1].value, rule)
     flag = "true" if verdict.violated else "false"
     print(
         f"TREND\tmean={verdict.mean:.6f}\tstddev={verdict.stddev:.6f}"
@@ -160,7 +162,7 @@ def _cmd_history(args) -> int:
 def _cmd_profile(args) -> int:
     ledger = _open_existing(args.ledger_dir)
     all_findings = [f for _, fs in ledger.findings_records() for f in fs]
-    profile = build_profile(ledger, all_findings)
+    profile = assess.build_profile(ledger, all_findings)
     m = profile.metrics
     print(f"workbook\t{ledger.workbook_id or '-'}")
     print(f"ingests\t{m.ingest_count}")
@@ -179,13 +181,13 @@ def _cmd_report(args) -> int:
     ledger = _open_existing(args.ledger_dir)
     policy = _load_policy(args.policy)
     generated = parse_instant(args.generated_at) if args.generated_at else datetime.now(timezone.utc)
-    report = build_report(
+    report = assess.build_report(
         ledger,
         policy,
         (parse_instant(getattr(args, "from")), parse_instant(args.to)),
         generated_at=generated,
     )
-    rendered = render_report_json(report) if args.format == "json" else render_report_text(report)
+    rendered = assess.render_report_json(report) if args.format == "json" else assess.render_report_text(report)
     if args.out:
         Path(args.out).write_text(rendered, encoding="utf-8")
     else:

@@ -44,9 +44,9 @@ from collections.abc import Iterator
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import audit as audit_mod
+from . import controls as controls_mod
 from .diffing import ChangeEvent, ChangeKind, ChangeSet, DigestMismatch, WorkbookMismatch, diff_snapshots, replay
 from .findings import RULE_SEVERITY, Finding
 from .grid import (
@@ -68,9 +68,6 @@ from .grid import (
     record,
     write_snapshot_file,
 )
-
-if TYPE_CHECKING:
-    from .controls import ControlPolicy
 
 GENESIS_HASH = "0" * 64
 RECORD_KINDS = ("INGEST", "CHANGESET", "FINDINGS", "ATTEST")
@@ -504,7 +501,7 @@ class Ledger:
         self,
         snapshot: Snapshot,
         cfg: "audit_mod.AuditConfig | None" = None,
-        policy: "ControlPolicy | None" = None,
+        policy: "controls_mod.ControlPolicy | None" = None,
     ) -> list[Finding]:
         """Record a new snapshot: stores its bytes, appends INGEST, and
         when a prior snapshot exists diffs against it, evaluates the
@@ -545,9 +542,7 @@ class Ledger:
             changes = diff_snapshots(previous, snapshot, digests=(last_digest, digest))
             findings.extend(audit_mod.audit_workbook(snapshot, cfg))
             if policy is not None:
-                from .controls import evaluate_policies
-
-                findings.extend(evaluate_policies(changes, policy, self))
+                findings.extend(controls_mod.evaluate_policies(changes, policy, self))
 
         self.append_record("INGEST", serialize_ingest(digest, snapshot.timestamp, snapshot.actor), snapshot.timestamp)
         if changes is not None:

@@ -229,6 +229,14 @@ class TestQueries:
         out = capsys.readouterr().out.split("\n")
         assert out[-2] == "TREND\tinsufficient-data"
 
+    def test_trend_rejects_a_short_window_before_printing(self, capsys, files):
+        self._seed(files)
+        capsys.readouterr()
+        assert run(["trend", files["ledger"], "S!A1", "--window", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trend window must be >= 5\n"
+
     def test_trend_with_history(self, capsys, files, tmp_path):
         ledger_dir = str(tmp_path / "trend-ledger")
         for day, value in enumerate([10, 12, 11, 13, 10, 30], start=1):
@@ -549,7 +557,7 @@ class TestInternalError:
         def crash(*args, **kwargs):
             raise RuntimeError("audit crashed")
 
-        monkeypatch.setattr("gridaudit.cli.audit_workbook", crash)
+        monkeypatch.setattr("gridaudit.audit.audit_workbook", crash)
         assert run(["audit", files["s1.snap"]]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -559,7 +567,7 @@ class TestInternalError:
         def crash(*args, **kwargs):
             raise RuntimeError("audit crashed")
 
-        monkeypatch.setattr("gridaudit.cli.audit_workbook", crash)
+        monkeypatch.setattr("gridaudit.audit.audit_workbook", crash)
         assert run(["audit", files["s1.snap"]]) == 4
         err = capsys.readouterr().err
         assert "Traceback (most recent call last)" in err

@@ -67,3 +67,21 @@ def test_traced_commands_match_the_plain_cli(capsys, tmp_path):
         assert (done.returncode, done.stdout) == (code, capsys.readouterr().out), done.stderr
         assert json.loads(dump.read_text())["counts"]["ledger.load_snapshot.bytes"] > 0, name
     assert (tmp_path / "traced" / "ledger.log").read_bytes() == (tmp_path / "plain" / "ledger.log").read_bytes()
+
+
+def test_traced_verify_and_history_match_the_plain_cli(capsys, tmp_path):
+    # neither command loads a snapshot, so this checks output and exit code only
+    ledger = str(tmp_path / "ledger")
+    for name, text in (("s1.snap", SNAP_1), ("s2.snap", SNAP_2)):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert run(["ingest", ledger, str(tmp_path / name)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for command in (["verify", ledger], ["history", ledger, "S!A1"]):
+        capsys.readouterr()
+        code = run(command)
+        done = subprocess.run(
+            [sys.executable, str(SHIM), str(tmp_path / "dump.json"), *command],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (code, capsys.readouterr().out), done.stderr
+        assert done.stdout, command
