@@ -242,33 +242,42 @@ def _accept_ref(source: str, m: re.Match) -> tuple | None:
     return (int(m["row"]), col, bool(row_abs), bool(col_abs), sheet or None)
 
 
+def _pinned_axes(row_abs: bool, col_abs: bool, sheet: str | None) -> tuple[bool, bool]:
+    """Whether a reference's row and column ignore the host cell: an axis
+    does when it carries a $ or its reference names a sheet (a range's end
+    names its start's sheet).  The one reference rule: copy_key, the R1C1
+    form and shift_relative all read it."""
+    named = sheet is not None
+    return row_abs or named, col_abs or named
+
+
 def copy_key(source: str, host: CellAddress) -> tuple:
     """A key that translated copies of one formula share.  It holds every
-    token's kind and text, except that a reference becomes its sheet, its
-    $ flags and its row and column, each axis absolute when it carries a $
-    or the reference is on a named sheet, else an offset from host.
+    token's kind and text, except that a reference becomes its sheet (a
+    range's end takes its start's), its $ flags and its row and column,
+    each absolute where _pinned_axes pins it, else an offset from host.
     Sources with equal keys parse alike and have equal R1C1 forms.  Raises
     the error parse_formula raises for a source it cannot tokenize."""
     if not source.startswith("="):
         raise FormulaSyntaxError(0, "'=' at start of formula")
     key: list = []
-    named = pinned = False
+    sheet = start_sheet = None
     for kind, text, _, ref in _scan(source[1:]):
         if ref is None:
             key += (kind, text)
-            # the end of a range that starts on a named sheet renders absolute
-            pinned = named and text == ":"
-            named = False
+            # as in parse_range_tail, the end of a range takes its start's sheet
+            start_sheet = sheet if text == ":" else None
+            sheet = None
             continue
         row, col, row_abs, col_abs, sheet = ref
-        named = sheet is not None
-        fixed = named or pinned
+        sheet = sheet or start_sheet
+        row_pinned, col_pinned = _pinned_axes(row_abs, col_abs, sheet)
         key.append((
             sheet, row_abs, col_abs,
-            row if row_abs or fixed else row - host.row,
-            col if col_abs or fixed else col - host.col,
+            row if row_pinned else row - host.row,
+            col if col_pinned else col - host.col,
         ))
-        pinned = False
+        start_sheet = None
     return tuple(key)
 
 
@@ -502,56 +511,23 @@ def _prec(node: FormulaAst) -> int:
     return _PREC_ATOM
 
 
-def _quote_sheet(sheet: str) -> str:
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", sheet):
-        return sheet
-    return "'" + sheet.replace("'", "''") + "'"
+def _sheet_prefix(ref: CellRef) -> str:
+    if ref.sheet is None:
+        return ""
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", ref.sheet):
+        return ref.sheet + "!"
+    return "'" + ref.sheet.replace("'", "''") + "'!"
 
 
-class _A1Renderer:
-    def ref(self, ref: CellRef) -> str:
-        text = ""
-        if ref.sheet is not None:
-            text += _quote_sheet(ref.sheet) + "!"
-        text += ("$" if ref.col_abs else "") + col_to_letters(ref.col)
-        text += ("$" if ref.row_abs else "") + str(ref.row)
-        return text
-
-    def range(self, start: CellRef, end: CellRef) -> str:
-        # endpoints share a sheet; it prints once on the start side
-        naked_end = CellRef(end.row, end.col, end.row_abs, end.col_abs)
-        return f"{self.ref(start)}:{self.ref(naked_end)}"
+def _a1_axes(ref: CellRef) -> str:
+    col = ("$" if ref.col_abs else "") + col_to_letters(ref.col)
+    return col + ("$" if ref.row_abs else "") + str(ref.row)
 
 
-class _R1C1Renderer:
-    def __init__(self, host: CellAddress):
-        self.host = host
+def _render(tree: FormulaAst, axes: Callable[[CellRef], str]) -> str:
+    """tree's text, with axes(ref) printing each reference's row and
+    column in one notation."""
 
-    def ref(self, ref: CellRef) -> str:
-        text = ""
-        absolute = ref.sheet is not None
-        if absolute:
-            text += _quote_sheet(ref.sheet) + "!"
-        if absolute or ref.row_abs:
-            row = f"R{ref.row}"
-        else:
-            dr = ref.row - self.host.row
-            row = f"R[{dr}]" if dr else "R"
-        if absolute or ref.col_abs:
-            col = f"C{ref.col}"
-        else:
-            dc = ref.col - self.host.col
-            col = f"C[{dc}]" if dc else "C"
-        return text + row + col
-
-    def range(self, start: CellRef, end: CellRef) -> str:
-        if start.sheet is not None:
-            # cross-sheet ranges are never host-relative
-            return f"{self.ref(start)}:R{end.row}C{end.col}"
-        return f"{self.ref(start)}:{self.ref(end)}"
-
-
-def _render(tree: FormulaAst, renderer) -> str:
     def combine(node: FormulaAst, parts) -> str:
         if isinstance(node, NumberLit):
             return canonical_decimal(node.value)
@@ -562,9 +538,10 @@ def _render(tree: FormulaAst, renderer) -> str:
         if isinstance(node, ErrorLit):
             return node.code
         if isinstance(node, Ref):
-            return renderer.ref(node.ref)
+            return _sheet_prefix(node.ref) + axes(node.ref)
         if isinstance(node, Range):
-            return renderer.range(node.start, node.end)
+            # endpoints share a sheet; it prints once, before the start
+            return f"{_sheet_prefix(node.start)}{axes(node.start)}:{axes(node.end)}"
         if isinstance(node, Unary):
             (child,) = parts
             if _prec(node.child) < _prec(node):
@@ -588,14 +565,21 @@ def _render(tree: FormulaAst, renderer) -> str:
 def print_formula(ast: FormulaAst) -> str:
     """Canonical text: minimal parentheses, uppercase function names, no
     whitespace.  parse(print(ast)) is structurally equal to ast."""
-    return "=" + _render(ast, _A1Renderer())
+    return "=" + _render(ast, _a1_axes)
 
 
 def normalize_relative(ast: FormulaAst, host: CellAddress) -> str:
     """R1C1 rendering relative to the host cell.  Translated copies of a
     formula normalize to identical text, which is the equivalence key for
     copy-region consistency checks."""
-    return "=" + _render(ast, _R1C1Renderer(host))
+
+    def axes(ref: CellRef) -> str:
+        row_pinned, col_pinned = _pinned_axes(ref.row_abs, ref.col_abs, ref.sheet)
+        dr, dc = ref.row - host.row, ref.col - host.col
+        row = f"R{ref.row}" if row_pinned else f"R[{dr}]" if dr else "R"
+        return row + (f"C{ref.col}" if col_pinned else f"C[{dc}]" if dc else "C")
+
+    return "=" + _render(ast, axes)
 
 
 def references_of(ast: FormulaAst) -> list[CellRef | Range]:
@@ -619,14 +603,13 @@ def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
     axes and sheet-qualified references do not move."""
 
     def shift_ref(ref: CellRef) -> CellRef:
-        if ref.sheet is not None:
-            return ref
+        row_pinned, col_pinned = _pinned_axes(ref.row_abs, ref.col_abs, ref.sheet)
         return CellRef(
-            ref.row if ref.row_abs else ref.row + dr,
-            ref.col if ref.col_abs else ref.col + dc,
+            ref.row if row_pinned else ref.row + dr,
+            ref.col if col_pinned else ref.col + dc,
             ref.row_abs,
             ref.col_abs,
-            None,
+            ref.sheet,
         )
 
     def combine(node: FormulaAst, parts) -> FormulaAst:
