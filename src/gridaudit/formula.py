@@ -27,11 +27,12 @@ tree is a rule over the iterative ``fold``, so a chain of any length
 (``=A1+A1+...``, ``=A1%%%...``) is fine although its tree is that deep.
 
 ``normalize_relative`` renders a tree in R1C1 form relative to a host
-cell, so translated copies of one formula produce identical text.
-Sheet-qualified references keep their sheet name and always render with
-absolute coordinates: a cross-sheet reference is never host-relative.
+cell, so translated copies of one formula produce identical text.  An
+axis without ``$`` follows its host whether or not the reference names a
+sheet: ``=Data!A1`` in B1 renders ``=Data!RC[-1]``, as in Excel.
 ``copy_key`` reads the same tokens without parsing, so a caller can parse
-such copies once.
+such copies once; ``shift_relative`` moves a tree as a copy would.  All
+three take that rule from one predicate, ``_pinned_axes``.
 """
 
 from __future__ import annotations
@@ -243,21 +244,22 @@ def _accept_ref(source: str, m: re.Match) -> tuple | None:
 
 
 def _pinned_axes(row_abs: bool, col_abs: bool, sheet: str | None) -> tuple[bool, bool]:
-    """Whether a reference's row and column ignore the host cell: an axis
-    does when it carries a $ or its reference names a sheet (a range's end
-    names its start's sheet).  The one reference rule: copy_key, the R1C1
-    form and shift_relative all read it."""
-    named = sheet is not None
-    return row_abs or named, col_abs or named
+    """Whether a reference's row and column ignore the host cell; sheet is
+    the one the reference names (a range's end names its start's).  The one
+    reference rule: copy_key, the R1C1 form and shift_relative all read it.
+    Only a $ pins an axis.  A sheet name pins none: filled down a row,
+    =Data!A1 becomes =Data!A2, so its R1C1 form is Data!RC[-1] in B1."""
+    return row_abs, col_abs
 
 
 def copy_key(source: str, host: CellAddress) -> tuple:
-    """A key that translated copies of one formula share.  It holds every
-    token's kind and text, except that a reference becomes its sheet (a
-    range's end takes its start's), its $ flags and its row and column,
-    each absolute where _pinned_axes pins it, else an offset from host.
-    Sources with equal keys parse alike and have equal R1C1 forms.  Raises
-    the error parse_formula raises for a source it cannot tokenize."""
+    """A key that translated copies of one formula share, on this sheet or
+    another one.  It holds every token's kind and text, except that a
+    reference becomes its sheet (a range's end takes its start's), its $
+    flags and its row and column: an axis _pinned_axes pins keeps its
+    number, any other is an offset from host.  Sources with equal keys
+    parse alike and have equal R1C1 forms.  Raises the error parse_formula
+    raises for a source it cannot tokenize."""
     if not source.startswith("="):
         raise FormulaSyntaxError(0, "'=' at start of formula")
     key: list = []
@@ -599,8 +601,9 @@ def references_of(ast: FormulaAst) -> list[CellRef | Range]:
 
 
 def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
-    """Translate every host-relative reference axis by (dr, dc); absolute
-    axes and sheet-qualified references do not move."""
+    """The tree copied (dr, dc) cells away: every axis _pinned_axes does not
+    pin moves by (dr, dc), on whatever sheet its reference names; $ axes
+    stay put."""
 
     def shift_ref(ref: CellRef) -> CellRef:
         row_pinned, col_pinned = _pinned_axes(ref.row_abs, ref.col_abs, ref.sheet)

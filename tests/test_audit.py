@@ -61,6 +61,15 @@ class TestCopyInconsistencies:
         assert findings[0].expected == "=RC[1]*2"
         assert findings[0].observed == "=RC[-2]*3"
 
+    def test_cross_sheet_run_is_checked(self):
+        # filled down from B1: the Data! references follow the host as well
+        cells = {f"S!B{row}": f"=Data!A{row}*2" for row in range(1, 7)}
+        cells["S!B4"] = "=Data!A4*3"
+        findings = audit_workbook(snap(cells))
+        assert [(str(f.location), f.observed, f.expected) for f in findings if f.rule_id == "COPY_INCONSISTENT"] == [
+            ("S!B4", "=Data!RC[-1]*3", "=Data!RC[-1]*2")
+        ]
+
     def test_run_below_min_length_ignored(self):
         cells = {"S!A1": "=B1*2", "S!B1": "=Z9*9"}
         assert detect_copy_inconsistencies(snap(cells), "S") == []
@@ -304,10 +313,10 @@ class TestCopyFormCache:
     @pytest.mark.parametrize(
         "run, source, odd_one",
         [
-            (["S!B1", "S!B2", "S!B3", "S!B4"], "=Data!A1:B2", "=Data!A1:B5"),  # the end of a named-sheet range
+            (["S!B1", "S!B2", "S!B3", "S!B4"], "=Data!$A$1:$B$2", "=Data!$A$1:$B$5"),  # the end of a named-sheet range
             (["S!B1", "S!B2", "S!B3", "S!B4"], "=A$1*2", "=A$4*2"),
-            (["S!B1", "S!B2", "S!B3", "S!B4"], "=Data!A1*2", "=Data!A4*2"),
-            (["S!B1", "S!B2", "S!B3", "S!B4"], "=Data!A1*2", "=Other!A1*2"),
+            (["S!B1", "S!B2", "S!B3", "S!B4"], "=Data!$A$1*2", "=Data!$A$4*2"),
+            (["S!B1", "S!B2", "S!B3", "S!B4"], "=Data!$A$1*2", "=Other!$A$1*2"),
             (["S!B1", "S!C1", "S!D1", "S!E1"], "=$A1*2", "=$D1*2"),
         ],
     )
@@ -319,6 +328,19 @@ class TestCopyFormCache:
         cells[run[-1]] = odd_one
         findings = audit_workbook(snap(cells))
         assert [str(f.location) for f in findings if f.rule_id == "COPY_INCONSISTENT"] == [run[-1]]
+
+    def test_cross_sheet_copies_share_a_parse(self, monkeypatch):
+        sources = []
+
+        def counted(source):
+            sources.append(source)
+            return parse_formula(source)
+
+        monkeypatch.setattr(audit, "parse_formula", counted)
+        cells = {f"S!B{row}": f"=Data!A{row}*2" for row in range(1, 7)}
+        cells["S!B4"] = "=Data!A4*3"
+        audit_workbook(snap(cells))
+        assert sources == ["=Data!A1*2", "=Data!A4*3"]
 
     def test_parses_once_per_copy_form(self, monkeypatch):
         sources = []

@@ -260,11 +260,13 @@ class TestNormalization:
         assert normalize_relative(parse_formula("=$B9"), addr("S!D9")) == "=RC2"
         assert normalize_relative(parse_formula("=B$9"), addr("S!D4")) == "=R9C[-2]"
 
-    def test_sheet_qualified_is_never_relative(self):
+    def test_sheet_qualified_axes_follow_the_host(self):
         out = normalize_relative(parse_formula("=Data!B9"), addr("S!C3"))
-        assert out == "=Data!R9C2"
+        assert out == "=Data!R[6]C[-1]"
         out = normalize_relative(parse_formula("=SUM(Data!A1:B2)"), addr("S!C3"))
-        assert out == "=SUM(Data!R1C1:R2C2)"
+        assert out == "=SUM(Data!R[-2]C[-2]:R[-1]C[-1])"
+        out = normalize_relative(parse_formula("=SUM(Data!$A1:B$2)"), addr("S!C3"))
+        assert out == "=SUM(Data!R[-2]C1:R2C[-1])"
 
 
 class TestReferences:
@@ -383,7 +385,7 @@ def _relative_refs(tree):
     for item in references_of(tree):
         refs = [item.start, item.end] if isinstance(item, Range) else [item]
         for ref in refs:
-            if ref.sheet is None and not (ref.row_abs and ref.col_abs):
+            if not (ref.row_abs and ref.col_abs):
                 out.append(ref)
     return out
 
@@ -433,22 +435,23 @@ class TestCopyKey:
 
     def test_translated_copies_share_a_key(self):
         key = copy_key("=SUM(B2:B4)*$A$1+Data!C3", addr("S!A1"))
-        assert copy_key("=SUM(C9:C11)*$A$1+Data!C3", addr("S!B8")) == key
-        assert copy_key("= sum( C9 : C11 ) * $A$1 + Data!C3", addr("S!B8")) != key
+        assert copy_key("=SUM(C9:C11)*$A$1+Data!D10", addr("S!B8")) == key
+        assert copy_key("= sum( C9 : C11 ) * $A$1 + Data!D10", addr("S!B8")) != key
 
     @pytest.mark.parametrize(
         "first, second, step",
         [
-            ("=Data!A1", "=Data!A2", (1, 0)),  # a named sheet pins both axes
+            ("=Data!A$1", "=Data!A$2", (1, 0)),  # a $ row stays put on a named sheet too
             ("=A$1", "=A$2", (1, 0)),  # a $ row stays put
             ("=$A1", "=$B1", (0, 1)),  # a $ column stays put
-            ("=Data!A1:B2", "=Data!A1:B3", (1, 0)),  # so does the end of a named-sheet range
+            ("=Data!A1:B2", "=Data!A1:B3", (1, 0)),  # a named sheet pins no axis: the start must move
             ("=Data!A1", "=Other!A1", (0, 0)),
         ],
     )
     def test_fixed_references_keep_copies_apart(self, first, second, step):
-        """second sits step (rows, columns) from first's host, with every
-        reference moved as far; only a fixed reference tells them apart."""
+        """second sits step (rows, columns) from first's host and differs
+        from a true copy of first in one reference: a $ axis moved, a
+        relative axis stayed, or the sheet changed."""
         host = addr("S!C1")
         moved = CellAddress("S", host.row + step[0], host.col + step[1])
         assert copy_key(first, host) != copy_key(second, moved)
