@@ -103,43 +103,4 @@ def __dir__():
     return sorted({*globals(), *_SUBMODULE_OF})
 
 
-__all__ = [
-    "AuditConfig",
-    "CellAddress",
-    "ChangeEvent",
-    "ChangeKind",
-    "ChangeSet",
-    "ClassifierConfig",
-    "ComplianceReport",
-    "ControlPolicy",
-    "Finding",
-    "Ledger",
-    "Mode",
-    "Region",
-    "RiskProfile",
-    "Snapshot",
-    "TrendRule",
-    "UsageMetrics",
-    "Workflow",
-    "apply_changes",
-    "audit_workbook",
-    "build_report",
-    "classify_usage",
-    "diff_snapshots",
-    "evaluate_policies",
-    "map_finding_to_sox",
-    "normalize_relative",
-    "parse_formula",
-    "parse_policy_file",
-    "parse_snapshot_file",
-    "print_formula",
-    "references_of",
-    "render_report_json",
-    "render_report_text",
-    "risk_score",
-    "snapshot_digest",
-    "trend_deviation",
-    "usage_metrics",
-    "volatility_metrics",
-    "write_snapshot_file",
-]
+__all__ = sorted(_SUBMODULE_OF)
