@@ -244,22 +244,21 @@ def _accept_ref(source: str, m: re.Match) -> tuple | None:
 
 
 def _pinned_axes(row_abs: bool, col_abs: bool, sheet: str | None) -> tuple[bool, bool]:
-    """Whether a reference's row and column ignore the host cell; sheet is
-    the one the reference names (a range's end names its start's).  The one
-    reference rule: copy_key, the R1C1 form and shift_relative all read it.
-    Only a $ pins an axis.  A sheet name pins none: filled down a row,
-    =Data!A1 becomes =Data!A2, so its R1C1 form is Data!RC[-1] in B1."""
+    """Whether a reference's row and column ignore the host cell, given its
+    $ flags and the sheet it names (a range's end names its start's).  Only
+    a $ pins an axis; a sheet name pins none.  copy_key, the R1C1 form and
+    shift_relative all read this one rule."""
     return row_abs, col_abs
 
 
 def copy_key(source: str, host: CellAddress) -> tuple:
-    """A key that translated copies of one formula share, on this sheet or
-    another one.  It holds every token's kind and text, except that a
-    reference becomes its sheet (a range's end takes its start's), its $
-    flags and its row and column: an axis _pinned_axes pins keeps its
-    number, any other is an offset from host.  Sources with equal keys
-    parse alike and have equal R1C1 forms.  Raises the error parse_formula
-    raises for a source it cannot tokenize."""
+    """A key that translated copies of one formula share.  It holds every
+    token's kind and text, except that a reference becomes its sheet (a
+    range's end takes its start's), its $ flags and its row and column:
+    an axis _pinned_axes pins keeps its number, any other becomes an
+    offset from host.  Sources with equal keys parse alike and have equal
+    R1C1 forms.  Raises the error parse_formula raises for a source it
+    cannot tokenize."""
     if not source.startswith("="):
         raise FormulaSyntaxError(0, "'=' at start of formula")
     key: list = []
@@ -601,9 +600,8 @@ def references_of(ast: FormulaAst) -> list[CellRef | Range]:
 
 
 def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
-    """The tree copied (dr, dc) cells away: every axis _pinned_axes does not
-    pin moves by (dr, dc), on whatever sheet its reference names; $ axes
-    stay put."""
+    """The tree copied (dr, dc) cells away: every axis that _pinned_axes
+    leaves free moves by (dr, dc), whatever sheet its reference names."""
 
     def shift_ref(ref: CellRef) -> CellRef:
         row_pinned, col_pinned = _pinned_axes(ref.row_abs, ref.col_abs, ref.sheet)

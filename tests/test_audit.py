@@ -61,14 +61,22 @@ class TestCopyInconsistencies:
         assert findings[0].expected == "=RC[1]*2"
         assert findings[0].observed == "=RC[-2]*3"
 
-    def test_cross_sheet_run_is_checked(self):
+    def test_cross_sheet_run_is_checked(self, monkeypatch):
+        sources = []
+
+        def counted(source):
+            sources.append(source)
+            return parse_formula(source)
+
+        monkeypatch.setattr(audit, "parse_formula", counted)
         # filled down from B1: the Data! references follow the host as well
         cells = {f"S!B{row}": f"=Data!A{row}*2" for row in range(1, 7)}
         cells["S!B4"] = "=Data!A4*3"
-        findings = audit_workbook(snap(cells))
-        assert [(str(f.location), f.observed, f.expected) for f in findings if f.rule_id == "COPY_INCONSISTENT"] == [
+        findings = [f for f in audit_workbook(snap(cells)) if f.rule_id == "COPY_INCONSISTENT"]
+        assert [(str(f.location), f.observed, f.expected) for f in findings] == [
             ("S!B4", "=Data!RC[-1]*3", "=Data!RC[-1]*2")
         ]
+        assert sources == ["=Data!A1*2", "=Data!A4*3"]  # one parse per copy form
 
     def test_run_below_min_length_ignored(self):
         cells = {"S!A1": "=B1*2", "S!B1": "=Z9*9"}
@@ -328,19 +336,6 @@ class TestCopyFormCache:
         cells[run[-1]] = odd_one
         findings = audit_workbook(snap(cells))
         assert [str(f.location) for f in findings if f.rule_id == "COPY_INCONSISTENT"] == [run[-1]]
-
-    def test_cross_sheet_copies_share_a_parse(self, monkeypatch):
-        sources = []
-
-        def counted(source):
-            sources.append(source)
-            return parse_formula(source)
-
-        monkeypatch.setattr(audit, "parse_formula", counted)
-        cells = {f"S!B{row}": f"=Data!A{row}*2" for row in range(1, 7)}
-        cells["S!B4"] = "=Data!A4*3"
-        audit_workbook(snap(cells))
-        assert sources == ["=Data!A1*2", "=Data!A4*3"]
 
     def test_parses_once_per_copy_form(self, monkeypatch):
         sources = []
