@@ -7,8 +7,11 @@ task order) and renders compliance reports mapped onto internal-control
 sections 103, 302, 304 and 404.
 
 Importing the package loads no submodule: each exported name is looked up
-in its submodule on first use, and `formula`, `audit`, `controls` and
-`assess` compile only when one of their attributes is first read.
+in its submodule on first use, and `formula`, `audit`, `controls`,
+`assess`, `ledger` and `diffing` compile only when one of their attributes
+is first read.  A command compiles only the modules it runs: `verify`
+compiles `ledger` but not `diffing`, `audit` compiles no `ledger`, and
+`profile` compiles no `controls`.
 """
 
 import sys
@@ -20,12 +23,18 @@ def _lazy_submodule(name: str):
     """Put submodule `name` into sys.modules as a stub whose code runs on
     its first attribute access.
 
-    Modules that load eagerly must bind a stub as a module (`from . import
-    audit`) and read its attributes only inside functions: any attribute
-    read loads it, and `from .audit import name` is one.  The stubs exist
-    because the benchmark shim reads these modules from sys.modules right
-    after `import gridaudit.cli`; once a production trace replaces the
-    shim, plain function-local imports can replace them."""
+    A module that loads before a stub is needed must bind the stub as a
+    module (`from . import audit`) and read its attributes only inside
+    functions: any attribute read loads it, and `from .audit import name`
+    is one.  An `except` tuple counts as inside a function, because it is
+    evaluated only when an exception propagates.  A command handler reads
+    the lazy modules it needs before it reads a snapshot, since compiling
+    a module with a snapshot in memory raises the command's peak memory.
+
+    The stubs exist because the benchmark shim reads these modules from
+    sys.modules right after `import gridaudit.cli`; once a production
+    trace replaces the shim, plain function-local imports can replace
+    them."""
     spec = find_spec(f"{__name__}.{name}")
     spec.loader = LazyLoader(spec.loader)
     module = module_from_spec(spec)
@@ -38,6 +47,8 @@ formula = _lazy_submodule("formula")
 audit = _lazy_submodule("audit")
 controls = _lazy_submodule("controls")
 assess = _lazy_submodule("assess")
+ledger = _lazy_submodule("ledger")
+diffing = _lazy_submodule("diffing")
 
 # exported name -> the submodule that defines it
 _SUBMODULE_OF = {

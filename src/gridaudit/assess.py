@@ -14,15 +14,17 @@ or JSON.
 
 from __future__ import annotations
 
-import json
 from datetime import datetime
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .controls import ControlPolicy, Mode
 from .diffing import volatility_metrics
 from .findings import CRITICAL, RULE_SEVERITY, Finding, finding_line
 from .grid import format_instant, record
 from .ledger import Ledger
+
+if TYPE_CHECKING:
+    from .controls import ControlPolicy
 
 SOX_SECTIONS = (103, 302, 304, 404)
 
@@ -264,6 +266,8 @@ def build_report(
 def _policy_lines(policy: ControlPolicy | None) -> list[str]:
     if policy is None:
         return ["  none declared"]
+    from .controls import Mode  # loaded already: it built the policy
+
     lines = []
     for rule in policy.region_rules:
         ticket = "yes" if rule.ticket_required else "no"
@@ -346,6 +350,8 @@ def _finding_dict(finding: Finding) -> dict:
 
 
 def render_report_json(report: ComplianceReport) -> str:
+    import json  # only here: a text report or a profile does not need it
+
     m = report.profile.metrics
     doc = {
         "workbook_id": report.workbook_id,

@@ -24,8 +24,8 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import assess, audit, controls
-from .diffing import ConflictingEvent, DigestMismatch, diff_snapshots
+from . import assess, audit, controls, diffing
+from . import ledger as ledger_mod
 from .findings import Finding, finding_line, has_critical
 from .grid import (
     Number,
@@ -36,7 +36,6 @@ from .grid import (
     render_content,
     render_value,
 )
-from .ledger import CellSeries, Ledger, LedgerCorrupt, LedgerError, MissingObject
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -66,12 +65,12 @@ def _load_policy(path: str | None) -> controls.ControlPolicy | None:
     return controls.parse_policy_file(_read_text(path)) if path else None
 
 
-def _open_existing(ledger_dir: str) -> Ledger:
+def _open_existing(ledger_dir: str) -> ledger_mod.Ledger:
     """Read-only commands must not conjure an empty ledger from a typo."""
     path = Path(ledger_dir)
     if not path.is_dir():
         raise FileNotFoundError(f"no ledger directory at {ledger_dir!r}")
-    return Ledger.open(path)
+    return ledger_mod.Ledger.open(path)
 
 
 @contextmanager
@@ -89,9 +88,11 @@ def _exclusive_lock(directory: Path):
 def _cmd_ingest(args) -> int:
     policy = _load_policy(args.policy)
     cfg = _load_config(args.config)
+    # resolved before the snapshot is read, as in _load_config; the ingest diffs too
+    open_ledger, _ = ledger_mod.Ledger.open, diffing.diff_snapshots
     snapshot = parse_snapshot_file(_read_text(args.snapshot))
     with _exclusive_lock(Path(args.ledger_dir)):
-        ledger = Ledger.open(args.ledger_dir)
+        ledger = open_ledger(args.ledger_dir)
         findings = ledger.ingest_snapshot(snapshot, cfg=cfg, policy=policy)
     return _print_findings(findings)
 
@@ -103,6 +104,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    diff_snapshots = diffing.diff_snapshots  # resolved before the snapshots are read
     before = parse_snapshot_file(_read_text(args.snapshot_a))
     after = parse_snapshot_file(_read_text(args.snapshot_b))
     for event in diff_snapshots(before, after).events:
@@ -123,7 +125,7 @@ def _cmd_check(args) -> int:
     seq = changeset_seqs[-1]
     changes = ledger.records[seq].body
     cut = seq - 1 if seq > 0 and ledger.records[seq - 1].kind == "INGEST" else seq
-    view = Ledger(ledger.directory, ledger.raw_lines[:cut])
+    view = ledger_mod.Ledger(ledger.directory, ledger.raw_lines[:cut])
     return _print_findings(controls.evaluate_policies(changes, policy, view))
 
 
@@ -138,7 +140,7 @@ def _cmd_trend(args) -> int:
     if len(numeric) < rule.min_points + 1:
         print("TREND\tinsufficient-data")
         return EXIT_OK
-    history = CellSeries(address, tuple(numeric[:-1]))
+    history = ledger_mod.CellSeries(address, tuple(numeric[:-1]))
     verdict = controls.trend_deviation(history, numeric[-1][1].value, rule)
     flag = "true" if verdict.violated else "false"
     print(
@@ -280,10 +282,12 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except (LedgerCorrupt, DigestMismatch, ConflictingEvent, MissingObject) as exc:
+    # the except tuples are evaluated, and so load ledger and diffing, only
+    # when an exception propagates
+    except (ledger_mod.LedgerCorrupt, diffing.DigestMismatch, diffing.ConflictingEvent, ledger_mod.MissingObject) as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except (ValueError, LedgerError, OSError) as exc:
+    except (ValueError, ledger_mod.LedgerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -20,7 +20,6 @@ import re
 from decimal import Decimal
 from enum import IntEnum
 from math import isfinite
-from statistics import fmean, stdev
 from typing import TYPE_CHECKING
 
 from .diffing import ChangeEvent, ChangeKind, ChangeSet, WorkbookMismatch
@@ -284,6 +283,8 @@ def trend_deviation(series: "CellSeries", new_value: Decimal, rule: TrendRule) -
     points.  Mean and sample standard deviation (n-1) are computed in
     float.  Too few points: no verdict.  Constant history (stddev 0): any
     departure from the constant is a violation, z reported as 0."""
+    from statistics import fmean, stdev  # only here: only trend rules need it, and it loads fractions
+
     numeric = [float(v.value) for _, v in series.points if isinstance(v, Number)]
     prior = numeric[-rule.window :]
     new = float(new_value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from datetime import datetime
 from enum import Enum
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .grid import (
     CellAddress,
@@ -24,6 +24,9 @@ from .grid import (
     record,
     snapshot_digest,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ChangeKind(Enum):
@@ -201,6 +204,8 @@ def volatility_metrics(changes: ChangeSet, before: Snapshot) -> VolatilityMetric
     count (over 1 when before is empty).  Cached-value-only changes count
     in neither volatility since neither the logic nor a literal moved.
     """
+    from fractions import Fraction  # only here: `diff` and `history` never need it
+
     formula_count = sum(isinstance(content, Formula) for content in before.cells.values())
     literal_count = len(before.cells) - formula_count
     structural = 0

@@ -47,7 +47,7 @@ from pathlib import Path
 
 from . import audit as audit_mod
 from . import controls as controls_mod
-from .diffing import ChangeEvent, ChangeKind, ChangeSet, DigestMismatch, WorkbookMismatch, diff_snapshots, replay
+from . import diffing
 from .findings import RULE_SEVERITY, Finding
 from .grid import (
     CellAddress,
@@ -127,7 +127,7 @@ class CellSeries:
 class AttributedChange:
     """A change event paired with who made it and when."""
 
-    event: ChangeEvent
+    event: diffing.ChangeEvent
     actor: str
     at: datetime
 
@@ -196,7 +196,7 @@ def parse_ingest(payload: bytes) -> tuple[str, datetime, str]:
     return digest, parse_instant(at), _unescape(actor)
 
 
-def serialize_changeset(changes: ChangeSet) -> bytes:
+def serialize_changeset(changes: diffing.ChangeSet) -> bytes:
     lines = [
         "\t".join(
             [
@@ -225,13 +225,14 @@ def serialize_changeset(changes: ChangeSet) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def parse_changeset(payload: bytes) -> ChangeSet:
+def parse_changeset(payload: bytes) -> diffing.ChangeSet:
     head_line, *lines = payload.decode("utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     head = head_line.split("\t")
     if len(head) != 7 or head[0] != "CS1":
         raise ValueError(f"bad change set header {head_line!r}")
+    ChangeEvent, ChangeKind = diffing.ChangeEvent, diffing.ChangeKind
     events = []
     for line in lines:
         sheet, a1, kind, before, after = line.split("\t")
@@ -244,7 +245,7 @@ def parse_changeset(payload: bytes) -> ChangeSet:
                 after=None if after == "-" else decode_content(_unescape(after)),
             )
         )
-    return ChangeSet(
+    return diffing.ChangeSet(
         workbook_id=_unescape(head[1]),
         from_digest=head[2],
         to_digest=head[3],
@@ -388,11 +389,11 @@ class Ledger:
         try:
             snapshot, lines = parse_stored_snapshot(data.decode("utf-8"))
         except ValueError as exc:  # undecodable bytes or a malformed snapshot file
-            raise DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
+            raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
         # hashed as stored, so a line that parses to the same cell but is
         # not the canonical one fails too
         if lines.digest(snapshot.workbook_id) != digest:
-            raise DigestMismatch(f"stored object {digest[:12]}... does not hash to its name")
+            raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not hash to its name")
         self._objects[digest] = data
         self._parsed[digest] = (snapshot, lines)
         return self._parsed[digest]
@@ -429,13 +430,13 @@ class Ledger:
         """(digest, timestamp, actor) per INGEST record, in order."""
         return [r.body for r in self.records if r.kind == "INGEST"]
 
-    def changesets(self) -> list[ChangeSet]:
+    def changesets(self) -> list[diffing.ChangeSet]:
         """The change sets, each leading from one ingested digest to the
         next; a missing or unlinked change set raises DigestMismatch."""
         changesets = [r.body for r in self.records if r.kind == "CHANGESET"]
         digests = [digest for digest, _, _ in self.ingests()]
         if [(c.from_digest, c.to_digest) for c in changesets] != list(zip(digests, digests[1:])):
-            raise DigestMismatch("change sets do not link the ingested snapshots")
+            raise diffing.DigestMismatch("change sets do not link the ingested snapshots")
         return changesets
 
     def snapshots(self) -> Iterator[Snapshot]:
@@ -444,9 +445,9 @@ class Ledger:
         ingests = self.ingests()
         if ingests:
             first = ingests[0][0]
-            yield from replay(self.load_snapshot(first), self.changesets(), self._stored(first)[1])
+            yield from diffing.replay(self.load_snapshot(first), self.changesets(), self._stored(first)[1])
 
-    def _replayed_changesets(self) -> list[ChangeSet]:
+    def _replayed_changesets(self) -> list[diffing.ChangeSet]:
         """changesets(), each checked to replay to its to_digest; the replay
         runs once per ledger length, not once per query."""
         if self._replay_checked_at != len(self._records):
@@ -513,11 +514,11 @@ class Ledger:
         even without cell edits)."""
         existing = self.workbook_id
         if existing is not None and snapshot.workbook_id != existing:
-            raise WorkbookMismatch(
+            raise diffing.WorkbookMismatch(
                 f"ledger tracks {existing!r}, snapshot is {snapshot.workbook_id!r}"
             )
         if policy is not None and policy.workbook_id != snapshot.workbook_id:
-            raise WorkbookMismatch(
+            raise diffing.WorkbookMismatch(
                 f"policy is for {policy.workbook_id!r}, snapshot is {snapshot.workbook_id!r}"
             )
         lines = CellLines(snapshot.cells)
@@ -537,9 +538,9 @@ class Ledger:
         self.store_snapshot(snapshot, lines)
 
         findings: list[Finding] = []
-        changes: ChangeSet | None = None
+        changes: diffing.ChangeSet | None = None
         if previous is not None:
-            changes = diff_snapshots(previous, snapshot, digests=(last_digest, digest))
+            changes = diffing.diff_snapshots(previous, snapshot, digests=(last_digest, digest))
             findings.extend(audit_mod.audit_workbook(snapshot, cfg))
             if policy is not None:
                 findings.extend(controls_mod.evaluate_policies(changes, policy, self))

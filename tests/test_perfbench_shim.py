@@ -18,6 +18,7 @@ SHIM = ROOT / "perfbench" / "shim.py"
 
 SNAP_1 = "SNAP1\twb1\t2024-03-01T09:00:00Z\talice\nS\tA1\tV\tN\t5\nS\tB1\tV\tN\t10\n"
 SNAP_2 = "SNAP1\twb1\t2024-03-02T09:00:00Z\tbob\nS\tA1\tV\tN\t6\nS\tB1\tV\tN\t10\n"
+SNAP_ERROR = "SNAP1\twb1\t2024-03-01T09:00:00Z\talice\nS\tA1\tV\tE\t#REF!\n"
 POLICY = "workbook = wb1\n\n[region]\nrange = S!A1:A9\nmode = LOCKED\n\n[trend]\ncell = S!A1\nwindow = 5\n"
 
 
@@ -70,18 +71,28 @@ def test_traced_commands_match_the_plain_cli(capsys, tmp_path):
 
 
 def test_traced_verify_and_history_match_the_plain_cli(capsys, tmp_path):
-    # neither command loads a snapshot, so this checks output and exit code only
+    # Also audit and diff, which load neither ledger nor diffing when the
+    # command line is imported: the shim finds those modules in sys.modules
+    # as lazy stubs, and its spans must still reach the functions they run.
     ledger = str(tmp_path / "ledger")
-    for name, text in (("s1.snap", SNAP_1), ("s2.snap", SNAP_2)):
+    for name, text in (("s1.snap", SNAP_1), ("s2.snap", SNAP_2), ("err.snap", SNAP_ERROR)):
         (tmp_path / name).write_text(text, encoding="utf-8")
+    for name in ("s1.snap", "s2.snap"):
         assert run(["ingest", ledger, str(tmp_path / name)]) == 0
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    for command in (["verify", ledger], ["history", ledger, "S!A1"]):
+    dump = tmp_path / "dump.json"
+    for command, span in (
+        (["verify", ledger], "ledger.verify_chain"),
+        (["history", ledger, "S!A1"], "ledger.parse_changeset"),
+        (["audit", str(tmp_path / "err.snap")], "audit.audit_workbook"),
+        (["diff", str(tmp_path / "s1.snap"), str(tmp_path / "s2.snap")], "diffing.diff_snapshots"),
+    ):
         capsys.readouterr()
         code = run(command)
         done = subprocess.run(
-            [sys.executable, str(SHIM), str(tmp_path / "dump.json"), *command],
+            [sys.executable, str(SHIM), str(dump), *command],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert (done.returncode, done.stdout) == (code, capsys.readouterr().out), done.stderr
         assert done.stdout, command
+        assert json.loads(dump.read_text())["agg"][span]["calls"] > 0, command
