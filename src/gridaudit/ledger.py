@@ -157,6 +157,8 @@ def decode_record(index: int, line: str, prev_hash: str) -> LedgerRecord:
     """The record on this line, or LedgerCorrupt naming why the line is
     not valid at this position.  Field text is checked as stored so any
     byte flip breaks either the structure or the hash."""
+    if not line.isascii():
+        raise LedgerCorrupt(index, "line holds a non-ASCII character or a byte that is not UTF-8")
     fields = line.split("\t")
     if len(fields) != 6:
         raise LedgerCorrupt(index, f"expected 6 fields, found {len(fields)}")
@@ -331,10 +333,12 @@ class Ledger:
     def open(cls, directory: str | Path) -> "Ledger":
         """Load a ledger directory; an absent one reads as empty and is not
         created.  A corrupt ledger opens so verify_chain can report it; any
-        other operation on it raises LedgerCorrupt."""
+        other operation on it raises LedgerCorrupt.  A byte that is not
+        UTF-8 is kept as a lone surrogate, so its line fails decode_record
+        like any other altered byte."""
         directory = Path(directory)
         log = directory / "ledger.log"
-        lines = log.read_text(encoding="utf-8").split("\n") if log.exists() else []
+        lines = log.read_text(encoding="utf-8", errors="surrogateescape").split("\n") if log.exists() else []
         if lines and lines[-1] == "":
             lines.pop()
         return cls(directory, lines)

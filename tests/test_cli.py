@@ -191,6 +191,25 @@ class TestVerify:
         assert captured.err == f"reason: {reason}\n"
         assert Ledger.open(files["ledger"]).verify_chain().reason == reason
 
+    def test_a_byte_that_is_not_utf8_is_an_integrity_failure(self, capsys, files, tmp_path):
+        run(["ingest", files["ledger"], files["s1.snap"]])
+        run(["ingest", files["ledger"], files["s2.snap"]])
+        log = tmp_path / "ledger" / "ledger.log"
+        data = bytearray(log.read_bytes())
+        data[data.index(b"\n") + 20] = 0xFF  # inside record 1
+        log.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert run(["verify", files["ledger"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "FAIL seq=1 n=4\n"
+        assert "UTF-8" in captured.err
+        for argv in (["trend", files["ledger"], "S!A1"], ["history", files["ledger"], "S!A1"], ["profile", files["ledger"]],
+                     ["check", files["ledger"], "--policy", files["policy.txt"]],
+                     ["ingest", files["ledger"], files["fm1.snap"]]):
+            assert run(argv) == 3, argv
+            assert "integrity error: ledger record 1 is corrupt" in capsys.readouterr().err, argv
+        assert log.read_bytes() == bytes(data)
+
     def test_other_commands_name_the_reason(self, capsys, files, tmp_path):
         run(["ingest", files["ledger"], files["s1.snap"]])
         run(["ingest", files["ledger"], files["s2.snap"]])
