@@ -339,24 +339,17 @@ def _escape(text: str) -> str:
 
 
 _UNESCAPE = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+# a backslash and the character after it on its line; an empty or unknown one is a bad escape
+_ESCAPE_RE = re.compile(r"\\(.?)")
 
 
 def _unescape(text: str) -> str:
     if "\\" not in text:
         return text
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in _UNESCAPE:
-                raise ValueError(f"bad escape in {text!r}")
-            out.append(_UNESCAPE[text[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    try:
+        return _ESCAPE_RE.sub(lambda m: _UNESCAPE[m[1]], text)
+    except KeyError:
+        raise ValueError(f"bad escape in {text!r}") from None
 
 
 def parse_a1(text: str) -> tuple[int, int]:

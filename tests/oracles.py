@@ -8,6 +8,7 @@ the digest checks) so that each assertion is a genuine cross-check:
 * exact trend statistics via Fraction arithmetic and high-precision
   Decimal square roots
 * a step-by-step task-order simulation
+* a character-by-character unescape, the reference for grid._unescape
 * brute-force ledger history: one stored snapshot re-read per ingest or
   per change set, the reference for the replayed change-set history
 * a static audit that parses and checks every formula cell on its own,
@@ -112,6 +113,26 @@ def relative_close(actual: float, expected: Decimal, tolerance: Decimal = Decima
 
 
 # --- task-order simulation ----------------------------------------------------
+
+
+# --- escapes one character at a time -----------------------------------------
+
+
+def unescape_by_char(text: str) -> str:
+    table = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+    out: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\":
+            if i + 1 >= len(text) or text[i + 1] not in table:
+                raise ValueError(f"bad escape in {text!r}")
+            out.append(table[text[i + 1]])
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
 
 
 def simulate_task_order(step_count: int, touch_sequence) -> list[bool]:

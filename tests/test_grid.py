@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import T0, addr, snap
-from oracles import sha256_hex
+from oracles import sha256_hex, unescape_by_char
 
 from gridaudit.grid import (
     BadAddress,
@@ -24,6 +24,7 @@ from gridaudit.grid import (
     Region,
     Snapshot,
     Text,
+    _unescape,
     canonical_decimal,
     col_to_letters,
     letters_to_col,
@@ -236,6 +237,8 @@ _content = st.one_of(
     st.builds(Literal, _value),
     st.builds(Formula, st.sampled_from(["=A1", "=SUM(B2:C9)", "=X9*2"]), st.none() | _value),
 )
+# escapes dense enough that lone, doubled, trailing and unknown ones all occur
+_escaped_text = st.text() | st.text(st.sampled_from("\\tnrx\n\t\u00e9"), max_size=12)
 _snapshot = st.builds(
     Snapshot,
     st.sampled_from(["wb1", "ledger-2024"]),
@@ -262,3 +265,15 @@ class TestProperties:
         stripped = "SNAP1\t" + lines[0].split("\t")[1] + "\n"
         stripped += "".join(line + "\n" for line in lines[1:])
         assert snapshot_digest(s) == sha256_hex(stripped.encode("utf-8"))
+
+    @given(_escaped_text)
+    @settings(max_examples=300, deadline=None)
+    def test_unescape_matches_char_by_char_oracle(self, text):
+        try:
+            expected = unescape_by_char(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                _unescape(text)
+            assert str(caught.value) == str(exc)
+        else:
+            assert _unescape(text) == expected
