@@ -88,7 +88,8 @@ def _exclusive_lock(directory: Path):
 def _cmd_ingest(args) -> int:
     policy = _load_policy(args.policy)
     cfg = _load_config(args.config)
-    # resolved before the snapshot is read, as in _load_config; the ingest diffs too
+    # Resolved before the snapshot is read, as in _load_config: opening the
+    # ledger compiles `ledger`, and the ingest's diff compiles `diffing`.
     open_ledger, _ = ledger_mod.Ledger.open, diffing.diff_snapshots
     snapshot = parse_snapshot_file(_read_text(args.snapshot))
     with _exclusive_lock(Path(args.ledger_dir)):
@@ -280,10 +281,10 @@ def run(argv: list[str]) -> int:
         if exc.code is None:
             return EXIT_OK
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.handler(args)
     # the except tuples are evaluated, and so load ledger and diffing, only
     # when an exception propagates
+    try:
+        return args.handler(args)
     except (ledger_mod.LedgerCorrupt, diffing.DigestMismatch, diffing.ConflictingEvent, ledger_mod.MissingObject) as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
