@@ -266,12 +266,10 @@ def build_report(
 def _policy_lines(policy: ControlPolicy | None) -> list[str]:
     if policy is None:
         return ["  none declared"]
-    from .controls import Mode  # loaded already: it built the policy
-
     lines = []
     for rule in policy.region_rules:
         ticket = "yes" if rule.ticket_required else "no"
-        lines.append(f"  region {rule.region} mode={Mode(rule.mode).name} ticket_required={ticket}")
+        lines.append(f"  region {rule.region} mode={rule.mode.name} ticket_required={ticket}")
     for rule in policy.cadence_rules:
         windows = "; ".join(str(w) for w in rule.windows)
         lines.append(f"  cadence {rule.region} windows: {windows}")
