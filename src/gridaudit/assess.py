@@ -127,39 +127,32 @@ def classify_usage(metrics: UsageMetrics, cfg: ClassifierConfig | None = None) -
     """Deterministic rubric: multiple actors, or long persistence with a
     stable structure, reads as operational; a single actor with heavy
     structural revision reads as modeling; anything else is indeterminate."""
-    cfg = cfg or ClassifierConfig()
-    sv = metrics.mean_structural_volatility
-    if metrics.distinct_actors >= cfg.operational_actor_min or (
-        metrics.persistence_days >= cfg.persistence_days_min
-        and sv <= cfg.operational_max_structural
-    ):
-        return OPERATIONAL
-    if metrics.distinct_actors <= 1 and sv >= cfg.modeling_min_structural:
-        return MODELING
-    return INDETERMINATE
+    return _classify(metrics, cfg or ClassifierConfig())[0]
 
 
-def classification_rationale(metrics: UsageMetrics, cfg: ClassifierConfig | None = None) -> tuple[str, ...]:
-    cfg = cfg or ClassifierConfig()
+def _classify(metrics: UsageMetrics, cfg: ClassifierConfig) -> tuple[str, tuple[str, ...]]:
+    """The classification and the rationale lines behind it, from one
+    evaluation of the rubric's three predicates."""
     sv = metrics.mean_structural_volatility
-    lines = []
-    if metrics.distinct_actors >= cfg.operational_actor_min:
-        lines.append(
-            f"{metrics.distinct_actors} distinct actors >= {cfg.operational_actor_min}: handover between individuals"
-        )
+    handover = metrics.distinct_actors >= cfg.operational_actor_min
+    stable = metrics.persistence_days >= cfg.persistence_days_min and sv <= cfg.operational_max_structural
+    revised = metrics.distinct_actors <= 1 and sv >= cfg.modeling_min_structural
+    if handover:
+        lines = [f"{metrics.distinct_actors} distinct actors >= {cfg.operational_actor_min}: handover between individuals"]
     else:
-        lines.append(f"{metrics.distinct_actors} distinct actor(s): no multi-user handover observed")
-    if metrics.persistence_days >= cfg.persistence_days_min and sv <= cfg.operational_max_structural:
+        lines = [f"{metrics.distinct_actors} distinct actor(s): no multi-user handover observed"]
+    if stable:
         lines.append(
             f"persisted {metrics.persistence_days:.1f} days with stable structure"
             f" (volatility {float(sv):.4f} <= {float(cfg.operational_max_structural):.4f})"
         )
-    if metrics.distinct_actors <= 1 and sv >= cfg.modeling_min_structural:
+    if revised:
         lines.append(
             f"structural volatility {float(sv):.4f} >= {float(cfg.modeling_min_structural):.4f}: heavy revision by one author"
         )
-    lines.append(f"classification: {classify_usage(metrics, cfg)}")
-    return tuple(lines)
+    classification = OPERATIONAL if handover or stable else MODELING if revised else INDETERMINATE
+    lines.append(f"classification: {classification}")
+    return classification, tuple(lines)
 
 
 def risk_score(metrics: UsageMetrics, findings: list[Finding]) -> float:
@@ -178,11 +171,12 @@ def risk_score(metrics: UsageMetrics, findings: list[Finding]) -> float:
 
 def build_profile(ledger: Ledger, findings: list[Finding], cfg: ClassifierConfig | None = None) -> RiskProfile:
     metrics = usage_metrics(ledger)
+    classification, rationale = _classify(metrics, cfg or ClassifierConfig())
     return RiskProfile(
         metrics=metrics,
-        classification=classify_usage(metrics, cfg),
+        classification=classification,
         risk_score=risk_score(metrics, findings),
-        rationale=classification_rationale(metrics, cfg),
+        rationale=rationale,
     )
 
 

@@ -77,7 +77,8 @@ class ConfigError(ValueError):
 
 
 def load_audit_config(text: str) -> AuditConfig:
-    """Parse a `key = value` config file; absent keys keep defaults."""
+    """Parse a `key = value` config file; absent keys keep defaults and a
+    key may be given once."""
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -87,6 +88,8 @@ def load_audit_config(text: str) -> AuditConfig:
         if not sep:
             raise ConfigError(f"line {lineno}: expected `key = value`")
         key, value = key.strip(), value.strip()
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeats key {key!r}")
         try:
             if key == "if_depth_threshold" or key == "min_run_length":
                 values[key] = int(value)

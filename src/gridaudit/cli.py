@@ -22,6 +22,7 @@ import fcntl
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from itertools import takewhile
 from pathlib import Path
 
 from . import assess, audit, controls, diffing
@@ -125,9 +126,12 @@ def _cmd_check(args) -> int:
         return EXIT_USAGE
     seq = changeset_seqs[-1]
     changes = ledger.records[seq].body
+    # its sign-off: the ATTEST its ingest appended after FINDINGS, before any later INGEST
+    following = takewhile(lambda r: r.kind != "INGEST", ledger.records[seq + 1 :])
+    attestation = next((r.body for r in following if r.kind == "ATTEST"), None)
     cut = seq - 1 if seq > 0 and ledger.records[seq - 1].kind == "INGEST" else seq
     view = ledger_mod.Ledger(ledger.directory, ledger.raw_lines[:cut])
-    return _print_findings(controls.evaluate_policies(changes, policy, view))
+    return _print_findings(controls.evaluate_policies(changes, policy, view, attestation))
 
 
 def _cmd_trend(args) -> int:

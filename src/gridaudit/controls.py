@@ -1,7 +1,7 @@
 """Declared control policies evaluated against each change set.
 
 Five rule families, all configuration-driven and all pure functions of
-(change set, policy, ledger read-view):
+(change set, policy, ledger read-view, sign-off):
 
 * region modes: LOCKED, DATA_ONLY, FORMULA_MAINTAINED, FREE
 * cadence windows: when changes inside a region are allowed (UTC)
@@ -180,12 +180,6 @@ class TrendVerdict:
     stddev: float
     z: float
     violated: bool
-
-
-def _attestation_for(changes: ChangeSet, ledger: "Ledger | None") -> str | None:
-    if ledger is None:
-        return None
-    return ledger.load_snapshot(changes.to_digest).attestation
 
 
 def _check_regions(changes: ChangeSet, policy: ControlPolicy, attestation: str | None) -> list[Finding]:
@@ -376,15 +370,19 @@ def check_task_order(ledger: "Ledger | None", workflow: Workflow | None, changes
     return findings
 
 
-def evaluate_policies(changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | None" = None) -> list[Finding]:
+def evaluate_policies(
+    changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | None" = None, attestation: str | None = None
+) -> list[Finding]:
     """All control findings for one change set, deduplicated and ordered
-    by location then rule id."""
+    by location then rule id.  attestation is the change set's sign-off,
+    the text of the ATTEST record its ingest appends; ledger is the
+    read-view before that ingest, which trend and task-order rules read."""
     if changes.workbook_id != policy.workbook_id:
         raise WorkbookMismatch(
             f"change set is for {changes.workbook_id!r}, policy for {policy.workbook_id!r}"
         )
     findings: list[Finding] = []
-    findings.extend(_check_regions(changes, policy, _attestation_for(changes, ledger)))
+    findings.extend(_check_regions(changes, policy, attestation))
     findings.extend(check_cadence(changes, policy))
     findings.extend(check_bounds(changes, policy))
     findings.extend(_check_trends(changes, policy, ledger))

@@ -27,12 +27,12 @@ tree is a rule over the iterative ``fold``, so a chain of any length
 (``=A1+A1+...``, ``=A1%%%...``) is fine although its tree is that deep.
 
 ``normalize_relative`` renders a tree in R1C1 form relative to a host
-cell, so translated copies of one formula produce identical text.  An
-axis without ``$`` follows its host whether or not the reference names a
-sheet: ``=Data!A1`` in B1 renders ``=Data!RC[-1]``, as in Excel.
-``copy_key`` reads the same tokens without parsing, so a caller can parse
-such copies once; ``shift_relative`` moves a tree as a copy would.  All
-three take that rule from one predicate, ``_pinned_axes``.
+cell, so translated copies of one formula produce identical text.  Only
+a ``$`` pins an axis: one without it follows its host whether or not the
+reference names a sheet, so ``=Data!A1`` in B1 renders ``=Data!RC[-1]``,
+as in Excel.  ``copy_key`` reads the same tokens without parsing, so a
+caller can parse such copies once; ``shift_relative`` moves a tree as a
+copy would.  All three follow that one rule.
 """
 
 from __future__ import annotations
@@ -243,22 +243,14 @@ def _accept_ref(source: str, m: re.Match) -> tuple | None:
     return (int(m["row"]), col, bool(row_abs), bool(col_abs), sheet or None)
 
 
-def _pinned_axes(row_abs: bool, col_abs: bool, sheet: str | None) -> tuple[bool, bool]:
-    """Whether a reference's row and column ignore the host cell, given its
-    $ flags and the sheet it names (a range's end names its start's).  Only
-    a $ pins an axis; a sheet name pins none.  copy_key, the R1C1 form and
-    shift_relative all read this one rule."""
-    return row_abs, col_abs
-
-
 def copy_key(source: str, host: CellAddress) -> tuple:
     """A key that translated copies of one formula share.  It holds every
     token's kind and text, except that a reference becomes its sheet (a
     range's end takes its start's), its $ flags and its row and column:
-    an axis _pinned_axes pins keeps its number, any other becomes an
-    offset from host.  Sources with equal keys parse alike and have equal
-    R1C1 forms.  Raises the error parse_formula raises for a source it
-    cannot tokenize."""
+    an axis with $ keeps its number, any other becomes an offset from
+    host.  Sources with equal keys parse alike and have equal R1C1 forms.
+    Raises the error parse_formula raises for a source it cannot
+    tokenize."""
     if not source.startswith("="):
         raise FormulaSyntaxError(0, "'=' at start of formula")
     key: list = []
@@ -272,11 +264,10 @@ def copy_key(source: str, host: CellAddress) -> tuple:
             continue
         row, col, row_abs, col_abs, sheet = ref
         sheet = sheet or start_sheet
-        row_pinned, col_pinned = _pinned_axes(row_abs, col_abs, sheet)
         key.append((
             sheet, row_abs, col_abs,
-            row if row_pinned else row - host.row,
-            col if col_pinned else col - host.col,
+            row if row_abs else row - host.row,
+            col if col_abs else col - host.col,
         ))
         start_sheet = None
     return tuple(key)
@@ -575,10 +566,9 @@ def normalize_relative(ast: FormulaAst, host: CellAddress) -> str:
     copy-region consistency checks."""
 
     def axes(ref: CellRef) -> str:
-        row_pinned, col_pinned = _pinned_axes(ref.row_abs, ref.col_abs, ref.sheet)
         dr, dc = ref.row - host.row, ref.col - host.col
-        row = f"R{ref.row}" if row_pinned else f"R[{dr}]" if dr else "R"
-        return row + (f"C{ref.col}" if col_pinned else f"C[{dc}]" if dc else "C")
+        row = f"R{ref.row}" if ref.row_abs else f"R[{dr}]" if dr else "R"
+        return row + (f"C{ref.col}" if ref.col_abs else f"C[{dc}]" if dc else "C")
 
     return "=" + _render(ast, axes)
 
@@ -600,14 +590,13 @@ def references_of(ast: FormulaAst) -> list[CellRef | Range]:
 
 
 def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
-    """The tree copied (dr, dc) cells away: every axis that _pinned_axes
-    leaves free moves by (dr, dc), whatever sheet its reference names."""
+    """The tree copied (dr, dc) cells away: every axis without $ moves by
+    (dr, dc), whatever sheet its reference names."""
 
     def shift_ref(ref: CellRef) -> CellRef:
-        row_pinned, col_pinned = _pinned_axes(ref.row_abs, ref.col_abs, ref.sheet)
         return CellRef(
-            ref.row if row_pinned else ref.row + dr,
-            ref.col if col_pinned else ref.col + dc,
+            ref.row if ref.row_abs else ref.row + dr,
+            ref.col if ref.col_abs else ref.col + dc,
             ref.row_abs,
             ref.col_abs,
             ref.sheet,

@@ -20,7 +20,8 @@ ledger built from the same snapshot files is byte-identical every time.
 
 Ingesting appends INGEST, then (after the first snapshot) CHANGESET and
 FINDINGS, then ATTEST when the snapshot carries an attestation.  The
-trailing ATTEST closes a workflow period including its own changes.
+trailing ATTEST closes a workflow period including its own changes, and
+its text is the change set's sign-off, at ingest and in `check`.
 A ledger as of record k is Ledger(directory, raw_lines[:k]); `check`
 re-evaluates the latest change set on the ledger before its INGEST.
 Appends must be serialized by the caller (one writer per workbook);
@@ -30,9 +31,10 @@ History comes from the first stored snapshot plus the change sets, which
 must link each ingested digest to the next.  Usage metrics, cell series
 and cell histories replay them, each step checked against its to_digest
 (diffing.replay); each payload is decoded once per process
-(LedgerRecord.body) and each object parsed once per Ledger.  Objects are
-checked against their digest name on load; a snapshot's timestamp, actor
-and ATTEST line are outside it.
+(LedgerRecord.body) and each object parsed once per Ledger.  An object's
+name must be a digest before it becomes a path, and its cells must hash to
+it on load; a snapshot's timestamp, actor and ATTEST line are outside it, so
+no verdict reads them from objects/ (a sign-off is its ATTEST record).
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ class LedgerRecord:
 
     @cached_property
     def body(self):
-        """The INGEST, CHANGESET or FINDINGS payload, decoded."""
-        return {"INGEST": parse_ingest, "CHANGESET": parse_changeset, "FINDINGS": parse_findings}[self.kind](self.payload)
+        """The payload, decoded by the one parser for its kind."""
+        parse = {"INGEST": parse_ingest, "CHANGESET": parse_changeset, "FINDINGS": parse_findings, "ATTEST": parse_attest}
+        return parse[self.kind](self.payload)
 
 
 @record
@@ -196,6 +199,10 @@ def serialize_ingest(digest: str, timestamp: datetime, actor: str) -> bytes:
 def parse_ingest(payload: bytes) -> tuple[str, datetime, str]:
     digest, at, actor = payload.decode("utf-8").split("\t")
     return digest, parse_instant(at), _unescape(actor)
+
+
+def parse_attest(payload: bytes) -> str:
+    return _unescape(payload.decode("utf-8"))
 
 
 def serialize_changeset(changes: diffing.ChangeSet) -> bytes:
@@ -386,6 +393,9 @@ class Ledger:
         ledger.  An object read from disk must hash to its name."""
         if digest in self._parsed:
             return self._parsed[digest]
+        if not _HEX64_RE.fullmatch(digest):  # refused before it becomes a path
+            seq = next((r.seq for r in self.records if r.kind == "INGEST" and r.body[0] == digest), "?")
+            raise diffing.DigestMismatch(f"ledger record {seq} names object {digest!r}, which is not a digest")
         path = None if self.directory is None else self.directory / "objects" / digest
         if path is None or not path.exists():
             raise MissingObject(f"no stored snapshot for digest {digest[:12]}...")
@@ -547,7 +557,7 @@ class Ledger:
             changes = diffing.diff_snapshots(previous, snapshot, digests=(last_digest, digest))
             findings.extend(audit_mod.audit_workbook(snapshot, cfg))
             if policy is not None:
-                findings.extend(controls_mod.evaluate_policies(changes, policy, self))
+                findings.extend(controls_mod.evaluate_policies(changes, policy, self, snapshot.attestation))
 
         self.append_record("INGEST", serialize_ingest(digest, snapshot.timestamp, snapshot.actor), snapshot.timestamp)
         if changes is not None:

@@ -6,7 +6,7 @@ import pytest
 
 from gridaudit.cli import run
 from gridaudit.grid import parse_snapshot_file
-from gridaudit.ledger import Ledger
+from gridaudit.ledger import Ledger, serialize_ingest
 
 SNAP_1 = """SNAP1\twb1\t2024-03-01T09:00:00Z\talice
 S\tA1\tV\tN\t5
@@ -325,16 +325,73 @@ class TestQueries:
 
 class TestMissingObject:
     def test_check_reports_missing_object_as_integrity_error(self, capsys, files, tmp_path):
-        for snap_file in ("fm1.snap", "fm2.snap"):
-            assert run(["ingest", files["ledger"], files[snap_file], "--policy", files["policy_fm.txt"]]) == 0
-        assert run(["check", files["ledger"], "--policy", files["policy_fm.txt"]]) == 0
+        # a trend rule replays S!A1's history from the first stored object
+        policy = tmp_path / "policy_trend.txt"
+        policy.write_text("workbook = wb1\n\n[trend]\ncell = S!A1\n")
+        for snap_file in ("s1.snap", "s2.snap"):
+            assert run(["ingest", files["ledger"], files[snap_file], "--policy", str(policy)]) == 0
+        assert run(["check", files["ledger"], "--policy", str(policy)]) == 0
         capsys.readouterr()
-        latest = Ledger.open(files["ledger"]).ingests()[-1][0]
-        (tmp_path / "ledger" / "objects" / latest).unlink()
-        assert run(["check", files["ledger"], "--policy", files["policy_fm.txt"]]) == 3
+        first = Ledger.open(files["ledger"]).ingests()[0][0]
+        (tmp_path / "ledger" / "objects" / first).unlink()
+        assert run(["check", files["ledger"], "--policy", str(policy)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "integrity error" in captured.err
+
+    def test_region_rules_read_no_object(self, capsys, files, tmp_path):
+        for snap_file in ("fm1.snap", "fm2.snap"):
+            assert run(["ingest", files["ledger"], files[snap_file], "--policy", files["policy_fm.txt"]]) == 0
+        for stored in (tmp_path / "ledger" / "objects").iterdir():
+            stored.unlink()
+        capsys.readouterr()
+        assert run(["check", files["ledger"], "--policy", files["policy_fm.txt"]]) == 0
+        assert capsys.readouterr() == ("", "")
+
+
+class TestSignOff:
+    """A change set's sign-off is the ATTEST record its ingest appended,
+    never the ATTEST line of a stored object, which its digest leaves out."""
+
+    POLICY = "workbook = wb1\n\n[region]\nrange = S!B1\nmode = FORMULA_MAINTAINED\nticket_required = true\n"
+
+    @staticmethod
+    def _snap(tmp_path, day, formula, attestation=None):
+        path = tmp_path / f"d{day}.snap"
+        path.write_text(
+            f"SNAP1\twb1\t2024-03-0{day}T09:00:00Z\talice\n"
+            + (f"ATTEST\t{attestation}\n" if attestation else "")
+            + f"S\tB1\tF\t{formula}\n"
+        )
+        return str(path)
+
+    def test_attested_revert_is_judged_by_its_own_sign_off(self, capsys, files, tmp_path):
+        # s3 has s1's content, so its digest names s1's stored object,
+        # whose ATTEST line (none) is not s3's sign-off
+        policy = tmp_path / "policy_ticket.txt"
+        policy.write_text(self.POLICY)
+        snaps = [
+            self._snap(tmp_path, 1, "=A1"),
+            self._snap(tmp_path, 2, "=A2", "APP-1 change"),
+            self._snap(tmp_path, 3, "=A1", "APP-2 revert"),
+        ]
+        assert [run(["ingest", files["ledger"], s, "--policy", str(policy)]) for s in snaps] == [0, 0, 0]
+        assert run(["check", files["ledger"], "--policy", str(policy)]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_an_attest_line_added_to_an_object_signs_nothing_off(self, capsys, files, tmp_path):
+        policy = tmp_path / "policy_ticket.txt"
+        policy.write_text(self.POLICY)
+        for day, formula in ((1, "=A1"), (2, "=A2")):
+            run(["ingest", files["ledger"], self._snap(tmp_path, day, formula), "--policy", str(policy)])
+        latest = tmp_path / "ledger" / "objects" / Ledger.open(files["ledger"]).ingests()[-1][0]
+        header, body = latest.read_text().split("\n", 1)
+        latest.write_text(f"{header}\nATTEST\tapproved CHG-9\n{body}")
+        capsys.readouterr()
+        assert run(["check", files["ledger"], "--policy", str(policy)]) == 1
+        assert "UNATTESTED_LOGIC_CHANGE" in capsys.readouterr().out
+        assert run(["verify", files["ledger"]]) == 0
+        assert capsys.readouterr().out == "OK n=4\n"
 
 
 class TestReport:
@@ -406,6 +463,29 @@ class TestStoredObjectDigest:
             captured = capsys.readouterr()
             assert "999999" not in captured.out
             assert "integrity error" in captured.err
+
+
+class TestForgedObjectName:
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute-path", "dot-dot-path"])
+    def test_an_object_name_that_is_not_a_digest_is_never_opened(self, capsys, files, tmp_path, relative):
+        # a re-chained INGEST naming a file outside objects/ still verifies
+        secret = tmp_path / "secret.txt"
+        secret.write_text("top secret first line\n")
+        name = "../../secret.txt" if relative else str(secret)
+        forged = Ledger.open(tmp_path / "ledger")
+        at = parse_snapshot_file(SNAP_1).timestamp
+        forged.append_record("INGEST", serialize_ingest(name, at, "alice"), at)
+        assert run(["verify", files["ledger"]]) == 0
+        assert capsys.readouterr().out == "OK n=1\n"
+        for argv in (
+            ["profile", files["ledger"]],
+            ["trend", files["ledger"], "S!A1"],
+            ["ingest", files["ledger"], files["s2.snap"]],
+        ):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"integrity error: ledger record 0 names object {name!r}, which is not a digest\n"
 
 
 class TestReadOnlyCommands:
@@ -560,6 +640,12 @@ class TestNonFiniteNumbers:
         assert captured.out == ""
         assert captured.err.count(message) == 2
         assert log.read_bytes() == before
+
+    def test_repeated_audit_config_key_is_a_usage_error(self, capsys, files, tmp_path):
+        config = tmp_path / "audit.cfg"
+        config.write_text("if_depth_threshold = 3\nif_depth_threshold = 30\n")
+        assert run(["audit", files["deep.snap"], "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", "error: line 2: repeats key 'if_depth_threshold'\n")
 
     @pytest.mark.parametrize("constant", ["sNaN", "NaN", "-Infinity"])
     def test_non_finite_whitelist_constant_is_a_usage_error(self, capsys, files, tmp_path, constant):

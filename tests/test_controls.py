@@ -97,33 +97,24 @@ class TestRegionModes:
 
 
 class TestFormulaMaintained:
-    def _ledger_with(self, tmp_path, att):
-        ledger = Ledger.open(tmp_path / "led")
-        ledger.ingest_snapshot(snap({"S!A1": "=B1"}))
-        after = snap({"S!A1": "=B2"}, at=T0 + hours(1), actor="bob", att=att)
-        ledger.store_snapshot(after)
-        return ledger, diff_snapshots(snap({"S!A1": "=B1"}), after)
+    LOGIC_CHANGE = changeset({"S!A1": "=B1"}, {"S!A1": "=B2"})
 
-    def test_unattested_logic_change_flagged(self, tmp_path):
-        ledger, changes = self._ledger_with(tmp_path, att=None)
+    def test_unattested_logic_change_flagged(self):
         p = policy(region_rules=(region_rule("S!A1:D9", Mode.FORMULA_MAINTAINED),))
-        findings = evaluate_policies(changes, p, ledger)
+        findings = evaluate_policies(self.LOGIC_CHANGE, p, attestation=None)
         assert [f.rule_id for f in findings] == ["UNATTESTED_LOGIC_CHANGE"]
 
-    def test_attested_logic_change_passes(self, tmp_path):
-        ledger, changes = self._ledger_with(tmp_path, att="reviewed by risk team")
+    def test_attested_logic_change_passes(self):
         p = policy(region_rules=(region_rule("S!A1:D9", Mode.FORMULA_MAINTAINED),))
-        assert evaluate_policies(changes, p, ledger) == []
+        assert evaluate_policies(self.LOGIC_CHANGE, p, attestation="reviewed by risk team") == []
 
-    def test_ticket_required_needs_ticket_id(self, tmp_path):
+    def test_ticket_required_needs_ticket_id(self):
         p = policy(region_rules=(region_rule("S!A1:D9", Mode.FORMULA_MAINTAINED, ticket=True),))
-        ledger, changes = self._ledger_with(tmp_path, att="reviewed, see CHG-1042")
-        assert evaluate_policies(changes, p, ledger) == []
-        ledger, changes = self._ledger_with(tmp_path, att="reviewed informally")
-        findings = evaluate_policies(changes, p, ledger)
+        assert evaluate_policies(self.LOGIC_CHANGE, p, attestation="reviewed, see CHG-1042") == []
+        findings = evaluate_policies(self.LOGIC_CHANGE, p, attestation="reviewed informally")
         assert [f.rule_id for f in findings] == ["UNATTESTED_LOGIC_CHANGE"]
 
-    def test_data_changes_pass_without_attestation(self, tmp_path):
+    def test_data_changes_pass_without_attestation(self):
         p = policy(region_rules=(region_rule("S!A1:D9", Mode.FORMULA_MAINTAINED),))
         assert evaluate_policies(changeset({"S!A1": 1}, {"S!A1": 2}), p) == []
 

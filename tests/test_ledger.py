@@ -133,6 +133,12 @@ class TestIngest:
             "ATTEST",
         ]
 
+    def test_attest_record_decodes_to_its_sign_off(self, ledger):
+        sign_off = "month close\tAPP-42 \\ reviewed"  # a tab and a backslash are escaped when stored
+        ingest_sequence(ledger, [(0, "alice", {"S!A1": 5}, sign_off)])
+        assert ledger.records[-1].payload == b"month close\\tAPP-42 \\\\ reviewed"
+        assert ledger.records[-1].body == sign_off
+
     def test_audit_findings_recorded_on_ingest(self, ledger):
         ingest_sequence(
             ledger,
