@@ -22,7 +22,6 @@ import fcntl
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from itertools import takewhile
 from pathlib import Path
 
 from . import assess, audit, controls, diffing
@@ -120,18 +119,13 @@ def _cmd_diff(args) -> int:
 def _cmd_check(args) -> int:
     policy = controls.parse_policy_file(_read_text(args.policy))
     ledger = _open_existing(args.ledger_dir)
-    changeset_seqs = [r.seq for r in ledger.records if r.kind == "CHANGESET"]
-    if not changeset_seqs:
+    entry = next((e for e in reversed(ledger.entries()) if e.changeset is not None), None)
+    if entry is None:
         print("error: ledger holds no change sets to check", file=sys.stderr)
         return EXIT_USAGE
-    seq = changeset_seqs[-1]
-    changes = ledger.records[seq].body
-    # its sign-off: the ATTEST its ingest appended after FINDINGS, before any later INGEST
-    following = takewhile(lambda r: r.kind != "INGEST", ledger.records[seq + 1 :])
-    attestation = next((r.body for r in following if r.kind == "ATTEST"), None)
-    cut = seq - 1 if seq > 0 and ledger.records[seq - 1].kind == "INGEST" else seq
-    view = ledger_mod.Ledger(ledger.directory, ledger.raw_lines[:cut])
-    return _print_findings(controls.evaluate_policies(changes, policy, view, attestation))
+    attestation = entry.attest and entry.attest.body  # its sign-off
+    view = ledger_mod.Ledger(ledger.directory, ledger.raw_lines[: entry.ingest.seq])
+    return _print_findings(controls.evaluate_policies(entry.changeset.body, policy, view, attestation))
 
 
 def _cmd_trend(args) -> int:

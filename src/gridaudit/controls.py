@@ -25,12 +25,14 @@ from typing import TYPE_CHECKING
 from .diffing import ChangeEvent, ChangeKind, ChangeSet, WorkbookMismatch
 from .findings import Finding, make_finding
 from .grid import (
+    MAX_EXPONENT,
     CellAddress,
     Number,
     Region,
     canonical_decimal,
     content_value,
     format_instant,
+    in_number_range,
     render_value,
     parse_qualified_address,
     parse_region,
@@ -98,8 +100,8 @@ class BoundRule:
     maximum: Decimal | None = None
 
     def __post_init__(self):
-        if not all(b is None or b.is_finite() for b in (self.minimum, self.maximum)):
-            raise ValueError("bounds must be finite numbers")
+        if not all(b is None or in_number_range(b) for b in (self.minimum, self.maximum)):
+            raise ValueError(f"bounds must be finite numbers with exponents within ±{MAX_EXPONENT}")
         if self.minimum is not None and self.maximum is not None and self.minimum > self.maximum:
             raise ValueError("min must not exceed max")
 
@@ -326,14 +328,11 @@ def _check_trends(changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | N
 
 
 def _period_events(ledger: "Ledger") -> list[ChangeEvent]:
-    """Events in change sets recorded since the last ATTEST record."""
-    events: list[ChangeEvent] = []
-    for record in ledger.records:
-        if record.kind == "ATTEST":
-            events.clear()
-        elif record.kind == "CHANGESET":
-            events.extend(record.body.events)
-    return events
+    """Events in change sets recorded since the last ATTEST record, which
+    closes its own ingest's changes too."""
+    entries = ledger.entries()
+    since = max((i + 1 for i, e in enumerate(entries) if e.attest is not None), default=0)
+    return [event for e in entries[since:] if e.changeset is not None for event in e.changeset.body.events]
 
 
 def _touched_steps(workflow: Workflow, events) -> set[int]:

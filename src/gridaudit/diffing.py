@@ -157,7 +157,8 @@ def diff_snapshots(before: Snapshot, after: Snapshot, *, digests: tuple[str, str
 
 def apply_changes(before: Snapshot, changes: ChangeSet) -> Snapshot:
     """Replay a change set on its base snapshot.  The result carries the
-    change set's end time and actor and reproduces to_digest exactly."""
+    change set's end time and actor, no attestation (a change set carries
+    no sign-off), and reproduces to_digest exactly."""
     lines = CellLines(before.cells)
     if changes.from_digest != lines.digest(before.workbook_id):
         raise DigestMismatch(
@@ -169,7 +170,8 @@ def apply_changes(before: Snapshot, changes: ChangeSet) -> Snapshot:
 
 def replay(first: Snapshot, changesets: Iterable[ChangeSet], lines: CellLines | None = None) -> Iterator[Snapshot]:
     """first, then the result of each change set in turn, each with a
-    cells dict of its own.  first must hash to the first change set's
+    cells dict of its own and, as a change set carries no sign-off, no
+    attestation.  first must hash to the first change set's
     from_digest; lines, if given, are its CellLines (left unchanged).
     Each step checks every event's before content (else
     ConflictingEvent), re-renders only the lines its events touch and
@@ -192,7 +194,7 @@ def replay(first: Snapshot, changesets: Iterable[ChangeSet], lines: CellLines | 
                 raise ConflictingEvent(f"nothing to remove at {event.address}")
         if lines.digest(first.workbook_id) != changes.to_digest:
             raise DigestMismatch("replayed snapshot does not reproduce to_digest")
-        yield Snapshot(first.workbook_id, changes.to_time, changes.actor, dict(cells), first.attestation)
+        yield Snapshot(first.workbook_id, changes.to_time, changes.actor, dict(cells))
 
 
 def volatility_metrics(changes: ChangeSet, before: Snapshot) -> VolatilityMetrics:

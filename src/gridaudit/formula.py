@@ -38,6 +38,7 @@ copy would.  All three follow that one rule.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Callable, Sequence
 from decimal import Decimal
 from typing import TypeVar
@@ -45,9 +46,11 @@ from typing import TypeVar
 from .grid import (
     ERROR_CODES,
     MAX_COL,
+    MAX_EXPONENT,
     CellAddress,
     canonical_decimal,
     col_to_letters,
+    in_number_range,
     letters_to_col,
     record,
 )
@@ -240,7 +243,11 @@ def _accept_ref(source: str, m: re.Match) -> tuple | None:
         return None
     if sheet and sheet.startswith("'"):
         sheet = sheet[1:-1].replace("''", "'")
-    return (int(m["row"]), col, bool(row_abs), bool(col_abs), sheet or None)
+    try:
+        row = int(m["row"])
+    except ValueError:  # more digits than int() converts
+        raise FormulaSyntaxError(m.start(), f"a row of at most {sys.get_int_max_str_digits()} digits") from None
+    return (row, col, bool(row_abs), bool(col_abs), sheet or None)
 
 
 def copy_key(source: str, host: CellAddress) -> tuple:
@@ -335,7 +342,10 @@ class _Parser:
     def parse_atom(self) -> FormulaAst:
         tok = self.next()
         if tok.kind == "number":
-            return NumberLit(Decimal(tok.text))
+            value = Decimal(tok.text)
+            if not in_number_range(value):
+                raise FormulaSyntaxError(tok.pos, f"a number with an exponent within ±{MAX_EXPONENT}")
+            return NumberLit(value)
         if tok.kind == "string":
             return TextLit(tok.text[1:-1].replace('""', '"'))
         if tok.kind == "error":

@@ -37,6 +37,7 @@ ERROR_CODES = frozenset(
 )
 
 MAX_COL = 16384
+MAX_EXPONENT = 999_999  # a nonzero number's adjusted exponent lies within ±MAX_EXPONENT
 
 _NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 _A1_RE = re.compile(r"([A-Za-z]{1,3})([0-9]+)")
@@ -244,8 +245,8 @@ class Number:
     value: Decimal
 
     def __post_init__(self):
-        if not self.value.is_finite():
-            raise ValueError(f"non-finite number {self.value}")
+        if not in_number_range(self.value):
+            raise ValueError(f"number {self.value} must be finite, with an exponent within ±{MAX_EXPONENT}")
 
 
 @record
@@ -305,12 +306,19 @@ class Snapshot:
         return {a: c for a, c in self.cells.items() if isinstance(c, Formula)}
 
 
+def in_number_range(value: Decimal) -> bool:
+    """Whether value is finite and zero or with an adjusted exponent
+    within ±MAX_EXPONENT: the numbers a snapshot, formula or policy holds."""
+    return value.is_finite() and (not value or -MAX_EXPONENT <= value.adjusted() <= MAX_EXPONENT)
+
+
 def canonical_decimal(value: Decimal) -> str:
     """Deterministic text for a Decimal: equal values render identically,
-    no exponent notation, no trailing zeros."""
+    with every digit, no exponent notation and no trailing zeros."""
     if value == 0:
         return "0"
-    return format(value.normalize(), "f")
+    text = format(value, "f")  # exact at the value's own precision
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def format_instant(dt: datetime) -> str:
@@ -350,6 +358,17 @@ def _unescape(text: str) -> str:
         return _ESCAPE_RE.sub(lambda m: _UNESCAPE[m[1]], text)
     except KeyError:
         raise ValueError(f"bad escape in {text!r}") from None
+
+
+def join_fields(*fields: str) -> str:
+    """One row of a snapshot file or ledger payload: each field escaped,
+    the fields joined with tabs."""
+    return "\t".join(map(_escape, fields))
+
+
+def split_fields(row: str) -> list[str]:
+    """The fields of a row join_fields made, each unescaped."""
+    return list(map(_unescape, row.split("\t")))
 
 
 def parse_a1(text: str) -> tuple[int, int]:
@@ -490,7 +509,7 @@ class CellLines:
     def digest(self, workbook_id: str) -> str:
         """64 lowercase hex chars of SHA-256 over the content-only
         canonical bytes: a reduced header, then the cell lines."""
-        payload = "\n".join([f"SNAP1\t{_escape(workbook_id)}", *self._lines]) + "\n"
+        payload = "\n".join([join_fields("SNAP1", workbook_id), *self._lines]) + "\n"
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -498,18 +517,9 @@ def write_snapshot_file(snapshot: Snapshot, lines: CellLines | None = None) -> s
     """Canonical text form: header, optional ATTEST line, then cell lines
     sorted by (sheet lowercase, row, col) so output is byte-deterministic.
     lines, if given, are the snapshot's CellLines, already rendered."""
-    out = [
-        "\t".join(
-            [
-                "SNAP1",
-                _escape(snapshot.workbook_id),
-                format_instant(snapshot.timestamp),
-                _escape(snapshot.actor),
-            ]
-        )
-    ]
+    out = [join_fields("SNAP1", snapshot.workbook_id, format_instant(snapshot.timestamp), snapshot.actor)]
     if snapshot.attestation is not None:
-        out.append(f"ATTEST\t{_escape(snapshot.attestation)}")
+        out.append(join_fields("ATTEST", snapshot.attestation))
     out.extend(CellLines(snapshot.cells) if lines is None else lines)
     return "\n".join(out) + "\n"
 

@@ -18,12 +18,20 @@ and every other read raises the kept LedgerCorrupt.
 Record timestamps come from the ingested snapshot, not a wall clock, so a
 ledger built from the same snapshot files is byte-identical every time.
 
+A payload is rows of fields (grid.join_fields and grid.split_fields: each
+field escaped as in a snapshot file, the fields joined with tabs).  INGEST
+(digest, timestamp, actor) and ATTEST (the sign-off) are one row without a
+newline.  CHANGESET (a CS1 header, then sheet, A1, kind, before and after
+content or "-" per event) and FINDINGS (rule id, severity, location,
+message, observed[, expected]) end every row with a newline.
+
 Ingesting appends INGEST, then (after the first snapshot) CHANGESET and
-FINDINGS, then ATTEST when the snapshot carries an attestation.  The
+FINDINGS, then ATTEST when the snapshot carries an attestation; entries()
+groups each ingest's records and finds any record out of that order.  The
 trailing ATTEST closes a workflow period including its own changes, and
-its text is the change set's sign-off, at ingest and in `check`.
-A ledger as of record k is Ledger(directory, raw_lines[:k]); `check`
-re-evaluates the latest change set on the ledger before its INGEST.
+its text is the ingest's sign-off, at ingest, in `check` and in
+snapshots().  A ledger as of record k is Ledger(directory, raw_lines[:k]);
+`check` re-evaluates the latest change set on the ledger before its INGEST.
 Appends must be serialized by the caller (one writer per workbook);
 readers may run concurrently; opening a ledger writes nothing.
 
@@ -34,7 +42,7 @@ and cell histories replay them, each step checked against its to_digest
 (LedgerRecord.body) and each object parsed once per Ledger.  An object's
 name must be a digest before it becomes a path, and its cells must hash to
 it on load; a snapshot's timestamp, actor and ATTEST line are outside it, so
-no verdict reads them from objects/ (a sign-off is its ATTEST record).
+no verdict reads them from objects/.
 """
 
 from __future__ import annotations
@@ -50,24 +58,24 @@ from pathlib import Path
 from . import audit as audit_mod
 from . import controls as controls_mod
 from . import diffing
-from .findings import RULE_SEVERITY, Finding
+from .findings import Finding
 from .grid import (
     CellAddress,
     CellLines,
     CellValue,
     ErrorValue,
     Snapshot,
-    _escape,
-    _unescape,
     content_value,
     decode_content,
     encode_content,
     format_instant,
+    join_fields,
     parse_a1,
     parse_instant,
     parse_location,
     parse_stored_snapshot,
     record,
+    split_fields,
     write_snapshot_file,
 )
 
@@ -110,6 +118,17 @@ class LedgerRecord:
         """The payload, decoded by the one parser for its kind."""
         parse = {"INGEST": parse_ingest, "CHANGESET": parse_changeset, "FINDINGS": parse_findings, "ATTEST": parse_attest}
         return parse[self.kind](self.payload)
+
+
+@record
+class Entry:
+    """The records one ingest appended, in the order it appends them; a
+    kind it did not append is None."""
+
+    ingest: LedgerRecord
+    changeset: LedgerRecord | None = None
+    findings: LedgerRecord | None = None
+    attest: LedgerRecord | None = None
 
 
 @record
@@ -193,115 +212,58 @@ def decode_record(index: int, line: str, prev_hash: str) -> LedgerRecord:
 
 
 def serialize_ingest(digest: str, timestamp: datetime, actor: str) -> bytes:
-    return f"{digest}\t{format_instant(timestamp)}\t{_escape(actor)}".encode("utf-8")
+    return join_fields(digest, format_instant(timestamp), actor).encode("utf-8")
 
 
 def parse_ingest(payload: bytes) -> tuple[str, datetime, str]:
-    digest, at, actor = payload.decode("utf-8").split("\t")
-    return digest, parse_instant(at), _unescape(actor)
+    digest, at, actor = split_fields(payload.decode("utf-8"))
+    return digest, parse_instant(at), actor
 
 
 def parse_attest(payload: bytes) -> str:
-    return _unescape(payload.decode("utf-8"))
+    (text,) = split_fields(payload.decode("utf-8"))
+    return text
 
 
 def serialize_changeset(changes: diffing.ChangeSet) -> bytes:
-    lines = [
-        "\t".join(
-            [
-                "CS1",
-                _escape(changes.workbook_id),
-                changes.from_digest,
-                changes.to_digest,
-                format_instant(changes.from_time),
-                format_instant(changes.to_time),
-                _escape(changes.actor),
-            ]
-        )
-    ]
-    for event in changes.events:
-        lines.append(
-            "\t".join(
-                [
-                    _escape(event.address.sheet),
-                    event.address.a1,
-                    event.kind.value,
-                    "-" if event.before is None else _escape(encode_content(event.before)),
-                    "-" if event.after is None else _escape(encode_content(event.after)),
-                ]
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    times = map(format_instant, (changes.from_time, changes.to_time))
+    rows = [join_fields("CS1", changes.workbook_id, changes.from_digest, changes.to_digest, *times, changes.actor)]
+    for e in changes.events:
+        contents = ("-" if c is None else encode_content(c) for c in (e.before, e.after))
+        rows.append(join_fields(e.address.sheet, e.address.a1, e.kind.value, *contents))
+    return "".join(row + "\n" for row in rows).encode("utf-8")
 
 
 def parse_changeset(payload: bytes) -> diffing.ChangeSet:
-    head_line, *lines = payload.decode("utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    head = head_line.split("\t")
+    head_line, *lines = payload.decode("utf-8").removesuffix("\n").split("\n")
+    head = split_fields(head_line)
     if len(head) != 7 or head[0] != "CS1":
         raise ValueError(f"bad change set header {head_line!r}")
-    ChangeEvent, ChangeKind = diffing.ChangeEvent, diffing.ChangeKind
     events = []
     for line in lines:
-        sheet, a1, kind, before, after = line.split("\t")
-        row, col = parse_a1(a1)
-        events.append(
-            ChangeEvent(
-                address=CellAddress(_unescape(sheet), row, col),
-                kind=ChangeKind(kind),
-                before=None if before == "-" else decode_content(_unescape(before)),
-                after=None if after == "-" else decode_content(_unescape(after)),
-            )
-        )
-    return diffing.ChangeSet(
-        workbook_id=_unescape(head[1]),
-        from_digest=head[2],
-        to_digest=head[3],
-        from_time=parse_instant(head[4]),
-        to_time=parse_instant(head[5]),
-        actor=_unescape(head[6]),
-        events=tuple(events),
-    )
+        sheet, a1, kind, before, after = split_fields(line)
+        contents = (None if t == "-" else decode_content(t) for t in (before, after))
+        events.append(diffing.ChangeEvent(CellAddress(sheet, *parse_a1(a1)), diffing.ChangeKind(kind), *contents))
+    _, workbook_id, from_digest, to_digest, *times, actor = head
+    return diffing.ChangeSet(workbook_id, from_digest, to_digest, *map(parse_instant, times), actor, tuple(events))
 
 
 def serialize_findings(findings: list[Finding]) -> bytes:
-    lines = []
+    rows = []
     for f in findings:
-        fields = [
-            f.rule_id,
-            f.severity,
-            _escape(str(f.location)),
-            _escape(f.message),
-            _escape(f.observed),
-        ]
-        if f.expected is not None:
-            fields.append(_escape(f.expected))
-        lines.append("\t".join(fields))
-    return "".join(line + "\n" for line in lines).encode("utf-8")
+        texts = (f.message, f.observed) if f.expected is None else (f.message, f.observed, f.expected)
+        rows.append(join_fields(f.rule_id, f.severity, str(f.location), *texts) + "\n")
+    return "".join(rows).encode("utf-8")
 
 
 def parse_findings(payload: bytes) -> list[Finding]:
     findings = []
-    lines = payload.decode("utf-8").split("\n")
-    for line in lines:
-        if not line:
-            continue
-        fields = line.split("\t")
+    for line in filter(None, payload.decode("utf-8").split("\n")):
+        fields = split_fields(line)
         if len(fields) not in (5, 6):
             raise ValueError(f"bad finding line {line!r}")
-        if fields[0] not in RULE_SEVERITY:
-            raise ValueError(f"unknown rule id {fields[0]!r}")
-        findings.append(
-            Finding(
-                rule_id=fields[0],
-                severity=fields[1],
-                location=parse_location(_unescape(fields[2])),
-                message=_unescape(fields[3]),
-                observed=_unescape(fields[4]),
-                expected=_unescape(fields[5]) if len(fields) == 6 else None,
-            )
-        )
+        rule_id, severity, location, *texts = fields
+        findings.append(Finding(rule_id, severity, parse_location(location), *texts))
     return findings
 
 
@@ -357,13 +319,25 @@ class Ledger:
             raise self._corrupt.with_traceback(None)
         return self._records
 
+    def entries(self) -> list[Entry]:
+        """One Entry per INGEST record, in order; no payload is decoded.
+        A record before the first INGEST, or whose kind repeats within one
+        ingest or comes out of order, raises DigestMismatch."""
+        groups: list[list[LedgerRecord]] = []
+        for r in self.records:
+            if r.kind == "INGEST":
+                groups.append([r])
+            elif groups and RECORD_KINDS.index(r.kind) > RECORD_KINDS.index(groups[-1][-1].kind):
+                groups[-1].append(r)
+            else:
+                raise diffing.DigestMismatch(f"ledger record {r.seq} ({r.kind}) is out of place")
+        return [Entry(ingest, **{r.kind.lower(): r for r in rest}) for ingest, *rest in groups]
+
     @property
     def workbook_id(self) -> str | None:
         if self._workbook_id is None:
-            for record in self.records:
-                if record.kind == "INGEST":
-                    self._workbook_id = self._stored(record.body[0])[0].workbook_id
-                    break
+            for entry in self.entries()[:1]:
+                self._workbook_id = self._stored(entry.ingest.body[0])[0].workbook_id
         return self._workbook_id
 
     # --- object store ---
@@ -394,7 +368,7 @@ class Ledger:
         if digest in self._parsed:
             return self._parsed[digest]
         if not _HEX64_RE.fullmatch(digest):  # refused before it becomes a path
-            seq = next((r.seq for r in self.records if r.kind == "INGEST" and r.body[0] == digest), "?")
+            seq = next((e.ingest.seq for e in self.entries() if e.ingest.body[0] == digest), "?")
             raise diffing.DigestMismatch(f"ledger record {seq} names object {digest!r}, which is not a digest")
         path = None if self.directory is None else self.directory / "objects" / digest
         if path is None or not path.exists():
@@ -442,24 +416,28 @@ class Ledger:
 
     def ingests(self) -> list[tuple[str, datetime, str]]:
         """(digest, timestamp, actor) per INGEST record, in order."""
-        return [r.body for r in self.records if r.kind == "INGEST"]
+        return [e.ingest.body for e in self.entries()]
 
     def changesets(self) -> list[diffing.ChangeSet]:
         """The change sets, each leading from one ingested digest to the
         next; a missing or unlinked change set raises DigestMismatch."""
-        changesets = [r.body for r in self.records if r.kind == "CHANGESET"]
-        digests = [digest for digest, _, _ in self.ingests()]
+        entries = self.entries()
+        changesets = [e.changeset.body for e in entries if e.changeset is not None]
+        digests = [e.ingest.body[0] for e in entries]
         if [(c.from_digest, c.to_digest) for c in changesets] != list(zip(digests, digests[1:])):
             raise diffing.DigestMismatch("change sets do not link the ingested snapshots")
         return changesets
 
     def snapshots(self) -> Iterator[Snapshot]:
         """The snapshot at each ingest: the first stored one, then each
-        change set replayed on it (diffing.replay checks every step)."""
-        ingests = self.ingests()
-        if ingests:
-            first = ingests[0][0]
-            yield from diffing.replay(self.load_snapshot(first), self.changesets(), self._stored(first)[1])
+        change set replayed on it (diffing.replay checks every step),
+        each with the sign-off of its ingest's ATTEST record."""
+        entries = self.entries()
+        if entries:
+            first = entries[0].ingest.body[0]
+            replayed = diffing.replay(self.load_snapshot(first), self.changesets(), self._stored(first)[1])
+            for entry, s in zip(entries, replayed):
+                yield Snapshot(s.workbook_id, s.timestamp, s.actor, s.cells, entry.attest and entry.attest.body)
 
     def _replayed_changesets(self) -> list[diffing.ChangeSet]:
         """changesets(), each checked to replay to its to_digest; the replay
@@ -508,7 +486,7 @@ class Ledger:
         return history
 
     def findings_records(self) -> list[tuple[LedgerRecord, list[Finding]]]:
-        return [(r, r.body) for r in self.records if r.kind == "FINDINGS"]
+        return [(e.findings, e.findings.body) for e in self.entries() if e.findings is not None]
 
     # --- ingestion ---
 
@@ -564,5 +542,5 @@ class Ledger:
             self.append_record("CHANGESET", serialize_changeset(changes), snapshot.timestamp)
             self.append_record("FINDINGS", serialize_findings(findings), snapshot.timestamp)
         if snapshot.attestation:
-            self.append_record("ATTEST", _escape(snapshot.attestation).encode("utf-8"), snapshot.timestamp)
+            self.append_record("ATTEST", join_fields(snapshot.attestation).encode("utf-8"), snapshot.timestamp)
         return findings

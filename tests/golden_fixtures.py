@@ -52,6 +52,40 @@ range = Main!B1:B4
 mode = FORMULA_MAINTAINED
 """
 
+# Escaped text in every payload field that can hold it: the sheet, both
+# actors, text values, a formula source and the attestations.  The second
+# ingest removes C1 and adds D1, which cannot be parsed, and the third
+# signs off again without edits.
+ESCAPE_SNAPS = [
+    """SNAP1\tesc-book\t2024-05-01T09:00:00Z\tann\\tlee
+Q\\\\1\tA1\tV\tT\tline one\\nline two
+Q\\\\1\tA2\tV\tN\t10
+Q\\\\1\tB1\tF\t=A2*2\tN\t20
+Q\\\\1\tC1\tV\tT\tgone\\rsoon
+""",
+    """SNAP1\tesc-book\t2024-05-02T09:00:00Z\tbob\\\\smith
+ATTEST\tAPP-7\\tapproved\\nby risk
+Q\\\\1\tA1\tV\tT\tline one\\nline three
+Q\\\\1\tA2\tV\tN\t11
+Q\\\\1\tB1\tF\t=A2*3\tN\t33
+Q\\\\1\tD1\tF\t=SUM(A2\\tA2)
+""",
+    """SNAP1\tesc-book\t2024-05-03T09:00:00Z\tcarol
+ATTEST\tAPP-8 re-signed\\\\final
+Q\\\\1\tA1\tV\tT\tline one\\nline three
+Q\\\\1\tA2\tV\tN\t11
+Q\\\\1\tB1\tF\t=A2*3\tN\t33
+Q\\\\1\tD1\tF\t=SUM(A2\\tA2)
+""",
+]
+
+ESCAPE_POLICY = """workbook = esc-book
+
+[region]
+range = Q\\1!A1:A9
+mode = LOCKED
+"""
+
 REPORT_ARGS = [
     "--from", "2024-03-01T00:00:00Z",
     "--to", "2024-03-31T00:00:00Z",
@@ -59,10 +93,10 @@ REPORT_ARGS = [
 ]
 
 
-def _build(workdir: Path, snaps: list[str]) -> tuple[str, str]:
+def _build(workdir: Path, snaps: list[str], policy: str = POLICY) -> tuple[str, str]:
     workdir.mkdir(parents=True, exist_ok=True)
     policy_path = workdir / "policy.txt"
-    policy_path.write_text(POLICY, encoding="utf-8")
+    policy_path.write_text(policy, encoding="utf-8")
     ledger_dir = workdir / "ledger"
     for i, text in enumerate(snaps):
         snap_path = workdir / f"s{i}.snap"
@@ -78,6 +112,10 @@ def build_clean_ledger(workdir: Path) -> tuple[str, str]:
 
 def build_violations_ledger(workdir: Path) -> tuple[str, str]:
     return _build(workdir, VIOLATION_SNAPS)
+
+
+def build_escapes_ledger(workdir: Path) -> tuple[str, str]:
+    return _build(workdir, ESCAPE_SNAPS, ESCAPE_POLICY)
 
 
 def render_report(ledger_dir: str, policy_path: str, out_path: Path, fmt: str = "text") -> int:
@@ -108,3 +146,5 @@ def write_goldens(base: Path | None = None) -> None:
         ledger_dir, policy = build_violations_ledger(tmp_path / "violations")
         render_report(ledger_dir, policy, GOLDEN_DIR / "report_violations.txt")
         render_report(ledger_dir, policy, GOLDEN_DIR / "report_violations.json", fmt="json")
+        ledger_dir, _ = build_escapes_ledger(tmp_path / "escapes")
+        (GOLDEN_DIR / "ledger_escapes.log").write_bytes((Path(ledger_dir) / "ledger.log").read_bytes())

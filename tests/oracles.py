@@ -13,6 +13,8 @@ the digest checks) so that each assertion is a genuine cross-check:
   per change set, the reference for the replayed change-set history
 * a static audit that parses and checks every formula cell on its own,
   the reference for the audit's one parse per copy form
+* ledger payload codecs that escape and split each field by hand, the
+  reference for the ledger's one row codec
 """
 
 from __future__ import annotations
@@ -224,3 +226,133 @@ def audit_by_cell(snapshot, cfg=None):
         findings += [make_finding(rule_id, address, *fields) for rule_id, *fields in _tree_findings(tree, cfg)]
     findings += _copy_findings(forms, cfg)
     return sorted(findings, key=Finding.sort_key)
+
+
+# --- ledger payload codecs, one escape per field ---------------------------------
+
+
+def serialize_ingest_by_field(digest, timestamp, actor) -> bytes:
+    from gridaudit.grid import _escape, format_instant
+
+    return f"{digest}\t{format_instant(timestamp)}\t{_escape(actor)}".encode("utf-8")
+
+
+def parse_ingest_by_field(payload: bytes):
+    from gridaudit.grid import _unescape, parse_instant
+
+    digest, at, actor = payload.decode("utf-8").split("\t")
+    return digest, parse_instant(at), _unescape(actor)
+
+
+def serialize_attest_by_field(text: str) -> bytes:
+    from gridaudit.grid import _escape
+
+    return _escape(text).encode("utf-8")
+
+
+def parse_attest_by_field(payload: bytes) -> str:
+    from gridaudit.grid import _unescape
+
+    return _unescape(payload.decode("utf-8"))
+
+
+def serialize_changeset_by_field(changes) -> bytes:
+    from gridaudit.grid import _escape, encode_content, format_instant
+
+    lines = [
+        "\t".join(
+            [
+                "CS1",
+                _escape(changes.workbook_id),
+                changes.from_digest,
+                changes.to_digest,
+                format_instant(changes.from_time),
+                format_instant(changes.to_time),
+                _escape(changes.actor),
+            ]
+        )
+    ]
+    for event in changes.events:
+        lines.append(
+            "\t".join(
+                [
+                    _escape(event.address.sheet),
+                    event.address.a1,
+                    event.kind.value,
+                    "-" if event.before is None else _escape(encode_content(event.before)),
+                    "-" if event.after is None else _escape(encode_content(event.after)),
+                ]
+            )
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def parse_changeset_by_field(payload: bytes):
+    from gridaudit.diffing import ChangeEvent, ChangeKind, ChangeSet
+    from gridaudit.grid import CellAddress, _unescape, decode_content, parse_a1, parse_instant
+
+    head_line, *lines = payload.decode("utf-8").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    head = head_line.split("\t")
+    if len(head) != 7 or head[0] != "CS1":
+        raise ValueError(f"bad change set header {head_line!r}")
+    events = []
+    for line in lines:
+        sheet, a1, kind, before, after = line.split("\t")
+        row, col = parse_a1(a1)
+        events.append(
+            ChangeEvent(
+                address=CellAddress(_unescape(sheet), row, col),
+                kind=ChangeKind(kind),
+                before=None if before == "-" else decode_content(_unescape(before)),
+                after=None if after == "-" else decode_content(_unescape(after)),
+            )
+        )
+    return ChangeSet(
+        workbook_id=_unescape(head[1]),
+        from_digest=head[2],
+        to_digest=head[3],
+        from_time=parse_instant(head[4]),
+        to_time=parse_instant(head[5]),
+        actor=_unescape(head[6]),
+        events=tuple(events),
+    )
+
+
+def serialize_findings_by_field(findings) -> bytes:
+    from gridaudit.grid import _escape
+
+    lines = []
+    for f in findings:
+        fields = [f.rule_id, f.severity, _escape(str(f.location)), _escape(f.message), _escape(f.observed)]
+        if f.expected is not None:
+            fields.append(_escape(f.expected))
+        lines.append("\t".join(fields))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def parse_findings_by_field(payload: bytes):
+    from gridaudit.findings import RULE_SEVERITY, Finding
+    from gridaudit.grid import _unescape, parse_location
+
+    findings = []
+    for line in payload.decode("utf-8").split("\n"):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) not in (5, 6):
+            raise ValueError(f"bad finding line {line!r}")
+        if fields[0] not in RULE_SEVERITY:
+            raise ValueError(f"unknown rule id {fields[0]!r}")
+        findings.append(
+            Finding(
+                rule_id=fields[0],
+                severity=fields[1],
+                location=parse_location(_unescape(fields[2])),
+                message=_unescape(fields[3]),
+                observed=_unescape(fields[4]),
+                expected=_unescape(fields[5]) if len(fields) == 6 else None,
+            )
+        )
+    return findings

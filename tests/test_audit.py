@@ -396,3 +396,19 @@ class TestConfig:
             load_audit_config("majority_fraction = 1/3\n")
         with pytest.raises(ConfigError):
             load_audit_config("unknown_key = 1\n")
+
+
+def test_unreadable_formulas_are_parse_failures_and_the_rest_is_audited():
+    cells = {
+        "S!A1": "=A" + "1" * 5000 + "+1",
+        "S!A2": "=B1*1e5000000",
+        "S!A3": "#REF!",
+        "S!A4": "=B1*7",
+    }
+    findings = [(f.rule_id, str(f.location)) for f in audit_workbook(snap(cells))]
+    assert findings == [
+        ("PARSE_FAILURE", "S!A1"),
+        ("PARSE_FAILURE", "S!A2"),
+        ("ERROR_VALUE", "S!A3"),
+        ("EMBEDDED_CONSTANT", "S!A4"),
+    ]

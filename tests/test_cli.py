@@ -603,6 +603,86 @@ class TestDamagedChangeSet:
             assert captured.err.startswith("error: bad change set header")
 
 
+    def test_a_record_out_of_place_is_an_integrity_error(self, capsys, files, tmp_path):
+        # the change set re-appended after its FINDINGS: the log verifies,
+        # but the second ingest's records are out of order
+        dropped = []
+
+        def edit(record):
+            if record.kind == "CHANGESET":
+                dropped.append(record)
+                return None
+            return record.payload
+
+        damaged = tmp_path / "damaged"
+        self._rechain(files, damaged, edit)
+        Ledger.open(damaged).append_record("CHANGESET", dropped[0].payload, dropped[0].recorded_at)
+        later = tmp_path / "s3.snap"
+        later.write_text(SNAP_2.replace("2024-03-02", "2024-03-03").replace("N\t10", "N\t11"))
+        capsys.readouterr()
+        assert run(["verify", str(damaged)]) == 0
+        assert capsys.readouterr().out == "OK n=4\n"
+        for argv in (
+            ["trend", str(damaged), "S!A1"],
+            ["history", str(damaged), "S!A1"],
+            ["profile", str(damaged)],
+            ["check", str(damaged), "--policy", files["policy.txt"]],
+            ["report", str(damaged), "--policy", files["policy.txt"], *TestReport.ARGS],
+            ["ingest", str(damaged), str(later)],
+        ):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "integrity error: ledger record 3 (CHANGESET) is out of place\n"
+
+
+class TestNumberRange:
+    def test_digits_past_28_record_no_phantom_change(self, capsys, tmp_path):
+        ledger = str(tmp_path / "ledger")
+        long = "1.2345678901234567890123456789012"
+        for day, a2 in ((1, 1), (2, 2)):
+            path = tmp_path / f"s{day}.snap"
+            path.write_text(f"SNAP1\twb1\t2024-03-0{day}T09:00:00Z\talice\nS\tA1\tV\tN\t{long}\nS\tA2\tV\tN\t{a2}\n")
+            assert run(["ingest", ledger, str(path)]) == 0
+        capsys.readouterr()
+        assert run(["history", ledger, "S!A1"]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(["trend", ledger, "S!A1"]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [f"2024-03-01T09:00:00Z\t{long}", f"2024-03-02T09:00:00Z\t{long}"]
+        assert run(["profile", ledger]) == 0
+        assert "mean_data_volatility\t0.5000\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("raw", ["1e5000000", "1e-5000000"])
+    def test_snapshot_number_out_of_range_is_a_usage_error(self, capsys, tmp_path, raw):
+        path = tmp_path / "big.snap"
+        path.write_text(f"SNAP1\twb1\t2024-03-01T09:00:00Z\talice\nS\tA1\tV\tN\t{raw}\n")
+        assert run(["ingest", str(tmp_path / "ledger"), str(path)]) == 2
+        assert "must be finite, with an exponent within ±999999" in capsys.readouterr().err
+        assert not (tmp_path / "ledger" / "objects").exists()
+
+    def test_bound_out_of_range_is_a_usage_error(self, capsys, files, tmp_path):
+        policy = tmp_path / "big.txt"
+        policy.write_text("workbook = wb1\n\n[bounds]\nrange = S!A1:A9\nmin = 1e5000000\n")
+        codes = [run(["ingest", files["ledger"], files[name], "--policy", str(policy)]) for name in ("s1.snap", "s2.snap")]
+        assert codes == [2, 2]
+        assert "bounds must be finite numbers with exponents within ±999999" in capsys.readouterr().err
+
+    def test_unreadable_formulas_are_parse_failures(self, capsys, files, tmp_path):
+        path = tmp_path / "f.snap"
+        row = "1" * 5000
+        path.write_text(f"SNAP1\twb1\t2024-03-03T09:00:00Z\tbob\nS\tA1\tF\t=A{row}+1\nS\tB1\tF\t=B2*1e5000000\nS\tC1\tV\tE\t#REF!\n")
+        assert run(["audit", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[:3] for line in lines] == [
+            ["warning", "PARSE_FAILURE", "S!A1"],
+            ["warning", "PARSE_FAILURE", "S!B1"],
+            ["critical", "ERROR_VALUE", "S!C1"],
+        ]
+        assert run(["ingest", files["ledger"], files["s1.snap"]]) == 0
+        assert run(["ingest", files["ledger"], str(path)]) == 1
+        assert run(["verify", files["ledger"]]) == 0
+
+
 class TestNonFiniteNumbers:
     def test_nan_bound_is_a_usage_error(self, capsys, files, tmp_path):
         policy = tmp_path / "nan.txt"

@@ -482,6 +482,12 @@ class TestPolicyFile:
         with pytest.raises(PolicyError, match=message):
             parse_policy_file("workbook = wb1\n" + text)
 
+    @pytest.mark.parametrize("key, raw", [("min", "1e5000000"), ("max", "-1e1000000"), ("min", "1e-5000000")])
+    def test_bound_with_an_exponent_out_of_range(self, key, raw):
+        message = r"bad \[bounds\] stanza: bounds must be finite numbers with exponents within ±999999"
+        with pytest.raises(PolicyError, match=message):
+            parse_policy_file(f"workbook = wb1\n[bounds]\nrange = S!A1:A9\n{key} = {raw}\n")
+
     def test_equal_bounds_are_allowed(self):
         p = parse_policy_file("workbook = wb1\n[bounds]\nrange = S!A1\nmin = 5\nmax = 5\n")
         assert (p.bound_rules[0].minimum, p.bound_rules[0].maximum) == (Decimal(5), Decimal(5))

@@ -18,6 +18,7 @@ from gridaudit.diffing import (
     apply_changes,
     classify_change,
     diff_snapshots,
+    replay,
     volatility_metrics,
 )
 from gridaudit.grid import Formula, Literal, Number, snapshot_digest
@@ -92,6 +93,18 @@ class TestApply:
         rebuilt = apply_changes(before, diff_snapshots(before, after))
         assert rebuilt.cells == after.cells
         assert snapshot_digest(rebuilt) == snapshot_digest(after)
+
+    def test_a_replayed_snapshot_carries_no_sign_off(self):
+        before = snap({"S!A1": 5}, att="APP-1 opening")
+        after = snap({"S!A1": 6}, at=T0 + hours(1), actor="bob", att="APP-2 change")
+        changes = diff_snapshots(before, after)
+        rebuilt = apply_changes(before, changes)
+        assert (rebuilt.actor, rebuilt.timestamp, rebuilt.attestation) == ("bob", T0 + hours(1), None)
+        assert [s.attestation for s in replay(before, [changes, diff_snapshots(after, after)])] == [
+            "APP-1 opening",
+            None,
+            None,
+        ]
 
     def test_empty_changeset_is_identity_on_cells(self):
         s = snap({"S!A1": 5})

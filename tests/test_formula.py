@@ -456,3 +456,23 @@ class TestCopyKey:
         moved = CellAddress("S", host.row + step[0], host.col + step[1])
         assert copy_key(first, host) != copy_key(second, moved)
         assert normalize_relative(parse_formula(first), host) != normalize_relative(parse_formula(second), moved)
+
+
+class TestReadLimits:
+    """A number or row that cannot be read exactly is a FormulaSyntaxError
+    at its offset, from the key scan and the parser alike."""
+
+    def test_row_of_more_digits_than_int_reads(self):
+        source = "=1+A" + "1" * 5000 + "+1"
+        for read in (parse_formula, lambda s: copy_key(s, addr("S!B1"))):
+            with pytest.raises(FormulaSyntaxError, match=r"^at offset 2: expected a row of at most \d+ digits$"):
+                read(source)
+
+    @pytest.mark.parametrize("literal", ["1e1000000", "1e5000000", "0.1e-999999", "1e-5000000"])
+    def test_number_with_an_exponent_out_of_range(self, literal):
+        with pytest.raises(FormulaSyntaxError, match=r"^at offset 3: expected a number with an exponent within ±999999$"):
+            parse_formula(f"=B1*{literal}")
+
+    @pytest.mark.parametrize("literal", ["1e999999", "1e-999999", "0e5000000"])
+    def test_number_at_the_range_edge_parses(self, literal):
+        assert parse_formula(f"=B1*{literal}") == Binary("*", Ref(CellRef(1, 2)), NumberLit(Decimal(literal)))

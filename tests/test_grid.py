@@ -27,6 +27,7 @@ from gridaudit.grid import (
     _unescape,
     canonical_decimal,
     col_to_letters,
+    in_number_range,
     letters_to_col,
     parse_location,
     parse_region,
@@ -217,6 +218,44 @@ class TestCanonicalDecimal:
     )
     def test_rendering(self, raw, expected):
         assert canonical_decimal(Decimal(raw)) == expected
+
+    def test_digits_past_the_context_precision_are_kept(self):
+        raw = "1.2345678901234567890123456789012"
+        assert canonical_decimal(Decimal(raw)) == raw
+        assert canonical_decimal(Decimal(raw + "000E+2")) == "123.45678901234567890123456789012"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-(10**60), 10**60), st.integers(-80, 80), st.integers(0, 5))
+    def test_exact_for_any_precision(self, digits, exponent, zeros):
+        value = Decimal(f"{digits}E{exponent}")
+        text = canonical_decimal(value)
+        assert Decimal(text) == value
+        assert "E" not in text and not (("." in text) and text.endswith(("0", ".")))
+        # an equal value written with more trailing zeros renders alike
+        assert canonical_decimal(Decimal(f"{digits * 10**zeros}E{exponent - zeros}")) == text
+
+    @pytest.mark.parametrize(
+        "raw, ok",
+        [
+            ("1E+999999", True),
+            ("9.99E+999999", True),
+            ("1E+1000000", False),
+            ("1E-999999", True),
+            ("0.1E-999999", False),
+            ("1E-5000000", False),
+            ("0E+5000000", True),
+            ("-2E+1000000", False),
+            ("NaN", False),
+            ("-Infinity", False),
+        ],
+    )
+    def test_number_range(self, raw, ok):
+        assert in_number_range(Decimal(raw)) is ok
+
+    @pytest.mark.parametrize("raw", ["1e5000000", "1e-5000000", "2E+1000000"])
+    def test_snapshot_number_out_of_range_is_a_bad_address(self, raw):
+        with pytest.raises(BadAddress, match=r"line 2: number .* must be finite, with an exponent within ±999999"):
+            parse_snapshot_file(f"SNAP1\twb1\t2024-03-01T09:00:00Z\ta\nS\tA1\tV\tN\t{raw}\n")
 
 
 # hypothesis strategies for whole snapshots

@@ -1,17 +1,34 @@
 """Hash-chained ledger: appends, verification, ingestion, queries."""
 
 import base64
+import re
 from datetime import timedelta
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import T0, addr, hours, snap
+from golden_fixtures import GOLDEN_DIR, build_escapes_ledger
 from oracles import sha256_hex
 
-from gridaudit.diffing import ChangeKind, WorkbookMismatch, apply_changes
-from gridaudit.grid import Number, Text, decode_content, format_instant, snapshot_digest
+from gridaudit.diffing import ChangeEvent, ChangeKind, ChangeSet, DigestMismatch, WorkbookMismatch, apply_changes
+from gridaudit.findings import RULE_SEVERITY, Finding
+from gridaudit.grid import (
+    CellAddress,
+    Formula,
+    Literal,
+    Number,
+    Region,
+    Text,
+    decode_content,
+    format_instant,
+    join_fields,
+    snapshot_digest,
+)
 from gridaudit.grid import parse_snapshot_file as parse
 from gridaudit import ledger as ledger_mod
 from gridaudit.ledger import (
@@ -19,9 +36,13 @@ from gridaudit.ledger import (
     Ledger,
     LedgerCorrupt,
     NonMonotonicTimestamp,
+    parse_attest,
     parse_changeset,
     parse_findings,
+    parse_ingest,
+    serialize_changeset,
     serialize_findings,
+    serialize_ingest,
 )
 from gridaudit.controls import ControlPolicy, Mode, RegionRule, parse_policy_file
 from gridaudit.grid import parse_region
@@ -368,3 +389,128 @@ class TestObjectCache:
         loaded.cells.clear()
         assert reopened.load_snapshot(digest).cells == snap({"S!A1": 1, "S!B1": "x"}).cells
         assert [v.value for _, v in reopened.series_for_cell(addr("S!A1")).points] == [1, 2]
+
+
+class TestEntries:
+    def test_one_entry_per_ingest_holds_its_records(self, ledger):
+        ingest_sequence(
+            ledger,
+            [(0, "alice", {"S!A1": 5}, "opening"), (1, "bob", {"S!A1": 6}), (2, "carol", {"S!A1": 7}, "close")],
+        )
+        kinds = [
+            [None if r is None else r.kind for r in (e.ingest, e.changeset, e.findings, e.attest)]
+            for e in ledger.entries()
+        ]
+        assert kinds == [
+            ["INGEST", None, None, "ATTEST"],
+            ["INGEST", "CHANGESET", "FINDINGS", None],
+            ["INGEST", "CHANGESET", "FINDINGS", "ATTEST"],
+        ]
+        assert [e.ingest.seq for e in ledger.entries()] == [0, 2, 5]
+
+    @pytest.mark.parametrize(
+        "kinds, seq, kind",
+        [
+            (["ATTEST", "INGEST"], 0, "ATTEST"),
+            (["INGEST", "ATTEST", "ATTEST"], 2, "ATTEST"),
+            (["INGEST", "INGEST", "FINDINGS", "CHANGESET"], 3, "CHANGESET"),
+            (["INGEST", "ATTEST", "INGEST", "CHANGESET", "ATTEST", "FINDINGS"], 5, "FINDINGS"),
+        ],
+    )
+    def test_a_record_out_of_place_is_a_digest_mismatch(self, kinds, seq, kind):
+        view = Ledger()
+        for k in kinds:
+            view.append_record(k, b"", T0)
+        assert view.verify_chain().ok
+        message = f"ledger record {seq} ({kind}) is out of place"
+        for query in (view.entries, view.ingests, view.changesets, view.findings_records):
+            with pytest.raises(DigestMismatch, match=rf"^{re.escape(message)}$"):
+                query()
+
+    def test_snapshots_carry_their_own_sign_off(self, ledger):
+        ingest_sequence(
+            ledger,
+            [
+                (0, "alice", {"S!A1": "=A1"}),
+                (1, "bob", {"S!A1": "=A2"}, "APP-1 change"),
+                (2, "carol", {"S!A1": "=A1"}, "APP-2 revert"),
+            ],
+        )
+        for view in (ledger, Ledger.open(ledger.directory)):
+            assert [(s.actor, s.attestation) for s in view.snapshots()] == [
+                ("alice", None),
+                ("bob", "APP-1 change"),
+                ("carol", "APP-2 revert"),
+            ]
+
+    def test_a_first_sign_off_is_read_from_its_attest_record(self, ledger):
+        ingest_sequence(ledger, [(0, "alice", {"S!A1": 1}, "opening"), (1, "bob", {"S!A1": 2})])
+        assert [s.attestation for s in Ledger.open(ledger.directory).snapshots()] == ["opening", None]
+
+
+def test_ledger_bytes_match_the_golden(tmp_path):
+    ledger_dir, _ = build_escapes_ledger(tmp_path)
+    assert (Path(ledger_dir) / "ledger.log").read_bytes() == (GOLDEN_DIR / "ledger_escapes.log").read_bytes()
+
+
+# --- the row codec against the codecs that escaped each field by hand ----------
+
+# every character the escapes touch, the letters of the escape codes, and
+# the characters that separate a location's parts
+TEXT = st.text(st.sampled_from(["a", "t", "n", "r", "-", "!", ":", "\u00e9", " ", "\t", "\n", "\r", "\\"]), max_size=6)
+SHEET = TEXT.filter(bool)
+DIGEST = st.sampled_from(["0" * 64, "ab" * 32])
+ADDRESS = st.builds(CellAddress, SHEET, st.integers(1, 40), st.integers(1, 40))
+CONTENT = st.one_of(
+    TEXT.map(lambda t: Literal(Text(t))),
+    st.integers(-5, 5).map(lambda n: Literal(Number(Decimal(n)))),
+    st.builds(Formula, TEXT.map(lambda t: "=" + t), st.none() | TEXT.map(Text)),
+)
+EVENT = st.one_of(
+    st.builds(ChangeEvent, ADDRESS, st.just(ChangeKind.ADDED), st.none(), CONTENT),
+    st.builds(ChangeEvent, ADDRESS, st.just(ChangeKind.REMOVED), CONTENT, st.none()),
+    st.builds(ChangeEvent, ADDRESS, st.sampled_from([ChangeKind.DATA_CHANGED, ChangeKind.LOGIC_CHANGED]), CONTENT, CONTENT),
+)
+CHANGESET = st.builds(
+    ChangeSet, TEXT, DIGEST, DIGEST, st.just(T0), st.just(T0 + hours(1)), TEXT, st.lists(EVENT, max_size=4).map(tuple)
+)
+LOCATION = ADDRESS | st.builds(Region, SHEET, st.just(1), st.just(1), st.integers(1, 9), st.integers(1, 9))
+FINDING = st.builds(
+    Finding,
+    st.sampled_from(sorted(RULE_SEVERITY)),
+    st.sampled_from(["info", "warning", "critical"]),
+    LOCATION,
+    TEXT,
+    TEXT,
+    st.none() | TEXT,
+)
+
+
+class TestRowCodec:
+    """Byte for byte and decode for decode, each payload codec matches the
+    one it replaced.  Decodes compare by repr, since a CellAddress equals
+    another whose sheet differs only in case."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(digest=DIGEST, actor=TEXT, attestation=TEXT)
+    def test_ingest_and_attest(self, digest, actor, attestation):
+        payload = serialize_ingest(digest, T0, actor)
+        assert payload == oracles.serialize_ingest_by_field(digest, T0, actor)
+        assert parse_ingest(payload) == oracles.parse_ingest_by_field(payload) == (digest, T0, actor)
+        payload = join_fields(attestation).encode("utf-8")
+        assert payload == oracles.serialize_attest_by_field(attestation)
+        assert parse_attest(payload) == oracles.parse_attest_by_field(payload) == attestation
+
+    @settings(max_examples=200, deadline=None)
+    @given(changes=CHANGESET)
+    def test_changeset(self, changes):
+        payload = serialize_changeset(changes)
+        assert payload == oracles.serialize_changeset_by_field(changes)
+        assert repr(parse_changeset(payload)) == repr(oracles.parse_changeset_by_field(payload)) == repr(changes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(findings=st.lists(FINDING, max_size=4))
+    def test_findings(self, findings):
+        payload = serialize_findings(findings)
+        assert payload == oracles.serialize_findings_by_field(findings)
+        assert repr(parse_findings(payload)) == repr(oracles.parse_findings_by_field(payload))

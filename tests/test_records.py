@@ -89,6 +89,15 @@ SAMPLES = {
     ],
     controls.TrendVerdict: [(A1, Decimal(5), 1.0, 0.5, 8.0, True), (A1, Decimal(5), 1.0, 0.5, 1.0, False)],
     ledger.LedgerRecord: [(0, "0" * 64, "INGEST", T0, b"x", "a" * 64), (1, "a" * 64, "FINDINGS", T1, b"", "b" * 64)],
+    ledger.Entry: [
+        (ledger.LedgerRecord(0, "0" * 64, "INGEST", T0, b"x", "a" * 64),),
+        (
+            ledger.LedgerRecord(0, "0" * 64, "INGEST", T0, b"x", "a" * 64),
+            ledger.LedgerRecord(1, "a" * 64, "CHANGESET", T0, b"y", "b" * 64),
+            ledger.LedgerRecord(2, "b" * 64, "FINDINGS", T0, b"", "c" * 64),
+            ledger.LedgerRecord(3, "c" * 64, "ATTEST", T0, b"ok", "d" * 64),
+        ),
+    ],
     ledger.ChainVerification: [(True, None, 3), (False, 2, 3, "record hash does not match contents")],
     ledger.CellSeries: [(A1, ()), (A1, ((T0, ONE),))],
     ledger.AttributedChange: [(ADDED, "ann", T0), (ADDED, "bob", T0)],
@@ -136,7 +145,7 @@ def hash_or_error(obj):
 
 def test_every_record_class_has_samples():
     assert record_classes() == set(SAMPLES)
-    assert len(SAMPLES) == 42
+    assert len(SAMPLES) == 43
 
 
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
