@@ -17,7 +17,7 @@ add findings.  A workflow period resets at each ATTEST record.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from enum import IntEnum
 from math import isfinite
 from typing import TYPE_CHECKING
@@ -176,11 +176,14 @@ class ControlPolicy:
 
 @record
 class TrendVerdict:
+    """A trend judgement; mean, stddev and z are Decimals when the values
+    did not fit a float (see trend_deviation)."""
+
     address: CellAddress
     new_value: Decimal
-    mean: float
-    stddev: float
-    z: float
+    mean: float | Decimal
+    stddev: float | Decimal
+    z: float | Decimal
     violated: bool
 
 
@@ -277,21 +280,50 @@ def check_bounds(changes: ChangeSet, policy: ControlPolicy) -> list[Finding]:
 def trend_deviation(series: "CellSeries", new_value: Decimal, rule: TrendRule) -> TrendVerdict:
     """Judge a new value against up to `window` most recent prior numeric
     points.  Mean and sample standard deviation (n-1) are computed in
-    float.  Too few points: no verdict.  Constant history (stddev 0): any
-    departure from the constant is a violation, z reported as 0."""
+    float.  When a value does not fit a float (past ±1.8e308, or so small
+    it reads as 0) or a sum overflows one, all three are computed in
+    Decimal instead, to 50 significant digits, and the verdict's numbers
+    are Decimals.  Too few points: no verdict.  Constant history (stddev
+    0): any departure from the constant is a violation, z reported as 0."""
     from statistics import fmean, stdev  # only here: only trend rules need it, and it loads fractions
 
-    numeric = [float(v.value) for _, v in series.points if isinstance(v, Number)]
-    prior = numeric[-rule.window :]
-    new = float(new_value)
+    prior = [v.value for _, v in series.points if isinstance(v, Number)][-rule.window :]
+    floats = [float(v) for v in (*prior, new_value)]
+    if all(isfinite(f) and (f or not v) for f, v in zip(floats, (*prior, new_value))):
+        try:
+            return _trend_verdict(series.address, new_value, rule, floats[:-1], floats[-1], fmean, stdev)
+        except OverflowError:  # a sum in fmean or stdev past the float range
+            pass
+    with localcontext(_TREND_CONTEXT):
+        return _trend_verdict(series.address, new_value, rule, prior, new_value, _decimal_mean, _decimal_stdev)
+
+
+# wide enough for any snapshot number, its square and their sums
+_TREND_CONTEXT = Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _decimal_mean(values: list[Decimal]) -> Decimal:
+    return sum(values, Decimal(0)) / len(values)
+
+
+def _decimal_stdev(values: list[Decimal]) -> Decimal:
+    mean = _decimal_mean(values)
+    return (sum(((v - mean) ** 2 for v in values), Decimal(0)) / (len(values) - 1)).sqrt()
+
+
+def _trend_verdict(
+    address: CellAddress, new_value: Decimal, rule: TrendRule, prior: list, new, mean_of, stdev_of
+) -> TrendVerdict:
+    """trend_deviation's verdict, with prior and new in one number type
+    (float or Decimal) and mean_of and stdev_of computing in it."""
     if len(prior) < rule.min_points:
-        return TrendVerdict(series.address, new_value, fmean(prior) if prior else 0.0, 0.0, 0.0, False)
-    mean = fmean(prior)
-    sd = stdev(prior)
+        return TrendVerdict(address, new_value, mean_of(prior) if prior else 0.0, 0.0, 0.0, False)
+    mean = mean_of(prior)
+    sd = stdev_of(prior)
     if sd > 0:
         z = (new - mean) / sd
-        return TrendVerdict(series.address, new_value, mean, sd, z, abs(z) > rule.z_threshold)
-    return TrendVerdict(series.address, new_value, mean, 0.0, 0.0, new != mean)
+        return TrendVerdict(address, new_value, mean, sd, z, abs(z) > rule.z_threshold)
+    return TrendVerdict(address, new_value, mean, 0.0, 0.0, new != mean)
 
 
 def _check_trends(changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | None") -> list[Finding]:

@@ -22,7 +22,6 @@ from .grid import (
     Literal,
     Snapshot,
     record,
-    snapshot_digest,
 )
 
 if TYPE_CHECKING:
@@ -121,29 +120,35 @@ def classify_change(before: CellContent | None, after: CellContent | None) -> Ch
     return ChangeKind.KIND_CHANGED
 
 
-def diff_snapshots(before: Snapshot, after: Snapshot, *, digests: tuple[str, str] | None = None) -> ChangeSet:
-    """One event per address whose content differs between the snapshots.
-    A cell whose sheet name changed only in letter case is Removed under
-    the old name and Added under the new one, so replay restores the
-    stored names (addresses compare case-insensitively, digests do not).
-    digests, if given, are the two snapshots' digests, already known."""
+def diff_snapshots(
+    before: Snapshot,
+    after: Snapshot,
+    *,
+    digests: tuple[str, str] | None = None,
+    lines: tuple[CellLines, CellLines] | None = None,
+) -> ChangeSet:
+    """One event per address whose content differs between the snapshots,
+    in CellAddress.sort_key order.  A cell whose sheet name changed only
+    in letter case is Removed under the old name and Added under the new
+    one, so replay restores the stored names (addresses compare
+    case-insensitively, digests do not).
+
+    The events come from one merge of the two snapshots' CellLines, which
+    are in sort_key order: a line whose text equals its twin's is passed
+    without being parsed, and only the lines that differ are parsed, to
+    classify the change.  lines, if given, are the two CellLines, already
+    rendered or read as stored; then neither cells dict is read, so
+    before may be a header with no cells.  A before line that the merge
+    parses must sort after the before line ahead of it (else
+    DigestMismatch); one whose content equals its twin's, though spelt
+    otherwise, makes no event.  digests, if given, are the two snapshots'
+    digests, already known."""
     if before.workbook_id != after.workbook_id:
         raise WorkbookMismatch(
             f"cannot diff {before.workbook_id!r} against {after.workbook_id!r}"
         )
-    # keyed by address, valued with the stored address to keep its case
-    old_cells = {address: (address, content) for address, content in before.cells.items()}
-    new_cells = {address: (address, content) for address, content in after.cells.items()}
-    events = []
-    for address in sorted(set(old_cells) | set(new_cells), key=CellAddress.sort_key):
-        old_at, old = old_cells.get(address, (None, None))
-        new_at, new = new_cells.get(address, (None, None))
-        if old_at is not None and new_at is not None and old_at.sheet != new_at.sheet:
-            events.append(ChangeEvent(old_at, ChangeKind.REMOVED, old, None))
-            events.append(ChangeEvent(new_at, ChangeKind.ADDED, None, new))
-        elif old != new:
-            events.append(ChangeEvent(new_at or old_at, classify_change(old, new), old, new))
-    from_digest, to_digest = digests or (snapshot_digest(before), snapshot_digest(after))
+    old, new = lines or (CellLines(before.cells), CellLines(after.cells))
+    from_digest, to_digest = digests or (old.digest(before.workbook_id), new.digest(after.workbook_id))
     return ChangeSet(
         workbook_id=before.workbook_id,
         from_digest=from_digest,
@@ -151,8 +156,59 @@ def diff_snapshots(before: Snapshot, after: Snapshot, *, digests: tuple[str, str
         from_time=before.timestamp,
         to_time=after.timestamp,
         actor=after.actor,
-        events=tuple(events),
+        events=tuple(_merge(old, new)),
     )
+
+
+def _merge(old: CellLines, new: CellLines) -> list[ChangeEvent]:
+    """The events of diff_snapshots.  new must be in sort_key order; old
+    is checked for it at each line the merge parses.  A before line equal
+    to the after line it meets sorts as that line does, so a parsed
+    before line must sort after both the last before line parsed and the
+    after line just passed."""
+    olds, news = list(old), list(new)
+    events: list[ChangeEvent] = []
+    i = j = 0
+    floor = None  # the sort key the next parsed before line must exceed
+    pending = None  # before line i, once parsed: (address, sort key, content)
+    while i < len(olds):
+        if pending is None:
+            if j < len(news) and olds[i] == news[j]:
+                i += 1
+                j += 1
+                continue
+            address, content = old.cell(i)
+            key = address.sort_key()
+            if j:
+                passed = new.address(j - 1).sort_key()
+                floor = passed if floor is None else max(floor, passed)
+            if floor is not None and key <= floor:
+                raise DigestMismatch(f"{address} does not sort after the cell line before it")
+            floor = key
+            pending = (address, key, content)
+        address, key, content = pending
+        new_at = new.address(j) if j < len(news) else None
+        if new_at is None or key < new_at.sort_key():
+            events.append(ChangeEvent(address, ChangeKind.REMOVED, content, None))
+            i += 1
+            pending = None
+        elif key > new_at.sort_key():
+            events.append(ChangeEvent(new_at, ChangeKind.ADDED, None, new.cell(j)[1]))
+            j += 1
+        else:
+            after = new.cell(j)[1]
+            if address.sheet != new_at.sheet:
+                events.append(ChangeEvent(address, ChangeKind.REMOVED, content, None))
+                events.append(ChangeEvent(new_at, ChangeKind.ADDED, None, after))
+            elif content != after:
+                events.append(ChangeEvent(new_at, classify_change(content, after), content, after))
+            i += 1
+            j += 1
+            pending = None
+    for k in range(j, len(news)):
+        at, content = new.cell(k)
+        events.append(ChangeEvent(at, ChangeKind.ADDED, None, content))
+    return events
 
 
 def apply_changes(before: Snapshot, changes: ChangeSet) -> Snapshot:

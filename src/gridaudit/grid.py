@@ -477,16 +477,43 @@ class CellLines:
     write_snapshot_file both read a snapshot's lines from here, so the
     digest covers exactly the stored cell lines.  set and remove change
     one line and keep the order with bisect, so a replayed snapshot is
-    re-hashed without re-rendering the cells it did not touch."""
+    re-hashed without re-rendering the cells it did not touch.
+
+    CellLines.stored holds a file's lines as stored instead, each parsed
+    only when cell or address asks for it."""
 
     def __init__(self, cells: dict[CellAddress, CellContent]):
-        self._addresses = sorted(cells, key=CellAddress.sort_key)
+        self._addresses: list[CellAddress | None] = sorted(cells, key=CellAddress.sort_key)
         self._lines = [_cell_line(address, cells[address]) for address in self._addresses]
+        self._first_lineno = 1  # the file line number of line 0, for parse errors
+
+    @classmethod
+    def stored(cls, lines: list[str], first_lineno: int) -> "CellLines":
+        """The cell lines of a snapshot file as stored, in file order, line
+        0 being the file's line first_lineno.  No line is parsed here.
+        They are the canonical lines only if they hash to the snapshot's
+        digest, which the caller checks; set and remove need every
+        address parsed."""
+        self = cls({})
+        self._addresses, self._lines, self._first_lineno = [None] * len(lines), lines, first_lineno
+        return self
 
     def copy(self) -> "CellLines":
         other = CellLines({})
         other._addresses, other._lines = list(self._addresses), list(self._lines)
+        other._first_lineno = self._first_lineno
         return other
+
+    def cell(self, i: int) -> tuple[CellAddress, CellContent]:
+        """The address and content of line i, parsed from the line (a line
+        that does not parse raises BadAddress with its file line number)."""
+        address, content = _parse_cell_line(self._first_lineno + i, self._lines[i])
+        self._addresses[i] = self._addresses[i] or address
+        return self._addresses[i], content
+
+    def address(self, i: int) -> CellAddress:
+        """The address of line i, parsed the first time it is asked for."""
+        return self._addresses[i] or self.cell(i)[0]
 
     def set(self, address: CellAddress, content: CellContent) -> None:
         """The line for cells[address] = content: like a dict key, a cell
@@ -535,12 +562,10 @@ def _parse_cell_line(lineno: int, line: str) -> tuple[CellAddress, CellContent]:
         raise BadAddress(lineno, str(exc)) from exc
 
 
-def parse_snapshot_file(content: str) -> Snapshot:
-    # the format is LF-delimited; split("\n") keeps exotic line-breaking
-    # characters (NEL, VT, FF, U+2028...) safely inside fields
-    lines = content.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+def _parse_head(lines: list[str]) -> tuple[str, datetime, str, str | None, int]:
+    """The header fields and optional ATTEST text of a snapshot file's
+    lines: workbook id, timestamp, actor, attestation and the index of
+    the first cell line."""
     if not lines:
         raise MalformedHeader("empty snapshot file")
     header = lines[0].split("\t")
@@ -554,27 +579,42 @@ def parse_snapshot_file(content: str) -> Snapshot:
     if not workbook_id:
         raise MalformedHeader("empty workbook id")
     timestamp = parse_instant(header[2])
-
-    body = lines[1:]
-    attestation = None
     # the writer escapes every tab in the text, so its ATTEST line has two
     # fields; a cell line on a sheet named ATTEST has at least four
-    if body and body[0].startswith("ATTEST\t") and body[0].count("\t") == 1:
+    if len(lines) > 1 and lines[1].startswith("ATTEST\t") and lines[1].count("\t") == 1:
         try:
-            attestation = _unescape(body[0][len("ATTEST\t") :])
+            return workbook_id, timestamp, actor, _unescape(lines[1][len("ATTEST\t") :]), 2
         except ValueError as exc:
             raise MalformedHeader(str(exc)) from exc
-        body = body[1:]
+    return workbook_id, timestamp, actor, None, 1
 
+
+def parse_snapshot_file(content: str) -> Snapshot:
+    # the format is LF-delimited; split("\n") keeps exotic line-breaking
+    # characters (NEL, VT, FF, U+2028...) safely inside fields
+    lines = content.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    workbook_id, timestamp, actor, attestation, start = _parse_head(lines)
     cells: dict[CellAddress, CellContent] = {}
-    for offset, line in enumerate(body):
+    for lineno, line in enumerate(lines[start:], start + 1):
         if not line:
             continue
-        lineno = len(lines) - len(body) + offset + 1
         address, cell = _parse_cell_line(lineno, line)
         if cells.setdefault(address, cell) is not cell:
             raise DuplicateCell(address)
     return Snapshot(workbook_id, timestamp, actor, cells, attestation)
+
+
+def read_stored_lines(content: str) -> tuple[str, CellLines]:
+    """The workbook id and the cell lines of a snapshot file as stored,
+    with the header and ATTEST line checked as parse_snapshot_file checks
+    them and no cell line parsed (CellLines.stored).  The lines are the
+    canonical ones only if they hash to the snapshot's digest, which the
+    caller checks (a file not ending in a newline fails that check)."""
+    lines = content.split("\n")
+    workbook_id, _, _, _, start = _parse_head(lines[:-1])
+    return workbook_id, CellLines.stored(lines[start:-1], start + 1)
 
 
 def parse_stored_snapshot(content: str) -> tuple[Snapshot, CellLines]:

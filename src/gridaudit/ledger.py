@@ -39,10 +39,15 @@ History comes from the first stored snapshot plus the change sets, which
 must link each ingested digest to the next.  Usage metrics, cell series
 and cell histories replay them, each step checked against its to_digest
 (diffing.replay); each payload is decoded once per process
-(LedgerRecord.body) and each object parsed once per Ledger.  An object's
-name must be a digest before it becomes a path, and its cells must hash to
-it on load; a snapshot's timestamp, actor and ATTEST line are outside it, so
-no verdict reads them from objects/.
+(LedgerRecord.body).  An object's name must be a digest before it becomes
+a path, and its cell lines must hash to it, as stored, when it is first
+read; a snapshot's timestamp, actor and ATTEST line are outside that hash,
+so no verdict reads them from objects/.  load_snapshot parses an object
+once per Ledger; the replays parse only the first.  An ingest reads the
+latest object's lines as stored and diffs the new snapshot against them,
+so it parses only the lines that changed (diffing.diff_snapshots), and
+takes the ledger's workbook id from that object's header, which the hash
+covers.  workbook_id reads the first object's header the same way.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from .grid import (
     CellValue,
     ErrorValue,
     Snapshot,
+    SnapshotError,
     content_value,
     decode_content,
     encode_content,
@@ -74,6 +80,7 @@ from .grid import (
     parse_instant,
     parse_location,
     parse_stored_snapshot,
+    read_stored_lines,
     record,
     split_fields,
     write_snapshot_file,
@@ -284,6 +291,8 @@ class Ledger:
         self._objects: dict[str, bytes] = {}
         # digest -> the object (parsed, or the snapshot this ledger stored) and its cell lines
         self._parsed: dict[str, tuple[Snapshot, CellLines]] = {}
+        # digest -> workbook id and cell lines of an object checked but not parsed
+        self._checked: dict[str, tuple[str, CellLines]] = {}
         self._records: list[LedgerRecord] = []  # the valid records before any corrupt line
         self._corrupt: LedgerCorrupt | None = None
         self._workbook_id: str | None = None
@@ -335,9 +344,11 @@ class Ledger:
 
     @property
     def workbook_id(self) -> str | None:
+        """The workbook id in the first object's header, read as
+        _stored_lines reads it: no cell line is parsed for it."""
         if self._workbook_id is None:
             for entry in self.entries()[:1]:
-                self._workbook_id = self._stored(entry.ingest.body[0])[0].workbook_id
+                self._workbook_id = self._stored_lines(entry.ingest.body[0])[0]
         return self._workbook_id
 
     # --- object store ---
@@ -362,28 +373,45 @@ class Ledger:
         """The stored snapshot named by digest, with a cells dict of its own."""
         return _own_cells(self._stored(digest)[0])
 
-    def _stored(self, digest: str) -> tuple[Snapshot, CellLines]:
-        """The object named by digest with its cell lines, parsed once per
-        ledger.  An object read from disk must hash to its name."""
+    def _stored_lines(self, digest: str) -> tuple[str, CellLines]:
+        """The workbook id and cell lines of the object named by digest, as
+        stored (grid.read_stored_lines): its header is checked and its
+        lines hashed against its name, once per ledger, and no cell line
+        is parsed.  A name that is not a digest is refused before it
+        becomes a path."""
         if digest in self._parsed:
-            return self._parsed[digest]
-        if not _HEX64_RE.fullmatch(digest):  # refused before it becomes a path
-            seq = next((e.ingest.seq for e in self.entries() if e.ingest.body[0] == digest), "?")
-            raise diffing.DigestMismatch(f"ledger record {seq} names object {digest!r}, which is not a digest")
-        path = None if self.directory is None else self.directory / "objects" / digest
-        if path is None or not path.exists():
-            raise MissingObject(f"no stored snapshot for digest {digest[:12]}...")
-        data = path.read_bytes()
-        try:
-            snapshot, lines = parse_stored_snapshot(data.decode("utf-8"))
-        except ValueError as exc:  # undecodable bytes or a malformed snapshot file
-            raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
-        # hashed as stored, so a line that parses to the same cell but is
-        # not the canonical one fails too
-        if lines.digest(snapshot.workbook_id) != digest:
-            raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not hash to its name")
-        self._objects[digest] = data
-        self._parsed[digest] = (snapshot, lines)
+            snapshot, lines = self._parsed[digest]
+            return snapshot.workbook_id, lines
+        if digest not in self._checked:
+            if not _HEX64_RE.fullmatch(digest):
+                seq = next((e.ingest.seq for e in self.entries() if e.ingest.body[0] == digest), "?")
+                raise diffing.DigestMismatch(f"ledger record {seq} names object {digest!r}, which is not a digest")
+            path = None if self.directory is None else self.directory / "objects" / digest
+            if path is None or not path.exists():
+                raise MissingObject(f"no stored snapshot for digest {digest[:12]}...")
+            data = path.read_bytes()
+            try:
+                workbook_id, lines = read_stored_lines(data.decode("utf-8"))
+            except ValueError as exc:  # undecodable bytes or a malformed header
+                raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
+            # hashed as stored, so a line that parses to the same cell but is
+            # not the canonical one fails too
+            if lines.digest(workbook_id) != digest:
+                raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not hash to its name")
+            self._objects[digest] = data
+            self._checked[digest] = (workbook_id, lines)
+        return self._checked[digest]
+
+    def _stored(self, digest: str) -> tuple[Snapshot, CellLines]:
+        """The object named by digest, checked as _stored_lines checks it,
+        then parsed, once per ledger, with its cell lines as stored."""
+        if digest not in self._parsed:
+            self._stored_lines(digest)
+            del self._checked[digest]  # the parse reads the lines again
+            try:
+                self._parsed[digest] = parse_stored_snapshot(self._objects[digest].decode("utf-8"))
+            except ValueError as exc:  # a malformed cell line
+                raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
         return self._parsed[digest]
 
     # --- appends ---
@@ -504,21 +532,24 @@ class Ledger:
         Re-ingesting content whose digest equals the latest is a no-op
         unless it carries an attestation (a sign-off is worth recording
         even without cell edits)."""
-        existing = self.workbook_id
-        if existing is not None and snapshot.workbook_id != existing:
-            raise diffing.WorkbookMismatch(
-                f"ledger tracks {existing!r}, snapshot is {snapshot.workbook_id!r}"
-            )
+        ingests = self.ingests()
+        if ingests:
+            # the diff base: the latest object's lines as stored, and the
+            # workbook id in its header (ingest keeps one id per ledger)
+            existing, previous_lines = self._stored_lines(ingests[-1][0])
+            if snapshot.workbook_id != existing:
+                raise diffing.WorkbookMismatch(
+                    f"ledger tracks {existing!r}, snapshot is {snapshot.workbook_id!r}"
+                )
         if policy is not None and policy.workbook_id != snapshot.workbook_id:
             raise diffing.WorkbookMismatch(
                 f"policy is for {policy.workbook_id!r}, snapshot is {snapshot.workbook_id!r}"
             )
         lines = CellLines(snapshot.cells)
         digest = lines.digest(snapshot.workbook_id)
-        ingests = self.ingests()
-        previous = None
+        changes: diffing.ChangeSet | None = None
         if ingests:
-            last_digest, last_at, _ = ingests[-1]
+            last_digest, last_at, last_actor = ingests[-1]
             if digest == last_digest and not snapshot.attestation:
                 return []
             if snapshot.timestamp <= last_at:
@@ -526,13 +557,19 @@ class Ledger:
                     f"snapshot at {format_instant(snapshot.timestamp)} does not "
                     f"advance past {format_instant(last_at)}"
                 )
-            previous = self.load_snapshot(last_digest)
+            # the change set starts at the latest INGEST record's time: the
+            # object's header keeps the time its content was first seen
+            previous = Snapshot(existing, last_at, last_actor)
+            try:
+                changes = diffing.diff_snapshots(
+                    previous, snapshot, digests=(last_digest, digest), lines=(previous_lines, lines)
+                )
+            except (SnapshotError, diffing.DigestMismatch) as exc:  # a stored line the diff parsed
+                raise diffing.DigestMismatch(f"stored object {last_digest[:12]}... does not parse: {exc}") from exc
         self.store_snapshot(snapshot, lines)
 
         findings: list[Finding] = []
-        changes: diffing.ChangeSet | None = None
-        if previous is not None:
-            changes = diffing.diff_snapshots(previous, snapshot, digests=(last_digest, digest))
+        if changes is not None:
             findings.extend(audit_mod.audit_workbook(snapshot, cfg))
             if policy is not None:
                 findings.extend(controls_mod.evaluate_policies(changes, policy, self, snapshot.attestation))

@@ -15,6 +15,8 @@ the digest checks) so that each assertion is a genuine cross-check:
   the reference for the audit's one parse per copy form
 * ledger payload codecs that escape and split each field by hand, the
   reference for the ledger's one row codec
+* a diff that keys both snapshots' cells by address and compares content
+  objects, the reference for the merge over cell lines
 """
 
 from __future__ import annotations
@@ -356,3 +358,37 @@ def parse_findings_by_field(payload: bytes):
             )
         )
     return findings
+
+
+# --- diff by address, content against content ------------------------------------
+
+
+def diff_snapshots_by_address(before, after):
+    """diff_snapshots' change set, from both cells dicts keyed by address
+    and compared content against content: no cell lines."""
+    from gridaudit.diffing import ChangeEvent, ChangeKind, ChangeSet, WorkbookMismatch, classify_change
+    from gridaudit.grid import CellAddress, snapshot_digest
+
+    if before.workbook_id != after.workbook_id:
+        raise WorkbookMismatch(f"cannot diff {before.workbook_id!r} against {after.workbook_id!r}")
+    # keyed by address, valued with the stored address to keep its case
+    old_cells = {address: (address, content) for address, content in before.cells.items()}
+    new_cells = {address: (address, content) for address, content in after.cells.items()}
+    events = []
+    for address in sorted(set(old_cells) | set(new_cells), key=CellAddress.sort_key):
+        old_at, old = old_cells.get(address, (None, None))
+        new_at, new = new_cells.get(address, (None, None))
+        if old_at is not None and new_at is not None and old_at.sheet != new_at.sheet:
+            events.append(ChangeEvent(old_at, ChangeKind.REMOVED, old, None))
+            events.append(ChangeEvent(new_at, ChangeKind.ADDED, None, new))
+        elif old != new:
+            events.append(ChangeEvent(new_at or old_at, classify_change(old, new), old, new))
+    return ChangeSet(
+        workbook_id=before.workbook_id,
+        from_digest=snapshot_digest(before),
+        to_digest=snapshot_digest(after),
+        from_time=before.timestamp,
+        to_time=after.timestamp,
+        actor=after.actor,
+        events=tuple(events),
+    )

@@ -1,11 +1,16 @@
 """Command-line behavior: subcommands, exit codes, output streams."""
 
 import json
+from decimal import Decimal
 
 import pytest
 
+from oracles import exact_trend_stats, sha256_hex
+
+import gridaudit.cli
+import gridaudit.grid
 from gridaudit.cli import run
-from gridaudit.grid import parse_snapshot_file
+from gridaudit.grid import parse_snapshot_file, snapshot_digest
 from gridaudit.ledger import Ledger, serialize_ingest
 
 SNAP_1 = """SNAP1\twb1\t2024-03-01T09:00:00Z\talice
@@ -323,6 +328,20 @@ class TestQueries:
         assert capsys.readouterr().out == expected
 
 
+class TestIngestParsesOneSnapshot:
+    def test_only_the_new_snapshot_is_parsed(self, capsys, files, tmp_path, monkeypatch):
+        later = tmp_path / "s3.snap"
+        later.write_text(SNAP_2.replace("2024-03-02", "2024-03-03").replace("N\t10", "N\t11"))
+        for snap_file in ("s1.snap", "s2.snap"):
+            run(["ingest", files["ledger"], files[snap_file], "--policy", files["policy.txt"]])
+        parses = []
+        parse = gridaudit.grid.parse_snapshot_file
+        for module in (gridaudit.grid, gridaudit.cli):
+            monkeypatch.setattr(module, "parse_snapshot_file", lambda text: parses.append(text) or parse(text))
+        assert run(["ingest", files["ledger"], str(later), "--policy", files["policy.txt"]]) == 0
+        assert parses == [later.read_text()]
+
+
 class TestMissingObject:
     def test_check_reports_missing_object_as_integrity_error(self, capsys, files, tmp_path):
         # a trend rule replays S!A1's history from the first stored object
@@ -603,6 +622,38 @@ class TestDamagedChangeSet:
             assert captured.err.startswith("error: bad change set header")
 
 
+    @pytest.mark.parametrize(
+        "damage, cell_lines",
+        [
+            ("malformed", ["S\tA1\tV\tN\t6", "S\tB1\tV\tN\tten"]),
+            ("duplicate", ["S\tA1\tV\tN\t6", "S\tA1\tV\tN\t6", "S\tB1\tV\tN\t10"]),
+            ("out-of-order", ["S\tB1\tV\tN\t10", "S\tA1\tV\tN\t6"]),
+        ],
+    )
+    def test_a_bad_line_in_the_latest_objects_unchanged_part_is_an_integrity_error(
+        self, capsys, files, tmp_path, damage, cell_lines
+    ):
+        # the latest object rewritten with a bad line among cells the next
+        # ingest leaves as they are, named by the digest of its lines, and
+        # the log re-chained to name it: every hash still holds
+        forged = sha256_hex(("SNAP1\twb1\n" + "".join(line + "\n" for line in cell_lines)).encode())
+        latest = snapshot_digest(parse_snapshot_file(SNAP_2))
+        damaged = tmp_path / "damaged"
+        self._rechain(files, damaged, lambda r: r.payload.replace(latest.encode(), forged.encode()))
+        header = SNAP_2.split("\n")[0]
+        (damaged / "objects" / forged).write_text("".join(f"{line}\n" for line in [header, *cell_lines]))
+        later = tmp_path / "s3.snap"
+        later.write_text(SNAP_2.replace("2024-03-02", "2024-03-03") + "S\tC1\tV\tN\t1\n")
+        capsys.readouterr()
+        assert run(["verify", str(damaged)]) == 0
+        before = TestReadOnlyCommands._listing(damaged)
+        capsys.readouterr()
+        assert run(["ingest", str(damaged), str(later)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"integrity error: stored object {forged[:12]}... does not parse: ")
+        assert TestReadOnlyCommands._listing(damaged) == before
+
     def test_a_record_out_of_place_is_an_integrity_error(self, capsys, files, tmp_path):
         # the change set re-appended after its FINDINGS: the log verifies,
         # but the second ingest's records are out of order
@@ -681,6 +732,42 @@ class TestNumberRange:
         assert run(["ingest", files["ledger"], files["s1.snap"]]) == 0
         assert run(["ingest", files["ledger"], str(path)]) == 1
         assert run(["verify", files["ledger"]]) == 0
+
+
+class TestTrendPastTheFloatRange:
+    POLICY = "workbook = wb1\n\n[trend]\ncell = S!A1\nwindow = 5\n"
+    # past the float range; the last is an outlier of the five before it
+    VALUES = [1, 2, 3, 4, 5, 6, 70]
+
+    def _ingest_all(self, tmp_path, *policy):
+        ledger = str(tmp_path / "ledger")
+        codes = []
+        for day, value in enumerate(self.VALUES, 1):
+            path = tmp_path / f"s{day}.snap"
+            path.write_text(f"SNAP1\twb1\t2024-03-0{day}T09:00:00Z\talice\nS\tA1\tV\tN\t{value}e400\n")
+            codes.append(run(["ingest", ledger, str(path), *policy]))
+        return ledger, codes
+
+    def test_trend_prints_a_verdict(self, capsys, tmp_path):
+        ledger, _ = self._ingest_all(tmp_path)
+        capsys.readouterr()
+        assert run(["trend", ledger, "S!A1", "--window", "5"]) == 0
+        *points, verdict = capsys.readouterr().out.splitlines()
+        assert points == [f"2024-03-0{day}T09:00:00Z\t{value * 10**400}" for day, value in enumerate(self.VALUES, 1)]
+        fields = dict(field.split("=") for field in verdict.split("\t")[1:])
+        mean, sd, z = exact_trend_stats(self.VALUES[1:-1], self.VALUES[-1])
+        assert fields["mean"] == f"{4 * 10**400}.000000"
+        assert abs(Decimal(fields["stddev"]).scaleb(-400) - sd) <= Decimal("1e-20")
+        assert (fields["z"], fields["violated"]) == (f"{z:.6f}", "true")
+
+    def test_ingest_and_check_flag_the_outlier(self, capsys, tmp_path):
+        policy = tmp_path / "policy.txt"
+        policy.write_text(self.POLICY)
+        ledger, codes = self._ingest_all(tmp_path, "--policy", str(policy))
+        assert codes == [0, 0, 0, 0, 0, 0, 1]
+        assert capsys.readouterr().out.split("\t")[:3] == ["critical", "TREND_DEVIATION", "S!A1"]
+        assert run(["check", ledger, "--policy", str(policy)]) == 1
+        assert capsys.readouterr().out.split("\t")[:3] == ["critical", "TREND_DEVIATION", "S!A1"]
 
 
 class TestNonFiniteNumbers:

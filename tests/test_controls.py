@@ -2,7 +2,7 @@
 
 import itertools
 from datetime import datetime, timezone
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -253,6 +253,27 @@ class TestTrendDeviation:
         verdict = trend_deviation(series(values), Decimal(11), rule)
         # only the last five points matter, so 11 is unremarkable
         assert not verdict.violated
+
+    @pytest.mark.parametrize(
+        "values, new, exponent",
+        [
+            ([f"{k}e400" for k in range(1, 7)], "7e400", 0),
+            # the oracle's Fractions cannot square these: it judges the
+            # values scaled by 10**-999999, which leaves z unchanged
+            ([f"-{k}e999999" for k in range(1, 7)], "9e999999", 999999),
+            ([f"{k}e-400" for k in (1, 3, 2, 3, 1)], "30e-400", 0),
+            (["1e308", "1.7e308", "1e308", "1.7e308", "1e308"], "1e308", 0),
+        ],
+        ids=["past-float-max", "range-ends", "below-float-min", "sums-past-float-max"],
+    )
+    def test_values_that_do_not_fit_a_float_are_judged_in_decimal(self, values, new, exponent):
+        verdict = trend_deviation(series(values), Decimal(new), self.RULE)
+        mean, sd, z = exact_trend_stats([Decimal(v).scaleb(-exponent) for v in values], Decimal(new).scaleb(-exponent))
+        with localcontext(Context(prec=50, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            expected = (mean.scaleb(exponent), sd.scaleb(exponent), z)
+            for actual, want in zip((verdict.mean, verdict.stddev, verdict.z), expected):
+                assert abs(actual - want) <= abs(want) * Decimal("1e-30")
+        assert verdict.violated == (abs(z) > 3)
 
     def test_in_band_value_passes(self):
         verdict = trend_deviation(series([10, 12, 11, 13, 10]), Decimal(12), self.RULE)

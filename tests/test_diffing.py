@@ -1,13 +1,17 @@
 """Cell-level diffing, classification, replay and volatility metrics."""
 
 import random
+import re
 from datetime import timedelta
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import T0, addr, hours, mutate_snapshot, random_snapshot, snap
+from conftest import CONTENTS, T0, addr, hours, mutate_snapshot, random_snapshot, snap
+from oracles import diff_snapshots_by_address
 
 from gridaudit.diffing import (
     ChangeKind,
@@ -21,7 +25,21 @@ from gridaudit.diffing import (
     replay,
     volatility_metrics,
 )
-from gridaudit.grid import Formula, Literal, Number, snapshot_digest
+from gridaudit.grid import (
+    CellAddress,
+    CellLines,
+    Formula,
+    Literal,
+    Number,
+    Snapshot,
+    read_stored_lines,
+    snapshot_digest,
+    write_snapshot_file,
+)
+
+# sheet names equal but for case, and number spellings that render alike
+_ADDRESSES = st.builds(CellAddress, st.sampled_from(["S", "s", "T"]), st.integers(1, 3), st.integers(1, 2))
+_CONTENTS = CONTENTS | st.sampled_from(["1", "1.0", "1e0", "10E-1", "-2"]).map(lambda t: Literal(Number(Decimal(t))))
 
 
 class TestClassify:
@@ -225,3 +243,46 @@ class TestRandomizedProperties:
             assert 0 <= metrics.structural_volatility <= 1
             assert 0 <= metrics.data_volatility <= 1
             assert metrics.added_fraction >= 0
+
+
+class TestMergeAgainstTheOracle:
+    """The merge over cell lines against the diff that keys both cells
+    dicts by address and compares content objects."""
+
+    @staticmethod
+    def _pair(base, edits):
+        before = Snapshot("wb1", T0, "alice", dict(base))
+        cells = dict(base)
+        for address, content in edits.items():
+            cells.pop(address, None)  # so a re-added cell keeps the edit's sheet spelling
+            if content is not None:
+                cells[address] = content
+        return before, Snapshot("wb1", T0 + hours(1), "bob", cells)
+
+    @staticmethod
+    def _spelt(events):
+        return [(str(e.address), e) for e in events]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(_ADDRESSES, _CONTENTS, max_size=8),
+        st.dictionaries(_ADDRESSES, st.none() | _CONTENTS, max_size=6),
+        st.sampled_from(["", ".0", "e0", "0E-1"]),
+    )
+    def test_merge_matches_the_oracle(self, base, edits, respelling):
+        before, after = self._pair(base, edits)
+        expected = diff_snapshots_by_address(before, after)
+        # from the parsed inputs, as the diff command feeds it
+        changes = diff_snapshots(before, after)
+        assert changes == expected
+        assert self._spelt(changes.events) == self._spelt(expected.events)
+        # from stored bytes, as ingest feeds it; a number line spelt
+        # otherwise is not the canonical line, but parses to the same
+        # content and so makes no event
+        head, *lines, end = write_snapshot_file(before).split("\n")
+        lines = [line + respelling if re.search(r"\tN\t-?[0-9]+$", line) else line for line in lines]
+        workbook_id, stored = read_stored_lines("\n".join([head, *lines, end]))
+        fed = diff_snapshots(before, after, lines=(stored, CellLines(after.cells)))
+        assert workbook_id == "wb1"
+        assert self._spelt(fed.events) == self._spelt(expected.events)
+        assert (fed.from_digest == expected.from_digest) == (list(stored) == list(CellLines(before.cells)))

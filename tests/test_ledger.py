@@ -160,6 +160,19 @@ class TestIngest:
         assert ledger.records[-1].payload == b"month close\\tAPP-42 \\\\ reviewed"
         assert ledger.records[-1].body == sign_off
 
+    @pytest.mark.parametrize("attested", [False, True], ids=["revert", "attested-reingest"])
+    def test_a_change_set_starts_at_the_latest_ingest(self, ledger, attested):
+        # content seen before (a revert) or ingested again with a sign-off
+        # keeps its first object, whose header holds the time it was first seen
+        values = [1, 1, 4] if attested else [1, 2, 1, 4]
+        for day, value in enumerate(values):
+            att = "approved" if attested and day == 1 else None
+            ledger.ingest_snapshot(snap({"S!A1": value}, at=T0 + timedelta(days=day), att=att))
+        changes = Ledger.open(ledger.directory).changesets()
+        assert [(c.from_time, c.to_time) for c in changes] == [
+            (T0 + timedelta(days=day), T0 + timedelta(days=day + 1)) for day in range(len(values) - 1)
+        ]
+
     def test_audit_findings_recorded_on_ingest(self, ledger):
         ingest_sequence(
             ledger,
