@@ -288,8 +288,9 @@ def trend_deviation(series: "CellSeries", new_value: Decimal, rule: TrendRule) -
     from statistics import fmean, stdev  # only here: only trend rules need it, and it loads fractions
 
     prior = [v.value for _, v in series.points if isinstance(v, Number)][-rule.window :]
-    floats = [float(v) for v in (*prior, new_value)]
-    if all(isfinite(f) and (f or not v) for f, v in zip(floats, (*prior, new_value))):
+    values = [*prior, new_value]
+    floats = [float(v) for v in values]
+    if all(isfinite(f) and (f or not v) for f, v in zip(floats, values)):
         try:
             return _trend_verdict(series.address, new_value, rule, floats[:-1], floats[-1], fmean, stdev)
         except OverflowError:  # a sum in fmean or stdev past the float range
