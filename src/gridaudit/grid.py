@@ -480,7 +480,9 @@ class CellLines:
     re-hashed without re-rendering the cells it did not touch.
 
     CellLines.stored holds a file's lines as stored instead, each parsed
-    only when cell or address asks for it."""
+    only when cell or address asks for it.  cells parses every line and
+    checks their order, so set and remove, which bisect on the addresses,
+    find any line once it has run."""
 
     def __init__(self, cells: dict[CellAddress, CellContent]):
         self._addresses: list[CellAddress | None] = sorted(cells, key=CellAddress.sort_key)
@@ -492,8 +494,7 @@ class CellLines:
         """The cell lines of a snapshot file as stored, in file order, line
         0 being the file's line first_lineno.  No line is parsed here.
         They are the canonical lines only if they hash to the snapshot's
-        digest, which the caller checks; set and remove need every
-        address parsed."""
+        digest, which the caller checks."""
         self = cls({})
         self._addresses, self._lines, self._first_lineno = [None] * len(lines), lines, first_lineno
         return self
@@ -514,6 +515,18 @@ class CellLines:
     def address(self, i: int) -> CellAddress:
         """The address of line i, parsed the first time it is asked for."""
         return self._addresses[i] or self.cell(i)[0]
+
+    def cells(self) -> dict[CellAddress, CellContent]:
+        """The cells of every line, each line parsed once, here.  Each line
+        must sort strictly after the one before it, so a blank, malformed,
+        repeated or out-of-order line raises SnapshotError (BadAddress)."""
+        cells, previous = {}, ()  # () sorts before every key
+        for i in range(len(self._lines)):
+            address, content = self.cell(i)
+            if address.sort_key() <= previous:
+                raise BadAddress(self._first_lineno + i, f"{address} does not sort after the cell line before it")
+            cells[address], previous = content, address.sort_key()
+        return cells
 
     def set(self, address: CellAddress, content: CellContent) -> None:
         """The line for cells[address] = content: like a dict key, a cell
@@ -606,27 +619,16 @@ def parse_snapshot_file(content: str) -> Snapshot:
     return Snapshot(workbook_id, timestamp, actor, cells, attestation)
 
 
-def read_stored_lines(content: str) -> tuple[str, CellLines]:
-    """The workbook id and the cell lines of a snapshot file as stored,
-    with the header and ATTEST line checked as parse_snapshot_file checks
-    them and no cell line parsed (CellLines.stored).  The lines are the
-    canonical ones only if they hash to the snapshot's digest, which the
-    caller checks (a file not ending in a newline fails that check)."""
+def read_stored_lines(content: str) -> tuple[str, datetime, str, str | None, CellLines]:
+    """The header fields (workbook id, timestamp, actor and attestation)
+    and the cell lines of a snapshot file as stored, with the header and
+    ATTEST line checked as parse_snapshot_file checks them and no cell
+    line parsed (CellLines.stored).  The lines are the canonical ones only
+    if they hash to the snapshot's digest, which the caller checks (a file
+    not ending in a newline fails that check)."""
     lines = content.split("\n")
-    workbook_id, _, _, _, start = _parse_head(lines[:-1])
-    return workbook_id, CellLines.stored(lines[start:-1], start + 1)
-
-
-def parse_stored_snapshot(content: str) -> tuple[Snapshot, CellLines]:
-    """A snapshot file and its cell lines as stored, not re-rendered.
-    They are the canonical lines only if they hash to the snapshot's
-    digest, which the caller checks (a file not ending in a newline
-    fails that check)."""
-    snapshot = parse_snapshot_file(content)
-    lines = CellLines({})
-    lines._addresses = list(snapshot.cells)  # file order
-    lines._lines = content.split("\n")[1 if snapshot.attestation is None else 2 : -1]
-    return snapshot, lines
+    *head, start = _parse_head(lines[:-1])
+    return *head, CellLines.stored(lines[start:-1], start + 1)
 
 
 def encode_content(content: CellContent) -> str:

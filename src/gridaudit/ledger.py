@@ -39,21 +39,24 @@ History comes from the first stored snapshot plus the change sets, which
 must link each ingested digest to the next.  Usage metrics, cell series
 and cell histories replay them, each step checked against its to_digest
 (diffing.replay); each payload is decoded once per process
-(LedgerRecord.body).  An object's name must be a digest before it becomes
-a path, and its cell lines must hash to it, as stored, when it is first
-read; a snapshot's timestamp, actor and ATTEST line are outside that hash,
-so no verdict reads them from objects/.  load_snapshot parses an object
-once per Ledger; the replays parse only the first.  An ingest reads the
-latest object's lines as stored and diffs the new snapshot against them,
-so it parses only the lines that changed (diffing.diff_snapshots), and
-takes the ledger's workbook id from that object's header, which the hash
-covers.  workbook_id reads the first object's header the same way.
+(LedgerRecord.body).  Every object read goes through one check, once per
+Ledger (_object): the name must be a digest before it becomes a path, and
+the header must parse and the cell lines, as stored, hash to the name.  A
+snapshot's timestamp, actor and ATTEST line are outside that hash, so no
+verdict reads them from objects/.  The checked lines are the only source
+of an object's cells: CellLines.cells parses each once per Ledger, and a
+blank, malformed, repeated or out-of-order line raises DigestMismatch.
+An ingest diffs the new snapshot against the latest object's lines, so it
+parses only the lines that changed (diffing.diff_snapshots); its workbook
+id, like workbook_id's, comes from an object's header, which the hash
+covers.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
+import os
 import re
 from collections.abc import Iterator
 from datetime import datetime
@@ -79,7 +82,6 @@ from .grid import (
     parse_a1,
     parse_instant,
     parse_location,
-    parse_stored_snapshot,
     read_stored_lines,
     record,
     split_fields,
@@ -289,13 +291,11 @@ class Ledger:
         self.directory = directory
         self.raw_lines: list[str] = [] if raw_lines is None else raw_lines
         self._objects: dict[str, bytes] = {}
-        # digest -> the object (parsed, or the snapshot this ledger stored) and its cell lines
-        self._parsed: dict[str, tuple[Snapshot, CellLines]] = {}
-        # digest -> workbook id and cell lines of an object checked but not parsed
-        self._checked: dict[str, tuple[str, CellLines]] = {}
+        # digest -> the object's header as a Snapshot, with its cells once
+        # parsed, and its cell lines
+        self._stored: dict[str, tuple[Snapshot, CellLines]] = {}
         self._records: list[LedgerRecord] = []  # the valid records before any corrupt line
         self._corrupt: LedgerCorrupt | None = None
-        self._workbook_id: str | None = None
         self._replay_checked_at = -1  # record count when the change sets last replayed
         prev = GENESIS_HASH
         for i, line in enumerate(self.raw_lines):
@@ -344,45 +344,57 @@ class Ledger:
 
     @property
     def workbook_id(self) -> str | None:
-        """The workbook id in the first object's header, read as
-        _stored_lines reads it: no cell line is parsed for it."""
-        if self._workbook_id is None:
-            for entry in self.entries()[:1]:
-                self._workbook_id = self._stored_lines(entry.ingest.body[0])[0]
-        return self._workbook_id
+        """The workbook id in the first object's header; no cell line is
+        parsed for it."""
+        entries = self.entries()
+        return self._object(entries[0].ingest.body[0])[0].workbook_id if entries else None
 
     # --- object store ---
 
     def store_snapshot(self, snapshot: Snapshot, lines: CellLines | None = None) -> str:
         """Store the snapshot's bytes under its digest; lines, if given,
         are its CellLines, already rendered.  The snapshot stands in for
-        the parse of those bytes, which it equals."""
+        the parse of those bytes, which it equals.  The bytes go to a temp
+        file first and are renamed onto the digest name, so a write cut
+        short never leaves a torn object under that name."""
         lines = CellLines(snapshot.cells) if lines is None else lines
         digest = lines.digest(snapshot.workbook_id)
         if digest not in self._objects:
             self._objects[digest] = write_snapshot_file(snapshot, lines).encode("utf-8")
-            self._parsed[digest] = (_own_cells(snapshot), lines)
+            self._stored[digest] = (_own_cells(snapshot), lines)
             if self.directory is not None:
                 path = self.directory / "objects" / digest
                 if not path.exists():
                     path.parent.mkdir(parents=True, exist_ok=True)
-                    path.write_bytes(self._objects[digest])
+                    temp = path.with_suffix(".tmp")
+                    temp.write_bytes(self._objects[digest])
+                    os.replace(temp, path)
         return digest
 
     def load_snapshot(self, digest: str) -> Snapshot:
         """The stored snapshot named by digest, with a cells dict of its own."""
-        return _own_cells(self._stored(digest)[0])
+        return _own_cells(self._parsed(digest))
 
-    def _stored_lines(self, digest: str) -> tuple[str, CellLines]:
-        """The workbook id and cell lines of the object named by digest, as
-        stored (grid.read_stored_lines): its header is checked and its
-        lines hashed against its name, once per ledger, and no cell line
-        is parsed.  A name that is not a digest is refused before it
-        becomes a path."""
-        if digest in self._parsed:
-            snapshot, lines = self._parsed[digest]
-            return snapshot.workbook_id, lines
-        if digest not in self._checked:
+    def _parsed(self, digest: str) -> Snapshot:
+        """The object named by digest with its cells, built from its checked
+        lines once per ledger (CellLines.cells, which leaves every address of
+        those lines parsed); a bad line raises DigestMismatch."""
+        snapshot, lines = self._object(digest)
+        if not snapshot.cells:  # not parsed yet, or no cells to parse
+            try:
+                snapshot.cells.update(lines.cells())
+            except SnapshotError as exc:
+                raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
+        return snapshot
+
+    def _object(self, digest: str) -> tuple[Snapshot, CellLines]:
+        """The header of the object named by digest, as a Snapshot whose
+        cells _parsed fills, and its cell lines as stored
+        (grid.read_stored_lines).  It is checked once per ledger: a name
+        that is not a digest is refused before it becomes a path, the
+        object must exist, and its header must parse and its lines, as
+        stored, hash to its name."""
+        if digest not in self._stored:
             if not _HEX64_RE.fullmatch(digest):
                 seq = next((e.ingest.seq for e in self.entries() if e.ingest.body[0] == digest), "?")
                 raise diffing.DigestMismatch(f"ledger record {seq} names object {digest!r}, which is not a digest")
@@ -391,7 +403,7 @@ class Ledger:
                 raise MissingObject(f"no stored snapshot for digest {digest[:12]}...")
             data = path.read_bytes()
             try:
-                workbook_id, lines = read_stored_lines(data.decode("utf-8"))
+                workbook_id, timestamp, actor, attestation, lines = read_stored_lines(data.decode("utf-8"))
             except ValueError as exc:  # undecodable bytes or a malformed header
                 raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
             # hashed as stored, so a line that parses to the same cell but is
@@ -399,20 +411,8 @@ class Ledger:
             if lines.digest(workbook_id) != digest:
                 raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not hash to its name")
             self._objects[digest] = data
-            self._checked[digest] = (workbook_id, lines)
-        return self._checked[digest]
-
-    def _stored(self, digest: str) -> tuple[Snapshot, CellLines]:
-        """The object named by digest, checked as _stored_lines checks it,
-        then parsed, once per ledger, with its cell lines as stored."""
-        if digest not in self._parsed:
-            self._stored_lines(digest)
-            del self._checked[digest]  # the parse reads the lines again
-            try:
-                self._parsed[digest] = parse_stored_snapshot(self._objects[digest].decode("utf-8"))
-            except ValueError as exc:  # a malformed cell line
-                raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
-        return self._parsed[digest]
+            self._stored[digest] = (Snapshot(workbook_id, timestamp, actor, attestation=attestation), lines)
+        return self._stored[digest]
 
     # --- appends ---
 
@@ -463,7 +463,8 @@ class Ledger:
         entries = self.entries()
         if entries:
             first = entries[0].ingest.body[0]
-            replayed = diffing.replay(self.load_snapshot(first), self.changesets(), self._stored(first)[1])
+            # load_snapshot parses every line, as the replay's edits need
+            replayed = diffing.replay(self.load_snapshot(first), self.changesets(), self._object(first)[1])
             for entry, s in zip(entries, replayed):
                 yield Snapshot(s.workbook_id, s.timestamp, s.actor, s.cells, entry.attest and entry.attest.body)
 
@@ -492,7 +493,7 @@ class Ledger:
         ingests = self.ingests()
         if not ingests:
             return CellSeries(address, ())
-        content = self._stored(ingests[0][0])[0].cells.get(address)
+        content = self._parsed(ingests[0][0]).cells.get(address)
         states = [(ingests[0][1], content)]
         for changes in self._replayed_changesets():
             for event in changes.events:
@@ -536,10 +537,10 @@ class Ledger:
         if ingests:
             # the diff base: the latest object's lines as stored, and the
             # workbook id in its header (ingest keeps one id per ledger)
-            existing, previous_lines = self._stored_lines(ingests[-1][0])
-            if snapshot.workbook_id != existing:
+            latest, previous_lines = self._object(ingests[-1][0])
+            if snapshot.workbook_id != latest.workbook_id:
                 raise diffing.WorkbookMismatch(
-                    f"ledger tracks {existing!r}, snapshot is {snapshot.workbook_id!r}"
+                    f"ledger tracks {latest.workbook_id!r}, snapshot is {snapshot.workbook_id!r}"
                 )
         if policy is not None and policy.workbook_id != snapshot.workbook_id:
             raise diffing.WorkbookMismatch(
@@ -559,7 +560,7 @@ class Ledger:
                 )
             # the change set starts at the latest INGEST record's time: the
             # object's header keeps the time its content was first seen
-            previous = Snapshot(existing, last_at, last_actor)
+            previous = Snapshot(latest.workbook_id, last_at, last_actor)
             try:
                 changes = diffing.diff_snapshots(
                     previous, snapshot, digests=(last_digest, digest), lines=(previous_lines, lines)

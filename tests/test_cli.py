@@ -1,16 +1,33 @@
 """Command-line behavior: subcommands, exit codes, output streams."""
 
+import io
 import json
+import pathlib
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CONTENTS, T0, hours
 from oracles import exact_trend_stats, sha256_hex
 
 import gridaudit.cli
 import gridaudit.grid
 from gridaudit.cli import run
-from gridaudit.grid import parse_snapshot_file, snapshot_digest
+from gridaudit.grid import (
+    MAX_EXPONENT,
+    CellAddress,
+    Formula,
+    Literal,
+    Number,
+    Snapshot,
+    parse_snapshot_file,
+    snapshot_digest,
+    write_snapshot_file,
+)
 from gridaudit.ledger import Ledger, serialize_ingest
 
 SNAP_1 = """SNAP1\twb1\t2024-03-01T09:00:00Z\talice
@@ -334,12 +351,16 @@ class TestIngestParsesOneSnapshot:
         later.write_text(SNAP_2.replace("2024-03-02", "2024-03-03").replace("N\t10", "N\t11"))
         for snap_file in ("s1.snap", "s2.snap"):
             run(["ingest", files["ledger"], files[snap_file], "--policy", files["policy.txt"]])
-        parses = []
-        parse = gridaudit.grid.parse_snapshot_file
+        parses, lines = [], []
+        parse, parse_line = gridaudit.grid.parse_snapshot_file, gridaudit.grid._parse_cell_line
         for module in (gridaudit.grid, gridaudit.cli):
             monkeypatch.setattr(module, "parse_snapshot_file", lambda text: parses.append(text) or parse(text))
+        monkeypatch.setattr(gridaudit.grid, "_parse_cell_line", lambda n, line: lines.append(line) or parse_line(n, line))
         assert run(["ingest", files["ledger"], str(later), "--policy", files["policy.txt"]]) == 0
         assert parses == [later.read_text()]
+        # the new file's two lines, then the merge's two sides of the one
+        # changed cell: the latest object's unchanged line is never parsed
+        assert lines == ["S\tA1\tV\tN\t6", "S\tB1\tV\tN\t11", "S\tB1\tV\tN\t10", "S\tB1\tV\tN\t11"]
 
 
 class TestMissingObject:
@@ -507,6 +528,40 @@ class TestForgedObjectName:
             assert captured.err == f"integrity error: ledger record 0 names object {name!r}, which is not a digest\n"
 
 
+class TestTornObjectWrite:
+    @staticmethod
+    def _torn(monkeypatch):
+        """Make the next object write stop after half its bytes."""
+        write_bytes = pathlib.Path.write_bytes
+
+        def torn(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("write cut short")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", torn)
+
+    @pytest.mark.parametrize("which", ["first", "latest"])
+    def test_a_retried_ingest_stores_the_whole_object(self, capsys, files, tmp_path, monkeypatch, which):
+        # the ingest that was cut short appended nothing; the retry must
+        # not keep the half-written object under its digest name
+        ledger = files["ledger"]
+        if which == "latest":
+            assert run(["ingest", ledger, files["s1.snap"]]) == 0
+        cut_short = files["s1.snap" if which == "first" else "s2.snap"]
+        with monkeypatch.context() as patch:
+            self._torn(patch)
+            assert run(["ingest", ledger, cut_short]) == 2
+        assert run(["ingest", ledger, cut_short]) == 0
+        later = tmp_path / "s3.snap"
+        later.write_text(SNAP_2.replace("2024-03-02", "2024-03-03").replace("N\t10", "N\t11"))
+        assert run(["profile", ledger] if which == "first" else ["ingest", ledger, str(later)]) == 0
+        reopened = Ledger.open(ledger)
+        digests = [digest for digest, _, _ in reopened.ingests()]
+        assert sorted(p.name for p in (tmp_path / "ledger" / "objects").iterdir()) == sorted(digests)
+        for digest in digests:
+            reopened.load_snapshot(digest)  # raises unless whole and hashing to its name
+
+
 class TestReadOnlyCommands:
     @staticmethod
     def _listing(directory):
@@ -622,26 +677,34 @@ class TestDamagedChangeSet:
             assert captured.err.startswith("error: bad change set header")
 
 
-    @pytest.mark.parametrize(
-        "damage, cell_lines",
-        [
-            ("malformed", ["S\tA1\tV\tN\t6", "S\tB1\tV\tN\tten"]),
-            ("duplicate", ["S\tA1\tV\tN\t6", "S\tA1\tV\tN\t6", "S\tB1\tV\tN\t10"]),
-            ("out-of-order", ["S\tB1\tV\tN\t10", "S\tA1\tV\tN\t6"]),
-        ],
-    )
+    # bad cell lines for an object holding S!A1 = {a1} and S!B1 = 10
+    BAD_LINES = {
+        "blank": ["S\tA1\tV\tN\t{a1}", "", "S\tB1\tV\tN\t10"],
+        "malformed": ["S\tA1\tV\tN\t{a1}", "S\tB1\tV\tN\tten"],
+        "duplicate": ["S\tA1\tV\tN\t{a1}", "S\tA1\tV\tN\t{a1}", "S\tB1\tV\tN\t10"],
+        "out-of-order": ["S\tB1\tV\tN\t10", "S\tA1\tV\tN\t{a1}"],
+    }
+
+    def _forge(self, files, damaged, snap_text, cell_lines):
+        """The two-ingest ledger, re-chained onto a rewrite of the object
+        snap_text gave with the cell lines given, named by the digest of
+        its lines: every hash still holds.  Returns the forged name."""
+        forged = sha256_hex(("SNAP1\twb1\n" + "".join(line + "\n" for line in cell_lines)).encode())
+        genuine = snapshot_digest(parse_snapshot_file(snap_text))
+        self._rechain(files, damaged, lambda r: r.payload.replace(genuine.encode(), forged.encode()))
+        header = snap_text.split("\n")[0]
+        (damaged / "objects" / forged).write_text("".join(f"{line}\n" for line in [header, *cell_lines]))
+        return forged
+
+    @pytest.mark.parametrize("damage", sorted(BAD_LINES))
     def test_a_bad_line_in_the_latest_objects_unchanged_part_is_an_integrity_error(
-        self, capsys, files, tmp_path, damage, cell_lines
+        self, capsys, files, tmp_path, damage
     ):
         # the latest object rewritten with a bad line among cells the next
-        # ingest leaves as they are, named by the digest of its lines, and
-        # the log re-chained to name it: every hash still holds
-        forged = sha256_hex(("SNAP1\twb1\n" + "".join(line + "\n" for line in cell_lines)).encode())
-        latest = snapshot_digest(parse_snapshot_file(SNAP_2))
+        # ingest leaves as they are
         damaged = tmp_path / "damaged"
-        self._rechain(files, damaged, lambda r: r.payload.replace(latest.encode(), forged.encode()))
-        header = SNAP_2.split("\n")[0]
-        (damaged / "objects" / forged).write_text("".join(f"{line}\n" for line in [header, *cell_lines]))
+        cell_lines = [line.format(a1=6) for line in self.BAD_LINES[damage]]
+        forged = self._forge(files, damaged, SNAP_2, cell_lines)
         later = tmp_path / "s3.snap"
         later.write_text(SNAP_2.replace("2024-03-02", "2024-03-03") + "S\tC1\tV\tN\t1\n")
         capsys.readouterr()
@@ -653,6 +716,31 @@ class TestDamagedChangeSet:
         assert captured.out == ""
         assert captured.err.startswith(f"integrity error: stored object {forged[:12]}... does not parse: ")
         assert TestReadOnlyCommands._listing(damaged) == before
+
+    @pytest.mark.parametrize("damage", sorted(BAD_LINES))
+    def test_a_bad_line_in_the_first_object_is_an_integrity_error(self, capsys, files, tmp_path, damage):
+        # every replay starts from the first object and reads all of it
+        damaged = tmp_path / "damaged"
+        cell_lines = [line.format(a1=5) for line in self.BAD_LINES[damage]]
+        forged = self._forge(files, damaged, SNAP_1, cell_lines)
+        trend_policy = tmp_path / "trend.txt"
+        trend_policy.write_text("workbook = wb1\n\n[trend]\ncell = S!A1\n")
+        capsys.readouterr()
+        assert run(["verify", str(damaged)]) == 0
+        before = TestReadOnlyCommands._listing(damaged)
+        capsys.readouterr()
+        for argv in (
+            ["trend", str(damaged), "S!A1"],
+            ["history", str(damaged), "S!A1"],
+            ["profile", str(damaged)],
+            ["report", str(damaged), "--policy", files["policy.txt"], *TestReport.ARGS],
+            ["check", str(damaged), "--policy", str(trend_policy)],
+        ):
+            assert run(argv) == 3, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"integrity error: stored object {forged[:12]}... does not parse: ")
+            assert TestReadOnlyCommands._listing(damaged) == before
 
     def test_a_record_out_of_place_is_an_integrity_error(self, capsys, files, tmp_path):
         # the change set re-appended after its FINDINGS: the log verifies,
@@ -844,3 +932,67 @@ class TestInternalError:
         err = capsys.readouterr().err
         assert "Traceback (most recent call last)" in err
         assert err.rstrip().endswith("RuntimeError: audit crashed")
+
+
+# zero, or a number with any adjusted exponent a snapshot or policy accepts
+NUMBERS = st.just(Decimal(0)) | st.builds(
+    lambda sign, digit, fraction, exponent: Decimal(f"{sign}{digit}{fraction}e{exponent}"),
+    st.sampled_from(["", "-"]),
+    st.integers(1, 9),
+    st.sampled_from(["", ".5", ".25"]),
+    st.integers(-MAX_EXPONENT, MAX_EXPONENT),
+)
+_CELLS = [CellAddress("S", row, col) for row in (1, 2) for col in (1, 2)]
+_NUMBER_CONTENTS = NUMBERS.map(lambda n: Literal(Number(n))) | NUMBERS.map(lambda n: Formula(f"=S!A1*{n:E}", Number(n)))
+_STANZAS = [
+    "[trend]\ncell = S!A1\nwindow = 5\n",
+    "[region]\nrange = S!B1:B2\nmode = FORMULA_MAINTAINED\n",
+    "[cadence]\nrange = S!A1:B2\nwindow = Mon-Fri 9-17\n",
+    "[workflow]\nstep = load S!A1\nstep = calc S!B1\n",
+]
+
+
+@st.composite
+def _policies(draw):
+    low, high = sorted([draw(NUMBERS), draw(NUMBERS)])
+    stanzas = draw(st.lists(st.sampled_from([*_STANZAS, f"[bounds]\nrange = S!A1:B2\nmin = {low}\nmax = {high}\n"]), unique=True))
+    return "\n".join(["workbook = wb1\n", *stanzas])
+
+
+class TestNoInternalError:
+    """Generated snapshots and policies through every command that reads
+    them: each ends in a verdict or a documented exit code, never exit 4."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.dictionaries(st.sampled_from(_CELLS), CONTENTS | _NUMBER_CONTENTS, max_size=3), st.none() | NUMBERS),
+            min_size=2,
+            max_size=7,
+        ),
+        _policies(),
+    )
+    def test_no_command_exits_four(self, sequence, policy_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, (cells, a1) in enumerate(sequence):
+                if a1 is not None:  # S!A1 holds the trend rule's series
+                    cells = {**cells, _CELLS[0]: Literal(Number(a1))}
+                paths.append(f"{tmp}/s{i}.snap")
+                pathlib.Path(paths[-1]).write_text(write_snapshot_file(Snapshot("wb1", T0 + hours(i), "alice", cells)))
+            policy, ledger = f"{tmp}/policy.txt", f"{tmp}/ledger"
+            pathlib.Path(policy).write_text(policy_text)
+            commands = [["ingest", ledger, path, "--policy", policy] for path in paths] + [
+                ["check", ledger, "--policy", policy],
+                ["trend", ledger, "S!A1", "--window", "5"],
+                ["history", ledger, "S!A1"],
+                ["profile", ledger],
+                ["report", ledger, "--policy", policy, *TestReport.ARGS],
+                ["audit", paths[-1]],
+                ["diff", paths[0], paths[-1]],
+            ]
+            for argv in commands:
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = run(argv)
+                assert code in (0, 1, 2, 3), (argv[0], err.getvalue()[-2000:])

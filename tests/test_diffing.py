@@ -281,7 +281,7 @@ class TestMergeAgainstTheOracle:
         # content and so makes no event
         head, *lines, end = write_snapshot_file(before).split("\n")
         lines = [line + respelling if re.search(r"\tN\t-?[0-9]+$", line) else line for line in lines]
-        workbook_id, stored = read_stored_lines("\n".join([head, *lines, end]))
+        workbook_id, *_, stored = read_stored_lines("\n".join([head, *lines, end]))
         fed = diff_snapshots(before, after, lines=(stored, CellLines(after.cells)))
         assert workbook_id == "wb1"
         assert self._spelt(fed.events) == self._spelt(expected.events)

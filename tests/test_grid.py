@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, addr, snap
+from conftest import T0, addr, cell, snap
 from oracles import sha256_hex, unescape_by_char
 
 from gridaudit.grid import (
@@ -15,6 +15,7 @@ from gridaudit.grid import (
     BadTimestamp,
     Boolean,
     CellAddress,
+    CellLines,
     DuplicateCell,
     ErrorValue,
     Formula,
@@ -23,6 +24,7 @@ from gridaudit.grid import (
     Number,
     Region,
     Snapshot,
+    SnapshotError,
     Text,
     _unescape,
     canonical_decimal,
@@ -32,6 +34,7 @@ from gridaudit.grid import (
     parse_location,
     parse_region,
     parse_snapshot_file,
+    read_stored_lines,
     snapshot_digest,
     write_snapshot_file,
 )
@@ -169,6 +172,42 @@ class TestSnapshotFile:
         assert "2024-03-01T09:00:00Z" in write_snapshot_file(parsed)
 
 
+class TestStoredLines:
+    """read_stored_lines keeps a file's cell lines as stored; CellLines.cells
+    parses them, each once, and holds them to the order the writer gives."""
+
+    TEXT = write_snapshot_file(snap({"S!A1": 1, "S!A2": 2, "S!B2": "x"}))  # lines 2-4: A1, A2, B2
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("blank", "line 3: cell line needs a sheet and an address: ''"),
+            ("repeated", "line 4: S!A2 does not sort after the cell line before it"),
+            ("swapped", "line 4: S!A2 does not sort after the cell line before it"),
+        ],
+    )
+    def test_a_bad_line_raises(self, damage, message):
+        head, *lines, end = self.TEXT.split("\n")
+        if damage == "blank":
+            lines[1] = ""
+        elif damage == "repeated":
+            lines.insert(1, lines[1])
+        else:
+            lines[1], lines[2] = lines[2], lines[1]
+        *_, stored = read_stored_lines("\n".join([head, *lines, end]))
+        with pytest.raises(SnapshotError, match=f"^{message}$"):
+            stored.cells()
+
+    def test_set_and_remove_edit_the_lines_once_cells_has_run(self):
+        *_, stored = read_stored_lines(self.TEXT)
+        cells = stored.cells()
+        stored.set(addr("S!A3"), cell(3))
+        stored.remove(addr("S!A1"))
+        cells[addr("S!A3")] = cell(3)
+        del cells[addr("S!A1")]
+        assert list(stored) == list(CellLines(cells))
+
+
 class TestDigest:
     def test_actor_and_timestamp_excluded(self):
         cells = {"S!A1": 7, "S!B2": "=A1+1"}
@@ -292,7 +331,11 @@ class TestProperties:
     @given(_snapshot)
     @settings(max_examples=150, deadline=None)
     def test_round_trip(self, s):
-        assert parse_snapshot_file(write_snapshot_file(s)) == s
+        text = write_snapshot_file(s)
+        assert parse_snapshot_file(text) == s
+        # the stored read, its cells built from the lines as stored
+        workbook_id, timestamp, actor, attestation, lines = read_stored_lines(text)
+        assert Snapshot(workbook_id, timestamp, actor, lines.cells(), attestation) == s
 
     @given(_snapshot)
     @settings(max_examples=80, deadline=None)

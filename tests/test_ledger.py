@@ -24,12 +24,12 @@ from gridaudit.grid import (
     Number,
     Region,
     Text,
+    _parse_cell_line,
     decode_content,
     format_instant,
     join_fields,
     snapshot_digest,
 )
-from gridaudit.grid import parse_snapshot_file as parse
 from gridaudit import ledger as ledger_mod
 from gridaudit.ledger import (
     GENESIS_HASH,
@@ -383,9 +383,13 @@ class TestObjectCache:
         return Ledger.open(ledger.directory)
 
     def test_each_object_is_parsed_once(self, ledger, monkeypatch):
+        # counted per stored cell line: each line of each object read is
+        # parsed once per Ledger, whichever query reads it first
         reopened = self._ledger(ledger)
         parses = []
-        monkeypatch.setattr("gridaudit.grid.parse_snapshot_file", lambda text: parses.append(text) or parse(text))
+        monkeypatch.setattr(
+            "gridaudit.grid._parse_cell_line", lambda lineno, line: parses.append((lineno, line)) or _parse_cell_line(lineno, line)
+        )
         first, last = (digest for digest, _, _ in reopened.ingests())
         for _ in range(2):
             assert reopened.workbook_id == "wb1"
@@ -393,7 +397,13 @@ class TestObjectCache:
             reopened.change_history(addr("S!A1"))
             reopened.load_snapshot(first)
             reopened.load_snapshot(last)
-        assert len(parses) == 2
+        stored = [
+            (lineno, line)
+            for digest in (first, last)
+            for lineno, line in enumerate((ledger.directory / "objects" / digest).read_text().split("\n")[1:-1], 2)
+        ]
+        assert len(stored) == 4
+        assert sorted(parses) == sorted(stored)
 
     def test_each_load_has_cells_of_its_own(self, ledger):
         reopened = self._ledger(ledger)
