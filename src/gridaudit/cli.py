@@ -13,16 +13,27 @@ Findings print one per line on stdout as
 severity<TAB>rule_id<TAB>location<TAB>message; diagnostics go to stderr.
 Given identical inputs (and a fixed --generated-at for reports) every
 command produces byte-identical output.
+
+COMMANDS is the one description of the command line: each command's
+handler, help, positionals and options.  `run` reads a plain command line
+(every option spelled out in full, given once and followed by its value)
+from that table alone, as argparse would read it; argparse is imported,
+and builds its parser from the same table, only for anything else: help,
+usage errors, abbreviated options, --opt=value, -- and values that start
+with '-'.  Importing argparse and building its parsers would otherwise
+cost every command several milliseconds of start-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import fcntl
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import assess, audit, controls, diffing
 from . import ledger as ledger_mod
@@ -36,6 +47,9 @@ from .grid import (
     render_content,
     render_value,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -75,14 +89,50 @@ def _open_existing(ledger_dir: str) -> ledger_mod.Ledger:
 
 @contextmanager
 def _exclusive_lock(directory: Path):
-    """Writer lock for a ledger directory, held on the log file itself."""
-    directory.mkdir(parents=True, exist_ok=True)
-    with (directory / "ledger.log").open("a", encoding="utf-8") as fh:
+    """Writer lock for a ledger directory, held on the log file itself.
+
+    If the body raises in a directory that this call made, the empty
+    ledger it leaves is removed, so a rejected first ingest leaves no
+    directory for a read-only command to mistake for an empty ledger.  A
+    writer that was waiting on the removed log locks a new one."""
+    made = [path for path in (directory, *directory.parents) if not path.exists()]
+    log = directory / "ledger.log"
+    while True:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            fh = log.open("a", encoding="utf-8")
+        except FileNotFoundError:
+            if directory.is_dir():  # not removed just now by a rejected first ingest
+                raise
+            continue
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        with suppress(FileNotFoundError):
+            if os.path.samestat(os.fstat(fh.fileno()), log.stat()):
+                break
+        fh.close()
+    with fh:
         try:
             yield
+        except BaseException:
+            if made:
+                _remove_empty_ledger(directory, made)
+            raise
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+
+
+def _remove_empty_ledger(directory: Path, made: list[Path]) -> None:
+    """Remove the empty log and objects/ that a failed first ingest left,
+    then the directories in made, deepest first.  rmdir refuses a directory
+    that holds anything, so nothing written is removed."""
+    log, objects = directory / "ledger.log", directory / "objects"
+    with suppress(OSError):
+        if not log.stat().st_size:
+            if objects.exists():
+                objects.rmdir()
+            log.unlink()
+            for path in made:
+                path.rmdir()
 
 
 def _cmd_ingest(args) -> int:
@@ -209,76 +259,110 @@ def _cmd_verify(args) -> int:
     return EXIT_INTEGRITY
 
 
+# command -> (handler, help, positionals, options); each option maps to
+# the keyword arguments argparse's add_argument takes for it
+COMMANDS = {
+    "ingest": (
+        _cmd_ingest,
+        "record a snapshot in a ledger and evaluate controls",
+        ("ledger_dir", "snapshot"),
+        {"--policy": {}, "--config": {}},
+    ),
+    "audit": (_cmd_audit, "statically audit one snapshot file", ("snapshot",), {"--config": {}}),
+    "diff": (_cmd_diff, "cell-level differences between two snapshot files", ("snapshot_a", "snapshot_b"), {}),
+    "check": (
+        _cmd_check,
+        "re-evaluate the latest recorded delta against a policy",
+        ("ledger_dir",),
+        {"--policy": {"required": True}},
+    ),
+    "trend": (
+        _cmd_trend,
+        "value history and trend verdict for one cell",
+        ("ledger_dir", "cell"),
+        {"--window": {"type": int, "default": 20}},
+    ),
+    "history": (_cmd_history, "attributed change history for one cell", ("ledger_dir", "cell"), {}),
+    "profile": (_cmd_profile, "usage metrics, classification and risk score", ("ledger_dir",), {}),
+    "report": (
+        _cmd_report,
+        "compliance report over a period",
+        ("ledger_dir",),
+        {
+            "--from": {"required": True},
+            "--to": {"required": True},
+            "--policy": {"required": True},
+            "--out": {},
+            "--format": {"choices": ("text", "json"), "default": "text"},
+            "--generated-at": {},
+        },
+    ),
+    "verify": (_cmd_verify, "verify the ledger hash chain", ("ledger_dir",), {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # only here: importing it and building the parsers costs every command start-up
+
     parser = argparse.ArgumentParser(
         prog="gridaudit",
         description="Audit spreadsheet snapshots, track changes in a tamper-evident ledger, "
         "enforce control policies and render compliance reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="record a snapshot in a ledger and evaluate controls")
-    p.add_argument("ledger_dir")
-    p.add_argument("snapshot")
-    p.add_argument("--policy")
-    p.add_argument("--config")
-    p.set_defaults(handler=_cmd_ingest)
-
-    p = sub.add_parser("audit", help="statically audit one snapshot file")
-    p.add_argument("snapshot")
-    p.add_argument("--config")
-    p.set_defaults(handler=_cmd_audit)
-
-    p = sub.add_parser("diff", help="cell-level differences between two snapshot files")
-    p.add_argument("snapshot_a")
-    p.add_argument("snapshot_b")
-    p.set_defaults(handler=_cmd_diff)
-
-    p = sub.add_parser("check", help="re-evaluate the latest recorded delta against a policy")
-    p.add_argument("ledger_dir")
-    p.add_argument("--policy", required=True)
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("trend", help="value history and trend verdict for one cell")
-    p.add_argument("ledger_dir")
-    p.add_argument("cell")
-    p.add_argument("--window", type=int, default=20)
-    p.set_defaults(handler=_cmd_trend)
-
-    p = sub.add_parser("history", help="attributed change history for one cell")
-    p.add_argument("ledger_dir")
-    p.add_argument("cell")
-    p.set_defaults(handler=_cmd_history)
-
-    p = sub.add_parser("profile", help="usage metrics, classification and risk score")
-    p.add_argument("ledger_dir")
-    p.set_defaults(handler=_cmd_profile)
-
-    p = sub.add_parser("report", help="compliance report over a period")
-    p.add_argument("ledger_dir")
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
-    p.add_argument("--policy", required=True)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--generated-at", dest="generated_at")
-    p.set_defaults(handler=_cmd_report)
-
-    p = sub.add_parser("verify", help="verify the ledger hash chain")
-    p.add_argument("ledger_dir")
-    p.set_defaults(handler=_cmd_verify)
-
+    for command, (handler, help_text, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name in positionals:
+            p.add_argument(name)
+        for name, spec in options.items():
+            p.add_argument(name, **spec)
+        p.set_defaults(handler=handler)
     return parser
 
 
+def read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace build_parser() gives argv, read from COMMANDS alone, if
+    argv is a plain command line: a command, then its positionals and
+    options in any order, each option spelled out in full, given once and
+    followed by a value that passes its type and choices.  No token after
+    the command but an option name may start with '-'.  Anything else
+    (help, abbreviations, --opt=value, --, usage errors) is None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, positionals, options = COMMANDS[argv[0]]
+    given, plain = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            plain.append(token)
+            continue
+        value = next(tokens, "-")  # an option at the end has no value
+        if token not in options or token in given or value.startswith("-"):
+            return None
+        spec = options[token]
+        try:
+            given[token] = value = spec.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+    missing = [name for name, spec in options.items() if spec.get("required") and name not in given]
+    if missing or len(plain) != len(positionals):
+        return None
+    # argparse names an option's value after the option: --generated-at is generated_at
+    values = {name[2:].replace("-", "_"): given.get(name, spec.get("default")) for name, spec in options.items()}
+    return SimpleNamespace(command=argv[0], handler=handler, **values, **dict(zip(positionals, plain)))
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
-        if exc.code is None:
-            return EXIT_OK
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    args = read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
+            if exc.code is None:
+                return EXIT_OK
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # the except tuples are evaluated, and so load ledger and diffing, only
     # when an exception propagates
     try:

@@ -31,6 +31,7 @@ import re
 from bisect import bisect_left
 from datetime import datetime, timezone
 from decimal import Decimal
+from operator import attrgetter
 
 ERROR_CODES = frozenset(
     {"#DIV/0!", "#N/A", "#NAME?", "#NULL!", "#NUM!", "#REF!", "#VALUE!"}
@@ -92,6 +93,17 @@ def _record_repr(self) -> str:
     return f"{type(self).__qualname__}({fields})"
 
 
+_setattr = object.__setattr__
+
+# A record class's methods start as closures over its field names, which
+# cost nothing to build.  Methods compiled for its fields cost about 0.2 ms
+# to build, but make each instance about 0.4 µs faster and compare and hash
+# it faster too, so a class switches to them once it has made this many
+# instances in one process: a class that a command barely uses is never
+# compiled.
+_COMPILE_AFTER = 256
+
+
 def _record_setattr(self, name, value):
     raise FrozenRecordError(f"cannot assign to field {name!r}")
 
@@ -100,50 +112,144 @@ def _record_delattr(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
+class _Signature:
+    """A record class's ``__signature__``, built when asked for: building it
+    needs ``inspect``, which no command should pay to import."""
+
+    def __init__(self, defaults: dict):
+        self.defaults = defaults
+
+    def __get__(self, obj, owner):
+        from inspect import Parameter, Signature
+
+        return Signature(
+            Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, default=self.defaults.get(name, Parameter.empty))
+            for name in owner.__match_args__
+        )
+
+
+def _bind(qualname: str, names: tuple, defaults: dict, args: tuple, kwargs: dict) -> list:
+    """The field values of a call that gives keywords or leaves fields to
+    their defaults, or the TypeError that a ``def`` taking those fields
+    as parameters would raise for the call."""
+    values = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{qualname}() got an unexpected keyword argument '{name}'")
+        if name in values:
+            raise TypeError(f"{qualname}() got multiple values for argument '{name}'")
+        values[name] = value
+    if len(args) > len(names):  # counts include self, as Python's own message does
+        takes = f"from {len(names) - len(defaults) + 1} to {len(names) + 1}" if defaults else len(names) + 1
+        raise TypeError(f"{qualname}() takes {takes} positional arguments but {len(args) + 1} were given")
+    missing = [repr(name) for name in names if name not in values and name not in defaults]
+    if missing:
+        listed = " and ".join(missing) if len(missing) < 3 else ", ".join(missing[:-1]) + ", and " + missing[-1]
+        plural = "s" if len(missing) > 1 else ""
+        raise TypeError(f"{qualname}() missing {len(missing)} required positional argument{plural}: {listed}")
+    for name in names:
+        if name not in values:
+            default = defaults[name]
+            values[name] = default.make() if isinstance(default, _Fresh) else default
+    return [values[name] for name in names]
+
+
+def _compiled(qualname: str, names: tuple, defaults: dict, post_init) -> dict:
+    """``__init__``, ``__eq__`` and ``__hash__`` compiled for these fields;
+    each behaves as the closure that record() starts a class with."""
+    namespace = {"_setattr": _setattr, "_post_init": post_init}
+    params, body = [], []
+    for name in names:
+        value = name
+        if name in defaults:
+            namespace[f"_dflt_{name}"] = defaults[name]
+            params.append(f"{name}=_dflt_{name}")
+            if isinstance(defaults[name], _Fresh):
+                value = f"_dflt_{name}.make() if {name} is _dflt_{name} else {name}"
+        else:
+            params.append(name)
+        body.append(f"  _setattr(self, {name!r}, {value})")
+    if post_init is not None:
+        body.append("  _post_init(self)")
+    own, other = ("(" + "".join(f"{side}.{name}," for name in names) + ")" for side in ("self", "other"))
+    source = [
+        f"def __init__(self, {', '.join(params)}):",
+        *body,
+        "def __eq__(self, other):",
+        "  if other.__class__ is self.__class__:",
+        f"    return {own} == {other}",
+        "  return NotImplemented",
+        "def __hash__(self):",
+        f"  return hash({own})",
+    ]
+    exec("\n".join(source), namespace)
+    namespace["__init__"].__qualname__ = qualname  # names the class in a TypeError, as the closure does
+    return namespace
+
+
 def record(cls):
     """Make cls a frozen value class over its annotated fields, in order.
 
     A class attribute named like a field is that field's default; a
-    ``_Fresh(make)`` default is replaced by ``make()`` in each instance.  The
-    generated ``__init__`` sets each field, then calls ``__post_init__``
-    if the class has one.  Two records are equal when their classes match
-    and their field tuples are equal, and a record hashes as its field
-    tuple.  Every record prints as ``Name(field=value, ...)``, and
-    assigning or deleting an attribute raises ``FrozenRecordError``.  A
-    method the class or a base (other than ``object``) defines is kept.
-    Records do not inherit from records.
+    ``_Fresh(make)`` default is replaced by ``make()`` in each instance.
+    ``__init__`` sets each field, then calls ``__post_init__`` if the class
+    has one; it takes the fields as a ``def`` would take them as parameters
+    and raises the same ``TypeError`` on a bad call, and
+    ``inspect.signature(cls)`` names them with their defaults.  Two records
+    are equal when their classes match and their field tuples are equal,
+    and a record hashes as its field tuple.  Every record prints as
+    ``Name(field=value, ...)``, and assigning or deleting an attribute
+    raises ``FrozenRecordError``.  A method the class or a base (other than
+    ``object``) defines is kept.  Records do not inherit from records.
+
+    Building a class compiles nothing: its methods are closures until it
+    has made _COMPILE_AFTER instances, and are then swapped for methods
+    compiled for its fields, which behave the same.
     """
     names = tuple(cls.__annotations__)
-    namespace = {"_setattr": object.__setattr__}
-    params, body = [], []
-    for name in names:
-        value = name
-        if name in cls.__dict__:
-            default = namespace[f"_dflt_{name}"] = cls.__dict__[name]
-            params.append(f"{name}=_dflt_{name}")
-            if isinstance(default, _Fresh):
-                value = f"_dflt_{name}.make() if {name} is _dflt_{name} else {name}"
-                delattr(cls, name)
-        else:
-            params.append(name)
-        body.append(f"  _setattr(self, {name!r}, {value})")
-    if hasattr(cls, "__post_init__"):
-        body.append("  self.__post_init__()")
-    source = [f"def __init__(self, {', '.join(params)}):", *body]
-    own, other = ("(" + "".join(f"{side}.{name}," for name in names) + ")" for side in ("self", "other"))
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    for name, default in defaults.items():
+        if isinstance(default, _Fresh):
+            delattr(cls, name)
+    count, post_init = len(names), getattr(cls, "__post_init__", None)
+    qualname, methods, made = f"{cls.__qualname__}.__init__", ["__init__"], 0
+
+    def __init__(self, *args, **kwargs):
+        nonlocal made
+        made += 1
+        if made == _COMPILE_AFTER:
+            compiled = _compiled(qualname, names, defaults, post_init)
+            for method in methods:
+                setattr(cls, method, compiled[method])
+        if kwargs or len(args) != count:
+            args = _bind(qualname, names, defaults, args, kwargs)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        if post_init is not None:
+            post_init(self)
+
+    __init__.__qualname__ = qualname
+    cls.__init__ = __init__
+    cls.__signature__ = _Signature(defaults)
+    get, wide = attrgetter(*names), count > 1  # one name gets the value, not a 1-tuple
     if cls.__eq__ is object.__eq__:
-        source += [
-            "def __eq__(self, other):",
-            "  if other.__class__ is self.__class__:",
-            f"    return {own} == {other}",
-            "  return NotImplemented",
-        ]
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                if wide:
+                    return get(self) == get(other)
+                return (get(self),) == (get(other),)
+            return NotImplemented
+
+        cls.__eq__ = __eq__
+        methods.append("__eq__")
     if cls.__hash__ is None or cls.__hash__ is object.__hash__:
-        source += ["def __hash__(self):", f"  return hash({own})"]
-    exec("\n".join(source), namespace)
-    for method in ("__init__", "__eq__", "__hash__"):
-        if method in namespace:
-            setattr(cls, method, namespace[method])
+
+        def __hash__(self):
+            return hash(get(self) if wide else (get(self),))
+
+        cls.__hash__ = __hash__
+        methods.append("__hash__")
     if cls.__repr__ is object.__repr__:
         cls.__repr__ = _record_repr
     cls.__setattr__ = _record_setattr

@@ -356,7 +356,8 @@ class Ledger:
         are its CellLines, already rendered.  The snapshot stands in for
         the parse of those bytes, which it equals.  The bytes go to a temp
         file first and are renamed onto the digest name, so a write cut
-        short never leaves a torn object under that name."""
+        short never leaves a torn object under that name; the temp file of
+        a write that raises is removed."""
         lines = CellLines(snapshot.cells) if lines is None else lines
         digest = lines.digest(snapshot.workbook_id)
         if digest not in self._objects:
@@ -367,7 +368,11 @@ class Ledger:
                 if not path.exists():
                     path.parent.mkdir(parents=True, exist_ok=True)
                     temp = path.with_suffix(".tmp")
-                    temp.write_bytes(self._objects[digest])
+                    try:
+                        temp.write_bytes(self._objects[digest])
+                    except BaseException:
+                        temp.unlink(missing_ok=True)
+                        raise
                     os.replace(temp, path)
         return digest
 

@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import pathlib
 import tempfile
+import threading
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CONTENTS, T0, hours
+from golden_fixtures import GOLDEN_DIR
 from oracles import exact_trend_stats, sha256_hex
 
 import gridaudit.cli
@@ -113,6 +117,122 @@ class TestUsage:
     def test_missing_file(self, capsys, files):
         assert run(["audit", files["s1.snap"] + ".nope"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code, golden",
+        [
+            (["--help"], 0, "help.txt"),
+            (["report", "--help"], 0, "help_report.txt"),
+            (["verify", "somewhere", "--fast"], 2, "usage_error.txt"),
+        ],
+        ids=["help", "report-help", "usage-error"],
+    )
+    def test_help_and_usage_errors_match_their_goldens(self, capsys, monkeypatch, argv, code, golden):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its text to the terminal's width
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        shown = captured.out if code == 0 else captured.err
+        assert shown == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
+
+
+def _perfbench_argvs(tmp_path) -> list[list[str]]:
+    """Every command line the benchmark's workloads run, at smoke size."""
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = []
+    for name in workloads.GENERATORS:
+        out = tmp_path / name
+        out.mkdir()
+        plan = workloads.generate(name, 7, out, "smoke")
+        for step in (*plan["ingest_pass"], *plan["cycle"], *(s for q in plan["queries"] for s in q)):
+            argvs.append(step["argv"])
+    return argvs
+
+
+# (argv, well_formed): a command line built from the command table, then
+# at most one change that may or may not keep it well formed
+_PLAIN = st.sampled_from(["L", "s.snap", "S!A1", "", "a b", "=x"])
+_VALUES = _PLAIN | st.sampled_from(["5", "json", "text", "-", "-5", "-x", "--", "--policy"])
+_CHANGES = [
+    "none", "drop", "extra", "unknown", "repeat", "abbreviate", "equals", "dashdash", "dash-value", "bad-value", "help"
+]
+
+
+@st.composite
+def _command_lines(draw):
+    commands = gridaudit.cli.COMMANDS
+    command = draw(st.sampled_from([*commands, "frobnicate", "--help"]))
+    if command not in commands:
+        return [command, *draw(st.lists(_VALUES, max_size=3))], False
+    _, _, positionals, options = commands[command]
+    others = sorted({name for *_, opts in commands.values() for name in opts} - set(options))
+    words = [[draw(_PLAIN)] for _ in positionals]
+    for name, spec in options.items():
+        if spec.get("required") or draw(st.booleans()):
+            value = "7" if spec.get("type") is int else "json" if "choices" in spec else draw(_PLAIN)
+            words.append([name, value])
+    tokens = [token for word in draw(st.permutations(words)) for token in word]
+    change = draw(st.sampled_from(_CHANGES))
+    at = [i for i, token in enumerate(tokens) if token in options]
+    if change == "drop" and tokens:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif change == "extra":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(_VALUES))
+    elif change == "unknown":
+        tokens += [draw(st.sampled_from([*others, "--nope", "-h", "-x"])), draw(_VALUES)]
+    elif change == "dashdash":
+        tokens.insert(draw(st.integers(0, len(tokens))), "--")
+    elif change == "help":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(["-h", "--help"])))
+    elif change != "none" and at:
+        i = draw(st.sampled_from(at))
+        if change == "repeat":
+            tokens += [tokens[i], draw(_VALUES)]
+        elif change == "abbreviate":
+            tokens[i] = tokens[i][: draw(st.integers(2, len(tokens[i]) - 1))]
+        elif change == "equals":
+            tokens[i:i + 2] = [f"{tokens[i]}={tokens[i + 1]}"]
+        elif change == "dash-value":
+            tokens[i + 1] = draw(st.sampled_from(["-5", "-x", "--policy", "-"]))
+        else:  # bad-value: for --window and --format, one that fails their type or choices
+            tokens[i + 1] = draw(st.sampled_from(["x", "7.5", "xml", "", " 7", "JSON"]))
+    return [command, *tokens], change == "none"
+
+
+class TestPlainCommandLines:
+    """read_plain reads a plain command line from the command table; every
+    other one goes to argparse, which the table also builds."""
+
+    @staticmethod
+    def _parsed(argv):
+        """argparse's namespace for argv as a dict, or None on a usage error or help."""
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                return vars(gridaudit.cli.build_parser().parse_args(argv))
+            except SystemExit:
+                return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_command_lines())
+    def test_the_table_reads_what_argparse_reads_or_declines(self, case):
+        argv, well_formed = case
+        plain = gridaudit.cli.read_plain(argv)
+        if well_formed:
+            assert plain is not None, argv
+        if plain is not None:
+            assert vars(plain) == self._parsed(argv)
+
+    def test_every_benchmark_command_line_takes_the_table_path(self, tmp_path):
+        argvs = _perfbench_argvs(tmp_path)
+        assert {argv[0] for argv in argvs} == set(gridaudit.cli.COMMANDS)
+        for argv in argvs:
+            plain = gridaudit.cli.read_plain(argv)
+            assert plain is not None, argv
+            assert vars(plain) == self._parsed(argv)
 
 
 class TestAudit:
@@ -560,6 +680,69 @@ class TestTornObjectWrite:
         assert sorted(p.name for p in (tmp_path / "ledger" / "objects").iterdir()) == sorted(digests)
         for digest in digests:
             reopened.load_snapshot(digest)  # raises unless whole and hashing to its name
+
+    def test_a_write_cut_short_leaves_no_temp_file(self, capsys, files, tmp_path, monkeypatch):
+        ledger, objects = files["ledger"], tmp_path / "ledger" / "objects"
+        assert run(["ingest", ledger, files["s1.snap"]]) == 0
+        with monkeypatch.context() as patch:
+            self._torn(patch)
+            assert run(["ingest", ledger, files["s2.snap"]]) == 2
+        assert list(objects.glob("*.tmp")) == []
+        later = tmp_path / "s3.snap"
+        later.write_text(SNAP_2.replace("2024-03-02", "2024-03-03").replace("N\t10", "N\t11"))
+        assert run(["ingest", ledger, str(later)]) == 0
+        assert list(objects.glob("*.tmp")) == []
+        assert len(list(objects.iterdir())) == 2
+
+
+class TestRejectedFirstIngest:
+    @pytest.mark.parametrize("where", ["ledger", "a/b/ledger"])
+    def test_leaves_no_directory_behind(self, capsys, files, tmp_path, where):
+        other = tmp_path / "other.txt"
+        other.write_text(POLICY.replace("wb1", "other"), encoding="utf-8")
+        ledger = str(tmp_path / where)
+        assert run(["ingest", ledger, files["s1.snap"], "--policy", str(other)]) == 2
+        assert capsys.readouterr().err == "error: policy is for 'other', snapshot is 'wb1'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*files.keys() - {"ledger"}, "other.txt"])
+        for argv in (["verify", ledger], ["profile", ledger]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"error: no ledger directory at {ledger!r}\n"
+        assert run(["ingest", ledger, files["s1.snap"], "--policy", files["policy.txt"]]) == 0
+        assert run(["verify", ledger]) == 0
+
+    def test_a_rejected_ingest_keeps_a_directory_it_did_not_make(self, capsys, files, tmp_path):
+        other = tmp_path / "other.txt"
+        other.write_text(POLICY.replace("wb1", "other"), encoding="utf-8")
+        (tmp_path / "ledger").mkdir()
+        assert run(["ingest", files["ledger"], files["s1.snap"], "--policy", str(other)]) == 2
+        assert [p.name for p in (tmp_path / "ledger").iterdir()] == ["ledger.log"]
+
+    def test_a_writer_waiting_on_the_removed_log_locks_a_new_one(self, tmp_path):
+        directory, holding, written = tmp_path / "ledger", threading.Event(), threading.Event()
+
+        def rejected():
+            with pytest.raises(ValueError):
+                with gridaudit.cli._exclusive_lock(directory):
+                    holding.set()
+                    time.sleep(0.3)  # the other writer opens the log and waits for its lock
+                    raise ValueError("rejected")
+
+        def accepted():
+            holding.wait(5)
+            with gridaudit.cli._exclusive_lock(directory):
+                # fails unless the lock is held on a log at the path again
+                with (directory / "ledger.log").open("r+", encoding="utf-8") as fh:
+                    fh.write("written\n")
+                written.set()
+
+        threads = [threading.Thread(target=rejected), threading.Thread(target=accepted)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert written.is_set()
+        assert (directory / "ledger.log").read_text(encoding="utf-8") == "written\n"
 
 
 class TestReadOnlyCommands:

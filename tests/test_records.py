@@ -243,3 +243,71 @@ def test_long_chains_compare_hash_and_print_without_recursion():
     assert a != c
     text = repr(a)
     assert isinstance(text, str) and text.startswith("Binary(op='+', left=Binary(")
+
+
+def outcome(cls, args, kwargs):
+    """repr of cls(*args, **kwargs), or the text of the TypeError it raises."""
+    try:
+        return repr(cls(*args, **kwargs))
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+def bad_calls(cls) -> list[tuple[tuple, dict]]:
+    """(args, kwargs) for calls that give every field, or none, one or two
+    too few, one too many, one twice or one that is not a field."""
+    names = [p.name for p in inspect.signature(cls).parameters.values()]
+    args = max(SAMPLES[cls], key=len)
+    full = dict(zip(names, args))
+    calls = [
+        ((), full),
+        ((), {}),
+        (args[:1], dict(list(full.items())[1:])),
+        (args[:-1], {}),
+        ((), dict(list(full.items())[:-1])),
+        ((*args, *[None] * (len(names) - len(args) + 1)), {}),
+        (args, {names[0]: args[0]}),
+        (args, {"nope": 1}),
+        ((*args, None, None), {"nope": 1}),  # the keyword's error comes first
+        ((*args, None), {names[-1]: None}),
+    ]
+    if len(args) > 1:
+        calls.append((args[:-2], {}))
+    return calls
+
+
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_record_calls_fail_as_its_dataclass_twin_does(cls):
+    double = twin(cls)
+    for args, kwargs in bad_calls(cls):
+        assert outcome(cls, args, kwargs) == outcome(double, args, kwargs), (args, kwargs)
+
+
+def fresh(cls: type) -> type:
+    """A new record class with cls's fields, defaults and __post_init__
+    (but not its own __eq__, __hash__ or base) that has made no instance."""
+    namespace = {"__annotations__": dict(cls.__annotations__)}
+    for param in inspect.signature(cls).parameters.values():
+        if param.default is not param.empty:
+            namespace[param.name] = param.default
+    if hasattr(cls, "__post_init__"):
+        namespace["__post_init__"] = cls.__post_init__
+    return grid.record(type(cls.__name__, (), namespace))
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["closures", "compiled"])
+@pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
+def test_closures_and_compiled_methods_both_match_the_dataclass_twin(cls, compiled):
+    ours, double = fresh(cls), twin(cls)
+    for _ in range(grid._COMPILE_AFTER if compiled else 0):
+        ours(*SAMPLES[cls][0])
+    assert (ours.__init__.__code__.co_filename == "<string>") is compiled
+    objs, others = [ours(*args) for args in SAMPLES[cls]], [double(*args) for args in SAMPLES[cls]]
+    for obj, other in zip(objs, others):
+        assert repr(obj) == repr(other)
+        assert hash_or_error(obj) == hash_or_error(other)
+    for (a, b), (x, y) in zip(itertools.product(objs, repeat=2), itertools.product(others, repeat=2)):
+        assert ((a == b), (a != b)) == ((x == y), (x != y))
+    assert objs[0].__eq__(object()) is NotImplemented
+    for args, kwargs in bad_calls(cls):
+        assert outcome(ours, args, kwargs) == outcome(double, args, kwargs), (args, kwargs)

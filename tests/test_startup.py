@@ -34,7 +34,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_traceback():
 # Runs gridaudit in a fresh interpreter and prints, as its last line, the
 # exit code, the gridaudit source files compiled on the way and, after a
 # "|", which of WATCHED it imported.
-WATCHED = ("json", "statistics", "fractions")
+WATCHED = ("json", "statistics", "fractions", "argparse", "gettext", "locale")
 COMPILE_PROBE = f"""
 import os, sys
 bare = set(sys.modules)
@@ -135,6 +135,69 @@ def test_each_command_compiles_only_what_it_runs(tmp_path, argv, exactly, not_co
         assert compiled == exactly
     assert not compiled & not_compiled
     assert not imported & not_imported
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def test_cli_import_and_plain_commands_load_no_argparse(tmp_path):
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert not set(result.stdout.split()) & ARGPARSE
+    paths = _two_ingests(tmp_path)
+    for argv in (
+        ["verify", paths["ledger"]],
+        ["report", paths["ledger"], "--policy", paths["policy"], *REPORT],
+        ["ingest", str(tmp_path / "fresh"), paths["s1"], "--policy", paths["policy"]],
+    ):
+        code, _, imported = _compiled(tmp_path, *argv)
+        assert code == 0, argv
+        assert not imported & ARGPARSE, argv
+
+
+def test_help_still_goes_through_argparse(tmp_path):
+    code, _, imported = _compiled(tmp_path, "report", "--help")
+    assert code == 0
+    assert "argparse" in imported
+
+
+# Prints how many sources gridaudit's own code compiled under the name
+# "<string>", as exec and eval of generated source are, while gridaudit.cli
+# and its six lazy submodules load (the stdlib's namedtuple does the same
+# for decimal, so the compiling frame's file is checked).
+GENERATED_PROBE = """
+import os, sys
+pkg = sys.argv[1] + os.sep
+generated = []
+
+def hook(event, args):
+    if event == "compile" and args[1] == "<string>" and sys._getframe(1).f_code.co_filename.startswith(pkg):
+        generated.append(args[0])
+
+sys.addaudithook(hook)
+import gridaudit.cli
+from gridaudit import assess, audit, controls, diffing, formula, ledger
+for module in (assess, audit, controls, diffing, formula, ledger):
+    vars(module)  # loads the module behind the stub
+print(len(generated))
+"""
+
+
+def test_loading_every_module_compiles_no_generated_source():
+    result = subprocess.run(
+        [sys.executable, "-c", GENERATED_PROBE, str(SRC / "gridaudit")],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["0"]
 
 
 def test_every_exported_name_resolves_to_its_definition():
