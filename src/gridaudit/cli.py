@@ -26,10 +26,7 @@ cost every command several milliseconds of start-up.
 
 from __future__ import annotations
 
-import fcntl
-import os
 import sys
-from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -87,54 +84,6 @@ def _open_existing(ledger_dir: str) -> ledger_mod.Ledger:
     return ledger_mod.Ledger.open(path)
 
 
-@contextmanager
-def _exclusive_lock(directory: Path):
-    """Writer lock for a ledger directory, held on the log file itself.
-
-    If the body raises in a directory that this call made, the empty
-    ledger it leaves is removed, so a rejected first ingest leaves no
-    directory for a read-only command to mistake for an empty ledger.  A
-    writer that was waiting on the removed log locks a new one."""
-    made = [path for path in (directory, *directory.parents) if not path.exists()]
-    log = directory / "ledger.log"
-    while True:
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fh = log.open("a", encoding="utf-8")
-        except FileNotFoundError:
-            if directory.is_dir():  # not removed just now by a rejected first ingest
-                raise
-            continue
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        with suppress(FileNotFoundError):
-            if os.path.samestat(os.fstat(fh.fileno()), log.stat()):
-                break
-        fh.close()
-    with fh:
-        try:
-            yield
-        except BaseException:
-            if made:
-                _remove_empty_ledger(directory, made)
-            raise
-        finally:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
-
-def _remove_empty_ledger(directory: Path, made: list[Path]) -> None:
-    """Remove the empty log and objects/ that a failed first ingest left,
-    then the directories in made, deepest first.  rmdir refuses a directory
-    that holds anything, so nothing written is removed."""
-    log, objects = directory / "ledger.log", directory / "objects"
-    with suppress(OSError):
-        if not log.stat().st_size:
-            if objects.exists():
-                objects.rmdir()
-            log.unlink()
-            for path in made:
-                path.rmdir()
-
-
 def _cmd_ingest(args) -> int:
     policy = _load_policy(args.policy)
     cfg = _load_config(args.config)
@@ -142,10 +91,7 @@ def _cmd_ingest(args) -> int:
     # ledger compiles `ledger`, and the ingest's diff compiles `diffing`.
     open_ledger, _ = ledger_mod.Ledger.open, diffing.diff_snapshots
     snapshot = parse_snapshot_file(_read_text(args.snapshot))
-    with _exclusive_lock(Path(args.ledger_dir)):
-        ledger = open_ledger(args.ledger_dir)
-        findings = ledger.ingest_snapshot(snapshot, cfg=cfg, policy=policy)
-    return _print_findings(findings)
+    return _print_findings(open_ledger(args.ledger_dir).ingest_snapshot(snapshot, cfg=cfg, policy=policy))
 
 
 def _cmd_audit(args) -> int:
@@ -169,7 +115,7 @@ def _cmd_diff(args) -> int:
 def _cmd_check(args) -> int:
     policy = controls.parse_policy_file(_read_text(args.policy))
     ledger = _open_existing(args.ledger_dir)
-    entry = next((e for e in reversed(ledger.entries()) if e.changeset is not None), None)
+    entry = next((e for e in reversed(ledger._whole_entries()) if e.changeset is not None), None)
     if entry is None:
         print("error: ledger holds no change sets to check", file=sys.stderr)
         return EXIT_USAGE

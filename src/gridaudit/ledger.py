@@ -32,8 +32,13 @@ trailing ATTEST closes a workflow period including its own changes, and
 its text is the ingest's sign-off, at ingest, in `check` and in
 snapshots().  A ledger as of record k is Ledger(directory, raw_lines[:k]);
 `check` re-evaluates the latest change set on the ledger before its INGEST.
-Appends must be serialized by the caller (one writer per workbook);
-readers may run concurrently; opening a ledger writes nothing.
+ingest_snapshot holds the writer lock (an flock on ledger.log) and reads
+the log again under it, so a stale or prefix Ledger appends after the
+latest record; append_record, which it calls, takes no lock.  Readers may
+run concurrently; opening a ledger writes nothing.  A log whose last line
+lacks its newline (a write cut short) fails at that line.  An ingest after
+the first without its CHANGESET or FINDINGS (a writer stopped between
+appends) is refused by ingest_snapshot and `check`; entries() returns it.
 
 History comes from the first stored snapshot plus the change sets, which
 must link each ingested digest to the next.  Usage metrics, cell series
@@ -55,10 +60,12 @@ covers.
 from __future__ import annotations
 
 import base64
+import fcntl
 import hashlib
 import os
 import re
 from collections.abc import Iterator
+from contextlib import contextmanager, nullcontext, suppress
 from datetime import datetime
 from functools import cached_property
 from pathlib import Path
@@ -283,23 +290,78 @@ def _own_cells(snapshot: Snapshot) -> Snapshot:
     return Snapshot(snapshot.workbook_id, snapshot.timestamp, snapshot.actor, dict(snapshot.cells), snapshot.attestation)
 
 
+@contextmanager
+def _exclusive_lock(directory: Path):
+    """Writer lock for a ledger directory, held on the log file itself.
+
+    If the body raises in a directory that this call made, the empty
+    ledger it leaves is removed, so a rejected first ingest leaves no
+    directory for a read-only command to mistake for an empty ledger.  A
+    writer that was waiting on the removed log locks a new one."""
+    made = [path for path in (directory, *directory.parents) if not path.exists()]
+    log = directory / "ledger.log"
+    while True:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            fh = log.open("a", encoding="utf-8")
+        except FileNotFoundError:
+            if directory.is_dir():  # not removed just now by a rejected first ingest
+                raise
+            continue
+        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        with suppress(FileNotFoundError):
+            if os.path.samestat(os.fstat(fh.fileno()), log.stat()):
+                break
+        fh.close()
+    with fh:
+        try:
+            yield
+        except BaseException:
+            if made:
+                _remove_empty_ledger(directory, made)
+            raise
+        finally:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+
+
+def _remove_empty_ledger(directory: Path, made: list[Path]) -> None:
+    """Remove the empty log and objects/ that a failed first ingest left,
+    then the directories in made, deepest first.  rmdir refuses a directory
+    that holds anything, so nothing written is removed."""
+    log, objects = directory / "ledger.log", directory / "objects"
+    with suppress(OSError):
+        if not log.stat().st_size:
+            if objects.exists():
+                objects.rmdir()
+            log.unlink()
+            for path in made:
+                path.rmdir()
+
+
 class Ledger:
     def __init__(self, directory: Path | None = None, raw_lines: list[str] | None = None):
         """A ledger over the log lines, each checked here, once, in order.
         The first corrupt line ends the decode; its LedgerCorrupt is kept
         for verify_chain to report and for records to raise."""
         self.directory = directory
-        self.raw_lines: list[str] = [] if raw_lines is None else raw_lines
         self._objects: dict[str, bytes] = {}
         # digest -> the object's header as a Snapshot, with its cells once
         # parsed, and its cell lines
         self._stored: dict[str, tuple[Snapshot, CellLines]] = {}
+        self._decode([] if raw_lines is None else raw_lines)
+
+    def _decode(self, raw_lines: list[str], torn: bool = False) -> None:
+        """Make raw_lines this ledger's log, checking each line in order; if
+        torn, the last line lacked its newline and fails whatever it holds."""
+        self.raw_lines = raw_lines
         self._records: list[LedgerRecord] = []  # the valid records before any corrupt line
         self._corrupt: LedgerCorrupt | None = None
         self._replay_checked_at = -1  # record count when the change sets last replayed
         prev = GENESIS_HASH
-        for i, line in enumerate(self.raw_lines):
+        for i, line in enumerate(raw_lines):
             try:
+                if torn and i == len(raw_lines) - 1:
+                    raise LedgerCorrupt(i, "final line does not end in a newline (a write cut short)")
                 record = decode_record(i, line, prev)
             except LedgerCorrupt as exc:
                 self._corrupt = exc
@@ -311,15 +373,19 @@ class Ledger:
     def open(cls, directory: str | Path) -> "Ledger":
         """Load a ledger directory; an absent one reads as empty and is not
         created.  A corrupt ledger opens so verify_chain can report it; any
-        other operation on it raises LedgerCorrupt.  A byte that is not
-        UTF-8 is kept as a lone surrogate, so its line fails decode_record
-        like any other altered byte."""
-        directory = Path(directory)
-        log = directory / "ledger.log"
-        lines = log.read_text(encoding="utf-8", errors="surrogateescape").split("\n") if log.exists() else []
-        if lines and lines[-1] == "":
-            lines.pop()
-        return cls(directory, lines)
+        other operation on it raises LedgerCorrupt."""
+        ledger = cls(Path(directory))
+        ledger._reload()
+        return ledger
+
+    def _reload(self) -> None:
+        """Decode ledger.log again unless raw_lines hold its text.  A byte that
+        is not UTF-8 becomes a lone surrogate and fails its line's decode."""
+        log = self.directory / "ledger.log"
+        text = log.read_text(encoding="utf-8", errors="surrogateescape") if log.exists() else ""
+        if text != "".join(line + "\n" for line in self.raw_lines):
+            *lines, tail = text.split("\n")
+            self._decode([*lines, tail] if tail else lines, torn=bool(tail))
 
     @property
     def records(self) -> list[LedgerRecord]:
@@ -342,6 +408,17 @@ class Ledger:
                 raise diffing.DigestMismatch(f"ledger record {r.seq} ({r.kind}) is out of place")
         return [Entry(ingest, **{r.kind.lower(): r for r in rest}) for ingest, *rest in groups]
 
+    def _whole_entries(self) -> list[Entry]:
+        """entries(), refused with DigestMismatch when an ingest after the
+        first lacks its CHANGESET or FINDINGS, as a writer stopped between
+        appends leaves it: its change set was never recorded."""
+        entries = self.entries()
+        for e in entries[1:]:
+            if e.changeset is None or e.findings is None:
+                missing = "CHANGESET" if e.changeset is None else "FINDINGS"
+                raise diffing.DigestMismatch(f"ledger record {e.ingest.seq} (INGEST) has no {missing}: its ingest was cut short")
+        return entries
+
     @property
     def workbook_id(self) -> str | None:
         """The workbook id in the first object's header; no cell line is
@@ -357,23 +434,25 @@ class Ledger:
         the parse of those bytes, which it equals.  The bytes go to a temp
         file first and are renamed onto the digest name, so a write cut
         short never leaves a torn object under that name; the temp file of
-        a write that raises is removed."""
+        a write that raises is removed, and the object is cached only once
+        it is written, so a retry writes it again."""
         lines = CellLines(snapshot.cells) if lines is None else lines
         digest = lines.digest(snapshot.workbook_id)
         if digest not in self._objects:
-            self._objects[digest] = write_snapshot_file(snapshot, lines).encode("utf-8")
-            self._stored[digest] = (_own_cells(snapshot), lines)
+            data = write_snapshot_file(snapshot, lines).encode("utf-8")
             if self.directory is not None:
                 path = self.directory / "objects" / digest
                 if not path.exists():
                     path.parent.mkdir(parents=True, exist_ok=True)
                     temp = path.with_suffix(".tmp")
                     try:
-                        temp.write_bytes(self._objects[digest])
+                        temp.write_bytes(data)
                     except BaseException:
                         temp.unlink(missing_ok=True)
                         raise
                     os.replace(temp, path)
+            self._objects[digest] = data
+            self._stored[digest] = (_own_cells(snapshot), lines)
         return digest
 
     def load_snapshot(self, digest: str) -> Snapshot:
@@ -422,6 +501,9 @@ class Ledger:
     # --- appends ---
 
     def append_record(self, kind: str, payload: bytes, recorded_at: datetime) -> LedgerRecord:
+        """Append one record after this ledger's records: the unlocked
+        primitive that ingest_snapshot calls while it holds the writer lock.
+        Any other caller must be the ledger's only writer."""
         if kind not in RECORD_KINDS:
             raise ValueError(f"unknown record kind {kind!r}")
         records = self.records  # raises on corruption before appending
@@ -530,60 +612,62 @@ class Ledger:
         cfg: "audit_mod.AuditConfig | None" = None,
         policy: "controls_mod.ControlPolicy | None" = None,
     ) -> list[Finding]:
-        """Record a new snapshot: stores its bytes, appends INGEST, and
-        when a prior snapshot exists diffs against it, evaluates the
-        static audit plus any control policy, and appends CHANGESET and
-        FINDINGS records.  Returns the new findings.
+        """Record a new snapshot, under the writer lock and on ledger.log as
+        read under it when the ledger has a directory: diff it against the
+        latest one, if any, and evaluate the static audit plus any control
+        policy, then store its bytes and append its records.  Returns the
+        new findings; a refused ingest writes nothing.
 
         Re-ingesting content whose digest equals the latest is a no-op
         unless it carries an attestation (a sign-off is worth recording
         even without cell edits)."""
-        ingests = self.ingests()
-        if ingests:
-            # the diff base: the latest object's lines as stored, and the
-            # workbook id in its header (ingest keeps one id per ledger)
-            latest, previous_lines = self._object(ingests[-1][0])
-            if snapshot.workbook_id != latest.workbook_id:
+        with nullcontext() if self.directory is None else _exclusive_lock(self.directory):
+            if self.directory is not None:
+                self._reload()
+            entries = self._whole_entries()
+            if entries:
+                # the diff base: the latest object's lines as stored, and the
+                # workbook id in its header (ingest keeps one id per ledger)
+                last_digest, last_at, last_actor = entries[-1].ingest.body
+                latest, previous_lines = self._object(last_digest)
+                if snapshot.workbook_id != latest.workbook_id:
+                    raise diffing.WorkbookMismatch(
+                        f"ledger tracks {latest.workbook_id!r}, snapshot is {snapshot.workbook_id!r}"
+                    )
+            if policy is not None and policy.workbook_id != snapshot.workbook_id:
                 raise diffing.WorkbookMismatch(
-                    f"ledger tracks {latest.workbook_id!r}, snapshot is {snapshot.workbook_id!r}"
+                    f"policy is for {policy.workbook_id!r}, snapshot is {snapshot.workbook_id!r}"
                 )
-        if policy is not None and policy.workbook_id != snapshot.workbook_id:
-            raise diffing.WorkbookMismatch(
-                f"policy is for {policy.workbook_id!r}, snapshot is {snapshot.workbook_id!r}"
-            )
-        lines = CellLines(snapshot.cells)
-        digest = lines.digest(snapshot.workbook_id)
-        changes: diffing.ChangeSet | None = None
-        if ingests:
-            last_digest, last_at, last_actor = ingests[-1]
-            if digest == last_digest and not snapshot.attestation:
-                return []
-            if snapshot.timestamp <= last_at:
-                raise NonMonotonicTimestamp(
-                    f"snapshot at {format_instant(snapshot.timestamp)} does not "
-                    f"advance past {format_instant(last_at)}"
-                )
-            # the change set starts at the latest INGEST record's time: the
-            # object's header keeps the time its content was first seen
-            previous = Snapshot(latest.workbook_id, last_at, last_actor)
-            try:
-                changes = diffing.diff_snapshots(
-                    previous, snapshot, digests=(last_digest, digest), lines=(previous_lines, lines)
-                )
-            except (SnapshotError, diffing.DigestMismatch) as exc:  # a stored line the diff parsed
-                raise diffing.DigestMismatch(f"stored object {last_digest[:12]}... does not parse: {exc}") from exc
-        self.store_snapshot(snapshot, lines)
+            lines = CellLines(snapshot.cells)
+            digest = lines.digest(snapshot.workbook_id)
+            changes: diffing.ChangeSet | None = None
+            findings: list[Finding] = []
+            if entries:
+                if digest == last_digest and not snapshot.attestation:
+                    return []
+                if snapshot.timestamp <= last_at:
+                    raise NonMonotonicTimestamp(
+                        f"snapshot at {format_instant(snapshot.timestamp)} does not "
+                        f"advance past {format_instant(last_at)}"
+                    )
+                # the change set starts at the latest INGEST record's time: the
+                # object's header keeps the time its content was first seen
+                previous = Snapshot(latest.workbook_id, last_at, last_actor)
+                try:
+                    changes = diffing.diff_snapshots(
+                        previous, snapshot, digests=(last_digest, digest), lines=(previous_lines, lines)
+                    )
+                except (SnapshotError, diffing.DigestMismatch) as exc:  # a stored line the diff parsed
+                    raise diffing.DigestMismatch(f"stored object {last_digest[:12]}... does not parse: {exc}") from exc
+                findings.extend(audit_mod.audit_workbook(snapshot, cfg))
+                if policy is not None:
+                    findings.extend(controls_mod.evaluate_policies(changes, policy, self, snapshot.attestation))
 
-        findings: list[Finding] = []
-        if changes is not None:
-            findings.extend(audit_mod.audit_workbook(snapshot, cfg))
-            if policy is not None:
-                findings.extend(controls_mod.evaluate_policies(changes, policy, self, snapshot.attestation))
-
-        self.append_record("INGEST", serialize_ingest(digest, snapshot.timestamp, snapshot.actor), snapshot.timestamp)
-        if changes is not None:
-            self.append_record("CHANGESET", serialize_changeset(changes), snapshot.timestamp)
-            self.append_record("FINDINGS", serialize_findings(findings), snapshot.timestamp)
-        if snapshot.attestation:
-            self.append_record("ATTEST", join_fields(snapshot.attestation).encode("utf-8"), snapshot.timestamp)
-        return findings
+            self.store_snapshot(snapshot, lines)
+            self.append_record("INGEST", serialize_ingest(digest, snapshot.timestamp, snapshot.actor), snapshot.timestamp)
+            if changes is not None:
+                self.append_record("CHANGESET", serialize_changeset(changes), snapshot.timestamp)
+                self.append_record("FINDINGS", serialize_findings(findings), snapshot.timestamp)
+            if snapshot.attestation:
+                self.append_record("ATTEST", join_fields(snapshot.attestation).encode("utf-8"), snapshot.timestamp)
+            return findings

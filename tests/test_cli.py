@@ -722,14 +722,14 @@ class TestRejectedFirstIngest:
 
         def rejected():
             with pytest.raises(ValueError):
-                with gridaudit.cli._exclusive_lock(directory):
+                with gridaudit.ledger._exclusive_lock(directory):
                     holding.set()
                     time.sleep(0.3)  # the other writer opens the log and waits for its lock
                     raise ValueError("rejected")
 
         def accepted():
             holding.wait(5)
-            with gridaudit.cli._exclusive_lock(directory):
+            with gridaudit.ledger._exclusive_lock(directory):
                 # fails unless the lock is held on a log at the path again
                 with (directory / "ledger.log").open("r+", encoding="utf-8") as fh:
                     fh.write("written\n")
@@ -743,6 +743,112 @@ class TestRejectedFirstIngest:
             assert not thread.is_alive()
         assert written.is_set()
         assert (directory / "ledger.log").read_text(encoding="utf-8") == "written\n"
+
+
+def _later_text(day: int) -> str:
+    """SNAP_2 moved to 2024-03-<day>, with S!A1 = day."""
+    return SNAP_2.replace("2024-03-02", f"2024-03-{day:02}").replace("N\t6", f"N\t{day}")
+
+
+def _later(tmp_path, day: int) -> str:
+    """The path of _later_text(day), written under tmp_path."""
+    path = tmp_path / f"s{day}.snap"
+    path.write_text(_later_text(day))
+    return str(path)
+
+
+TREND_POLICY = """workbook = wb1
+
+[trend]
+cell = S!A1
+"""
+
+
+class TestTornLog:
+    @pytest.mark.parametrize("cut", [1, 20], ids=["newline", "newline-and-hash-tail"])
+    def test_a_final_line_without_its_newline_fails_every_command(self, capsys, files, tmp_path, cut):
+        ledger, directory = files["ledger"], tmp_path / "ledger"
+        for snap_file in ("s1.snap", "s2.snap"):
+            assert run(["ingest", ledger, files[snap_file]]) == 0
+        log = directory / "ledger.log"
+        log.write_bytes(log.read_bytes()[:-cut])
+        before = TestReadOnlyCommands._listing(directory)
+        capsys.readouterr()
+        reason = "final line does not end in a newline (a write cut short)"
+        assert run(["verify", ledger]) == 3
+        assert capsys.readouterr() == ("FAIL seq=3 n=4\n", f"reason: {reason}\n")
+        for argv in (
+            ["trend", ledger, "S!A1"],
+            ["history", ledger, "S!A1"],
+            ["profile", ledger],
+            ["check", ledger, "--policy", files["policy.txt"]],
+            ["ingest", ledger, _later(tmp_path, 3)],
+        ):
+            assert run(argv) == 3, argv
+            assert capsys.readouterr() == ("", f"integrity error: ledger record 3 is corrupt: {reason}\n"), argv
+        assert run(["report", ledger, "--policy", files["policy.txt"], *TestReport.ARGS]) == 3
+        assert TestReadOnlyCommands._listing(directory) == before
+
+
+class TestTornIngest:
+    @pytest.mark.parametrize("kept, missing", [(5, "CHANGESET"), (6, "FINDINGS")])
+    def test_an_ingest_cut_short_is_refused_and_not_extended(self, capsys, files, tmp_path, kept, missing):
+        # a writer killed after the 3rd INGEST (5 lines) or its CHANGESET (6)
+        ledger, directory = files["ledger"], tmp_path / "ledger"
+        for path in (files["s1.snap"], files["s2.snap"], _later(tmp_path, 3)):
+            assert run(["ingest", ledger, path]) == 0
+        log = directory / "ledger.log"
+        log.write_text("".join(log.read_text().splitlines(keepends=True)[:kept]))
+        trend = tmp_path / "trend.txt"
+        trend.write_text(TREND_POLICY)
+        before = TestReadOnlyCommands._listing(directory)
+        capsys.readouterr()
+        for argv in (
+            ["check", ledger, "--policy", files["policy.txt"]],
+            ["check", ledger, "--policy", str(trend)],
+            ["ingest", ledger, _later(tmp_path, 4)],
+            ["ingest", ledger, _later(tmp_path, 4), "--policy", str(trend)],
+        ):
+            assert run(argv) == 3, argv
+            message = f"integrity error: ledger record 4 (INGEST) has no {missing}: its ingest was cut short\n"
+            assert capsys.readouterr() == ("", message), argv
+        assert TestReadOnlyCommands._listing(directory) == before
+        assert run(["verify", ledger]) == 0
+        torn = Ledger.open(ledger).entries()[-1]
+        assert torn.ingest.seq == 4 and torn.findings is None
+        assert (torn.changeset is None) == (missing == "CHANGESET")
+
+
+class TestOneWritePath:
+    def _two_ingests(self, files):
+        for snap_file in ("s1.snap", "s2.snap"):
+            assert run(["ingest", files["ledger"], files[snap_file]]) == 0
+
+    def test_an_ingest_through_a_prefix_view_appends_after_the_latest_record(self, capsys, files, tmp_path):
+        self._two_ingests(files)
+        directory = tmp_path / "ledger"
+        view = Ledger(directory, Ledger.open(directory).raw_lines[:1])
+        view.ingest_snapshot(parse_snapshot_file(_later_text(3)))
+        capsys.readouterr()
+        assert run(["verify", files["ledger"]]) == 0
+        assert capsys.readouterr().out == "OK n=7\n"
+        reopened = Ledger.open(directory)
+        assert [r.kind for r in reopened.records][4:] == ["INGEST", "CHANGESET", "FINDINGS"]
+        assert reopened.ingests()[-1][1] == parse_snapshot_file(_later_text(3)).timestamp
+        assert view.raw_lines == reopened.raw_lines
+
+    def test_two_ledgers_opened_before_either_ingests_both_land(self, capsys, files, tmp_path):
+        self._two_ingests(files)
+        first, second = Ledger.open(files["ledger"]), Ledger.open(files["ledger"])
+        first.ingest_snapshot(parse_snapshot_file(_later_text(3)))
+        second.ingest_snapshot(parse_snapshot_file(_later_text(4)))
+        capsys.readouterr()
+        assert run(["verify", files["ledger"]]) == 0
+        assert capsys.readouterr().out == "OK n=10\n"
+        entries = Ledger.open(files["ledger"]).entries()
+        assert len(entries) == 4
+        assert entries[3].changeset.body.from_digest == entries[2].ingest.body[0]
+        assert entries[3].changeset.body.from_time == parse_snapshot_file(_later_text(3)).timestamp
 
 
 class TestReadOnlyCommands:

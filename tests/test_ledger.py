@@ -405,6 +405,29 @@ class TestObjectCache:
         assert len(stored) == 4
         assert sorted(parses) == sorted(stored)
 
+    @pytest.mark.parametrize("which", ["first", "latest"])
+    def test_a_retry_after_a_failed_object_write_writes_the_object(self, ledger, monkeypatch, which):
+        specs = [(0, "alice", {"S!A1": 1}), (1, "bob", {"S!A1": 2})]
+        if which == "latest":
+            ingest_sequence(ledger, specs[:1])
+        offset, actor, cells = specs[1 if which == "latest" else 0]
+        snapshot = snap(cells, at=T0 + hours(offset), actor=actor)
+        write_bytes, writes = Path.write_bytes, []
+
+        def fails_once(path, data):
+            writes.append(path.name)
+            if len(writes) == 1:
+                raise OSError("no space left on device")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", fails_once)
+        with pytest.raises(OSError):
+            ledger.ingest_snapshot(snapshot)
+        ledger.ingest_snapshot(snapshot)
+        assert len(writes) == 2
+        digest = ledger.ingests()[-1][0]
+        assert Ledger.open(ledger.directory).load_snapshot(digest).cells == snapshot.cells
+
     def test_each_load_has_cells_of_its_own(self, ledger):
         reopened = self._ledger(ledger)
         digest = reopened.ingests()[0][0]
