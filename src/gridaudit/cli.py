@@ -114,14 +114,7 @@ def _cmd_diff(args) -> int:
 
 def _cmd_check(args) -> int:
     policy = controls.parse_policy_file(_read_text(args.policy))
-    ledger = _open_existing(args.ledger_dir)
-    entry = next((e for e in reversed(ledger._whole_entries()) if e.changeset is not None), None)
-    if entry is None:
-        print("error: ledger holds no change sets to check", file=sys.stderr)
-        return EXIT_USAGE
-    attestation = entry.attest and entry.attest.body  # its sign-off
-    view = ledger_mod.Ledger(ledger.directory, ledger.raw_lines[: entry.ingest.seq])
-    return _print_findings(controls.evaluate_policies(entry.changeset.body, policy, view, attestation))
+    return _print_findings(_open_existing(args.ledger_dir).check(policy))
 
 
 def _cmd_trend(args) -> int:

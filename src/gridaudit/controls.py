@@ -477,12 +477,27 @@ def _parse_mode(text: str) -> Mode:
         raise PolicyError(f"[region] stanza has unknown mode {text!r}") from None
 
 
+# stanza kind -> the rule it builds, and each key it takes -> the rule's
+# field and the parser of the key's text.  A key the stanza leaves out
+# leaves its field to the rule's default; a field without one needs its key.
+_RULE_FIELDS = {
+    "region": (RegionRule, {
+        "range": ("region", parse_region),
+        "mode": ("mode", _parse_mode),
+        "ticket_required": ("ticket_required", _parse_bool),
+    }),
+    "bounds": (BoundRule, {"range": ("region", parse_region), "min": ("minimum", Decimal), "max": ("maximum", Decimal)}),
+    "trend": (TrendRule, {
+        "cell": ("address", parse_qualified_address),
+        "window": ("window", int),
+        "z_threshold": ("z_threshold", float),
+        "min_points": ("min_points", int),
+    }),
+}
 # stanza kind -> the keys it takes; only the keys in _REPEATABLE may repeat
 _STANZA_KEYS = {
-    "region": ("range", "mode", "ticket_required"),
+    **{kind: tuple(fields) for kind, (_, fields) in _RULE_FIELDS.items()},
     "cadence": ("range", "window"),
-    "bounds": ("range", "min", "max"),
-    "trend": ("cell", "window", "z_threshold", "min_points"),
     "workflow": ("step",),
 }
 _REPEATABLE = {("cadence", "window"), ("workflow", "step")}
@@ -499,28 +514,16 @@ def _build_rule(kind: str, entries: list[tuple[str, str]]):
             raise PolicyError(f"[{kind}] stanza repeats key {key!r}")
         single[key] = value
     try:
-        if kind == "region":
-            return RegionRule(
-                region=parse_region(single["range"]),
-                mode=_parse_mode(single["mode"]),
-                ticket_required=_parse_bool(single.get("ticket_required", "false")),
-            )
+        if kind in _RULE_FIELDS:
+            rule, fields = _RULE_FIELDS[kind]
+            given = {}
+            for key, (field, parse) in fields.items():
+                if key in single or field not in vars(rule):  # a class attribute is a record's default
+                    given[field] = parse(single[key])
+            return rule(**given)
         if kind == "cadence":
             windows = tuple(_parse_window(v) for k, v in entries if k == "window")
             return CadenceRule(region=parse_region(single["range"]), windows=windows)
-        if kind == "bounds":
-            return BoundRule(
-                region=parse_region(single["range"]),
-                minimum=Decimal(single["min"]) if "min" in single else None,
-                maximum=Decimal(single["max"]) if "max" in single else None,
-            )
-        if kind == "trend":
-            return TrendRule(
-                address=parse_qualified_address(single["cell"]),
-                window=int(single.get("window", "20")),
-                z_threshold=float(single.get("z_threshold", "3.0")),
-                min_points=int(single.get("min_points", "5")),
-            )
         steps = []  # [workflow], the one kind left
         for _, v in entries:
             step_id, _, region = v.partition(" ")

@@ -29,16 +29,19 @@ Ingesting appends INGEST, then (after the first snapshot) CHANGESET and
 FINDINGS, then ATTEST when the snapshot carries an attestation; entries()
 groups each ingest's records and finds any record out of that order.  The
 trailing ATTEST closes a workflow period including its own changes, and
-its text is the ingest's sign-off, at ingest, in `check` and in
+its text is the ingest's sign-off, at ingest, in check() and in
 snapshots().  A ledger as of record k is Ledger(directory, raw_lines[:k]);
-`check` re-evaluates the latest change set on the ledger before its INGEST.
+check() re-evaluates the latest change set as its ingest did, on the ledger
+before its INGEST and with its ATTEST's sign-off.
 ingest_snapshot holds the writer lock (an flock on ledger.log) and reads
 the log again under it, so a stale or prefix Ledger appends after the
 latest record; append_record, which it calls, takes no lock.  Readers may
 run concurrently; opening a ledger writes nothing.  A log whose last line
 lacks its newline (a write cut short) fails at that line.  An ingest after
 the first without its CHANGESET or FINDINGS (a writer stopped between
-appends) is refused by ingest_snapshot and `check`; entries() returns it.
+appends) is refused with DigestMismatch by ingest_snapshot and by every
+query, since each reads entries through _whole_entries; entries() alone
+returns it.
 
 History comes from the first stored snapshot plus the change sets, which
 must link each ingested digest to the next.  Usage metrics, cell series
@@ -423,7 +426,7 @@ class Ledger:
     def workbook_id(self) -> str | None:
         """The workbook id in the first object's header; no cell line is
         parsed for it."""
-        entries = self.entries()
+        entries = self._whole_entries()
         return self._object(entries[0].ingest.body[0])[0].workbook_id if entries else None
 
     # --- object store ---
@@ -531,12 +534,12 @@ class Ledger:
 
     def ingests(self) -> list[tuple[str, datetime, str]]:
         """(digest, timestamp, actor) per INGEST record, in order."""
-        return [e.ingest.body for e in self.entries()]
+        return [e.ingest.body for e in self._whole_entries()]
 
     def changesets(self) -> list[diffing.ChangeSet]:
         """The change sets, each leading from one ingested digest to the
         next; a missing or unlinked change set raises DigestMismatch."""
-        entries = self.entries()
+        entries = self._whole_entries()
         changesets = [e.changeset.body for e in entries if e.changeset is not None]
         digests = [e.ingest.body[0] for e in entries]
         if [(c.from_digest, c.to_digest) for c in changesets] != list(zip(digests, digests[1:])):
@@ -547,7 +550,7 @@ class Ledger:
         """The snapshot at each ingest: the first stored one, then each
         change set replayed on it (diffing.replay checks every step),
         each with the sign-off of its ingest's ATTEST record."""
-        entries = self.entries()
+        entries = self._whole_entries()
         if entries:
             first = entries[0].ingest.body[0]
             # load_snapshot parses every line, as the replay's edits need
@@ -602,7 +605,18 @@ class Ledger:
         return history
 
     def findings_records(self) -> list[tuple[LedgerRecord, list[Finding]]]:
-        return [(e.findings, e.findings.body) for e in self.entries() if e.findings is not None]
+        return [(e.findings, e.findings.body) for e in self._whole_entries() if e.findings is not None]
+
+    def check(self, policy: "controls_mod.ControlPolicy") -> list[Finding]:
+        """The policy's findings for the latest change set, evaluated as its
+        ingest evaluated them: on the ledger before its INGEST, with the
+        sign-off of its ATTEST record.  A ledger without a change set
+        raises ValueError."""
+        entry = next((e for e in reversed(self._whole_entries()) if e.changeset is not None), None)
+        if entry is None:
+            raise ValueError("ledger holds no change sets to check")
+        view = Ledger(self.directory, self.raw_lines[: entry.ingest.seq])
+        return controls_mod.evaluate_policies(entry.changeset.body, policy, view, entry.attest and entry.attest.body)
 
     # --- ingestion ---
 

@@ -135,14 +135,20 @@ class TestUsage:
         assert shown == (GOLDEN_DIR / golden).read_text(encoding="utf-8")
 
 
-def _perfbench_argvs(tmp_path) -> list[list[str]]:
-    """Every command line the benchmark's workloads run, at smoke size."""
+def _workloads():
+    """The benchmark's workload generator, perfbench/workloads.py."""
     import importlib.util
 
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _perfbench_argvs(tmp_path) -> list[list[str]]:
+    """Every command line the benchmark's workloads run, at smoke size."""
+    workloads = _workloads()
     argvs = []
     for name in workloads.GENERATORS:
         out = tmp_path / name
@@ -152,6 +158,18 @@ def _perfbench_argvs(tmp_path) -> list[list[str]]:
             argvs.append(step["argv"])
     return argvs
 
+
+# the rule ids controls.evaluate_policies reports; the static audit reports the others
+POLICY_RULES = {
+    "LOCKED_REGION_CHANGE",
+    "DATA_ONLY_LOGIC_CHANGE",
+    "UNATTESTED_LOGIC_CHANGE",
+    "CADENCE_VIOLATION",
+    "BOUND_VIOLATION",
+    "TYPE_VIOLATION",
+    "TREND_DEVIATION",
+    "TASK_ORDER_VIOLATION",
+}
 
 # (argv, well_formed): a command line built from the command table, then
 # at most one change that may or may not keep it well formed
@@ -435,6 +453,7 @@ class TestQueries:
         run(["ingest", files["ledger"], files["s1.snap"]])
         capsys.readouterr()
         assert run(["check", files["ledger"], "--policy", files["policy.txt"]]) == 2
+        assert capsys.readouterr() == ("", "error: ledger holds no change sets to check\n")
 
     def test_check_evaluates_on_the_ledger_before_the_latest_ingest(self, capsys, tmp_path):
         # the last ingest ends a workflow period with an ATTEST, and its own
@@ -463,6 +482,24 @@ class TestQueries:
         assert (code, capsys.readouterr().out) == (1, expected)
         assert run(["check", ledger_dir, "--policy", str(policy)]) == 1
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_check_reproduces_the_policy_findings_each_ingest_recorded(self, capsys, tmp_path, monkeypatch, seed):
+        plan = _workloads().generate("history-long", seed, tmp_path, "smoke")
+        monkeypatch.chdir(tmp_path)
+        for step in plan["ingest_pass"]:
+            assert run(step["argv"]) == step["exit"], step["argv"]
+        capsys.readouterr()
+        ledger_dir, policy_file = plan["ingest_pass"][-1]["argv"][1], plan["ingest_pass"][-1]["argv"][-1]
+        policy = gridaudit.controls.parse_policy_file(pathlib.Path(policy_file).read_text())
+        ledger = Ledger.open(ledger_dir)
+        checked = 0
+        for entry in ledger.entries()[1:]:
+            end = max(r.seq for r in (entry.ingest, entry.changeset, entry.findings, entry.attest) if r) + 1
+            recorded = [f for f in entry.findings.body if f.rule_id in POLICY_RULES]
+            assert Ledger(ledger.directory, ledger.raw_lines[:end]).check(policy) == recorded, entry.ingest.seq
+            checked += len(recorded)
+        assert checked  # the workload seeds policy violations
 
 
 class TestIngestParsesOneSnapshot:
@@ -808,6 +845,10 @@ class TestTornIngest:
             ["check", ledger, "--policy", str(trend)],
             ["ingest", ledger, _later(tmp_path, 4)],
             ["ingest", ledger, _later(tmp_path, 4), "--policy", str(trend)],
+            ["trend", ledger, "S!A1"],
+            ["history", ledger, "S!A1"],
+            ["profile", ledger],
+            ["report", ledger, "--policy", files["policy.txt"], *TestReport.ARGS],
         ):
             assert run(argv) == 3, argv
             message = f"integrity error: ledger record 4 (INGEST) has no {missing}: its ingest was cut short\n"

@@ -489,6 +489,46 @@ class TestEntries:
                 ("carol", "APP-2 revert"),
             ]
 
+    def test_every_query_refuses_a_torn_ingest_alike(self, ledger):
+        # records: INGEST; INGEST CHANGESET FINDINGS ATTEST; INGEST CHANGESET FINDINGS
+        ingest_sequence(ledger, [(0, "alice", {"S!A1": 5}), (1, "bob", {"S!A1": 6}, "APP-1"), (2, "carol", {"S!A1": 7})])
+        policy = parse_policy_file("workbook = wb1\n[region]\nrange = S!A1\nmode = LOCKED\n")
+        address = addr("S!A1")
+        queries = (
+            lambda view: view.workbook_id,
+            Ledger.ingests,
+            Ledger.changesets,
+            lambda view: list(view.snapshots()),
+            Ledger.findings_records,
+            lambda view: view.series_for_cell(address),
+            lambda view: view.change_history(address),
+            lambda view: view.check(policy),
+        )
+        torn = {}
+        for cut in range(len(ledger.raw_lines) + 1):
+            view = Ledger(ledger.directory, ledger.raw_lines[:cut])
+            outcomes = []
+            for query in queries:
+                try:
+                    query(view)
+                    outcomes.append(None)
+                except DigestMismatch as exc:
+                    outcomes.append(str(exc))
+                except ValueError as exc:  # only check, and only without a change set
+                    assert (query, str(exc)) == (queries[-1], "ledger holds no change sets to check"), cut
+                    assert len(view.entries()) < 2, cut
+                    outcomes.append(None)
+            assert len(set(outcomes)) == 1, (cut, outcomes)
+            if outcomes[0] is not None:
+                torn[cut] = outcomes[0]
+        cut_short = "ledger record {} (INGEST) has no {}: its ingest was cut short"
+        assert torn == {
+            2: cut_short.format(1, "CHANGESET"),
+            3: cut_short.format(1, "FINDINGS"),
+            6: cut_short.format(5, "CHANGESET"),
+            7: cut_short.format(5, "FINDINGS"),
+        }
+
     def test_a_first_sign_off_is_read_from_its_attest_record(self, ledger):
         ingest_sequence(ledger, [(0, "alice", {"S!A1": 1}, "opening"), (1, "bob", {"S!A1": 2})])
         assert [s.attestation for s in Ledger.open(ledger.directory).snapshots()] == ["opening", None]
