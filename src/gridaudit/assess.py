@@ -18,9 +18,9 @@ from datetime import datetime
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .diffing import volatility_metrics
+from .diffing import volatility_ratios
 from .findings import CRITICAL, RULE_SEVERITY, Finding, finding_line
-from .grid import format_instant, record
+from .grid import Formula, format_instant, record
 from .ledger import Ledger
 
 if TYPE_CHECKING:
@@ -97,8 +97,9 @@ class ComplianceReport:
 
 def usage_metrics(ledger: Ledger) -> UsageMetrics:
     """Aggregate over the whole ledger.  Volatility means cover every
-    consecutive snapshot pair (replayed from the first stored snapshot)
-    and are zero with fewer than two ingests."""
+    change set, each over the formula and cell counts of its before
+    snapshot: counted in the first stored snapshot, then carried through
+    each change set's events.  They are zero with fewer than two ingests."""
     ingests = ledger.ingests()
     actors = {actor for _, _, actor in ingests}
     persistence = 0.0
@@ -107,13 +108,16 @@ def usage_metrics(ledger: Ledger) -> UsageMetrics:
         persistence = span.total_seconds() / 86400.0
     structural: list[Fraction] = []
     data: list[Fraction] = []
-    snapshots = ledger.snapshots()
-    before = next(snapshots, None)
-    for changes in ledger.changesets():
-        metrics = volatility_metrics(changes, before)
+    changesets = ledger.changesets()  # each replayed and checked
+    cells = ledger.load_snapshot(ingests[0][0]).cells.values() if changesets else ()
+    formula_count, cell_count = sum(isinstance(c, Formula) for c in cells), len(cells)
+    for changes in changesets:
+        metrics = volatility_ratios(changes, formula_count, cell_count)
         structural.append(metrics.structural_volatility)
         data.append(metrics.data_volatility)
-        before = next(snapshots)  # checks the change set's replay
+        for event in changes.events:
+            formula_count += isinstance(event.after, Formula) - isinstance(event.before, Formula)
+            cell_count += (event.after is not None) - (event.before is not None)
     return UsageMetrics(
         distinct_actors=len(actors),
         persistence_days=persistence,

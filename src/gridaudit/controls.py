@@ -362,8 +362,9 @@ def _check_trends(changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | N
 
 def _period_events(ledger: "Ledger") -> list[ChangeEvent]:
     """Events in change sets recorded since the last ATTEST record, which
-    closes its own ingest's changes too."""
-    entries = ledger.entries()
+    closes its own ingest's changes too; the entries are the ledger's
+    checked ones, as every query reads them."""
+    entries = ledger._whole_entries()
     since = max((i + 1 for i, e in enumerate(entries) if e.attest is not None), default=0)
     return [event for e in entries[since:] if e.changeset is not None for event in e.changeset.body.events]
 

@@ -9,7 +9,7 @@ a logic change.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from datetime import datetime
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -212,30 +212,27 @@ def _merge(old: CellLines, new: CellLines) -> list[ChangeEvent]:
 
 
 def apply_changes(before: Snapshot, changes: ChangeSet) -> Snapshot:
-    """Replay a change set on its base snapshot.  The result carries the
-    change set's end time and actor, no attestation (a change set carries
-    no sign-off), and reproduces to_digest exactly."""
+    """Replay a change set on its base snapshot: one step of replay, on a
+    cells dict of its own.  The result carries the change set's end time
+    and actor, no attestation (a change set carries no sign-off), and
+    reproduces to_digest exactly."""
     lines = CellLines(before.cells)
     if changes.from_digest != lines.digest(before.workbook_id):
-        raise DigestMismatch(
-            f"change set starts at {changes.from_digest[:12]}..., "
-            f"snapshot digest differs"
-        )
-    return list(replay(before, [changes], lines))[-1]
+        raise DigestMismatch(f"change set starts at {changes.from_digest[:12]}..., snapshot digest differs")
+    cells = dict(before.cells)
+    replay(cells, lines, before.workbook_id, [changes])
+    return Snapshot(before.workbook_id, changes.to_time, changes.actor, cells)
 
 
-def replay(first: Snapshot, changesets: Iterable[ChangeSet], lines: CellLines | None = None) -> Iterator[Snapshot]:
-    """first, then the result of each change set in turn, each with a
-    cells dict of its own and, as a change set carries no sign-off, no
-    attestation.  first must hash to the first change set's
-    from_digest; lines, if given, are its CellLines (left unchanged).
-    Each step checks every event's before content (else
+def replay(
+    cells: dict[CellAddress, CellContent], lines: CellLines, workbook_id: str, changesets: Iterable[ChangeSet]
+) -> None:
+    """Apply each change set in turn, in place, to one snapshot's cells and
+    their CellLines, which must hash to the first change set's
+    from_digest.  Each step checks every event's before content (else
     ConflictingEvent), re-renders only the lines its events touch and
-    hashes the result against to_digest (else DigestMismatch) before the
-    result is yielded."""
-    yield first
-    cells = dict(first.cells)
-    lines = CellLines(cells) if lines is None else lines.copy()
+    hashes the result against to_digest (else DigestMismatch); a step that
+    raises leaves the steps before it applied."""
     for changes in changesets:
         for event in changes.events:
             if cells.get(event.address) != event.before:
@@ -248,13 +245,19 @@ def replay(first: Snapshot, changesets: Iterable[ChangeSet], lines: CellLines | 
                 lines.remove(event.address)
             else:
                 raise ConflictingEvent(f"nothing to remove at {event.address}")
-        if lines.digest(first.workbook_id) != changes.to_digest:
+        if lines.digest(workbook_id) != changes.to_digest:
             raise DigestMismatch("replayed snapshot does not reproduce to_digest")
-        yield Snapshot(first.workbook_id, changes.to_time, changes.actor, dict(cells))
 
 
 def volatility_metrics(changes: ChangeSet, before: Snapshot) -> VolatilityMetrics:
-    """Change-rate ratios over the before snapshot.
+    """volatility_ratios over the before snapshot's cells."""
+    formula_count = sum(isinstance(content, Formula) for content in before.cells.values())
+    return volatility_ratios(changes, formula_count, len(before.cells))
+
+
+def volatility_ratios(changes: ChangeSet, formula_count: int, cell_count: int) -> VolatilityMetrics:
+    """Change-rate ratios over a before snapshot of cell_count cells,
+    formula_count of them formulas.
 
     structural_volatility: formula cells whose logic changed, flipped kind
     or were removed, over formula cells in before.  data_volatility: the
@@ -264,11 +267,8 @@ def volatility_metrics(changes: ChangeSet, before: Snapshot) -> VolatilityMetric
     """
     from fractions import Fraction  # only here: `diff` and `history` never need it
 
-    formula_count = sum(isinstance(content, Formula) for content in before.cells.values())
-    literal_count = len(before.cells) - formula_count
-    structural = 0
-    data = 0
-    added = 0
+    literal_count = cell_count - formula_count
+    structural = data = added = 0
     for event in changes.events:
         if event.kind is ChangeKind.ADDED:
             added += 1
@@ -279,5 +279,5 @@ def volatility_metrics(changes: ChangeSet, before: Snapshot) -> VolatilityMetric
     return VolatilityMetrics(
         structural_volatility=Fraction(structural, formula_count) if formula_count else Fraction(0),
         data_volatility=Fraction(data, literal_count) if literal_count else Fraction(0),
-        added_fraction=Fraction(added, len(before.cells)) if before.cells else Fraction(added),
+        added_fraction=Fraction(added, cell_count) if cell_count else Fraction(added),
     )

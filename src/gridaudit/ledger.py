@@ -29,35 +29,38 @@ Ingesting appends INGEST, then (after the first snapshot) CHANGESET and
 FINDINGS, then ATTEST when the snapshot carries an attestation; entries()
 groups each ingest's records and finds any record out of that order.  The
 trailing ATTEST closes a workflow period including its own changes, and
-its text is the ingest's sign-off, at ingest, in check() and in
-snapshots().  A ledger as of record k is Ledger(directory, raw_lines[:k]);
-check() re-evaluates the latest change set as its ingest did, on the ledger
-before its INGEST and with its ATTEST's sign-off.
+its text is the ingest's sign-off, at ingest and in check().  A ledger as
+of record k is Ledger(directory, raw_lines[:k]); check() re-evaluates the
+latest change set as its ingest did, on the ledger before its INGEST and
+with its ATTEST's sign-off.
 ingest_snapshot holds the writer lock (an flock on ledger.log) and reads
 the log again under it, so a stale or prefix Ledger appends after the
 latest record; append_record, which it calls, takes no lock.  Readers may
 run concurrently; opening a ledger writes nothing.  A log whose last line
-lacks its newline (a write cut short) fails at that line.  An ingest after
-the first without its CHANGESET or FINDINGS (a writer stopped between
-appends) is refused with DigestMismatch by ingest_snapshot and by every
-query, since each reads entries through _whole_entries; entries() alone
-returns it.
+lacks its newline (a write cut short) fails at that line.  Every reader,
+ingest_snapshot included, reads entries through one structure check
+(_whole_entries), run once per ledger length: a CHANGESET or FINDINGS in
+the first entry is out of place, and an ingest after the first without
+its CHANGESET or FINDINGS (a writer stopped between appends) was cut
+short.  Both raise DigestMismatch; entries() alone returns such a log.
 
 History comes from the first stored snapshot plus the change sets, which
-must link each ingested digest to the next.  Usage metrics, cell series
-and cell histories replay them, each step checked against its to_digest
-(diffing.replay); each payload is decoded once per process
-(LedgerRecord.body).  Every object read goes through one check, once per
-Ledger (_object): the name must be a digest before it becomes a path, and
-the header must parse and the cell lines, as stored, hash to the name.  A
-snapshot's timestamp, actor and ATTEST line are outside that hash, so no
-verdict reads them from objects/.  The checked lines are the only source
-of an object's cells: CellLines.cells parses each once per Ledger, and a
-blank, malformed, repeated or out-of-order line raises DigestMismatch.
-An ingest diffs the new snapshot against the latest object's lines, so it
-parses only the lines that changed (diffing.diff_snapshots); its workbook
-id, like workbook_id's, comes from an object's header, which the hash
-covers.
+must link each ingested digest to the next.  changesets() links them and
+replays them in place on one cells dict and one CellLines, each step
+checked against its to_digest (diffing.replay), once per ledger length;
+usage metrics, cell series and cell histories all read that one list.
+Each payload is decoded once per Ledger (LedgerRecord.body).
+
+Every object read goes through one check, once per Ledger (_object): the
+name must be a digest before it becomes a path, and the header must parse
+and the cell lines, as stored, hash to the name.  A snapshot's timestamp,
+actor and ATTEST line are outside that hash, so no verdict reads them
+from objects/.  The checked lines are the only source of an object's
+cells: CellLines.cells parses each once per Ledger, and a blank,
+malformed, repeated or out-of-order line raises DigestMismatch.  An ingest
+diffs the new snapshot against the latest object's lines, so it parses
+only the lines that changed (diffing.diff_snapshots); its workbook id,
+like workbook_id's, comes from an object's header, which the hash covers.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ import fcntl
 import hashlib
 import os
 import re
-from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext, suppress
 from datetime import datetime
 from functools import cached_property
@@ -359,7 +361,10 @@ class Ledger:
         self.raw_lines = raw_lines
         self._records: list[LedgerRecord] = []  # the valid records before any corrupt line
         self._corrupt: LedgerCorrupt | None = None
-        self._replay_checked_at = -1  # record count when the change sets last replayed
+        # (record count, result) of _whole_entries and of changesets, each
+        # computed once per ledger length
+        self._entries: tuple[int, list[Entry]] = (-1, [])
+        self._history: tuple[int, list[diffing.ChangeSet]] = (-1, [])
         prev = GENESIS_HASH
         for i, line in enumerate(raw_lines):
             try:
@@ -412,15 +417,23 @@ class Ledger:
         return [Entry(ingest, **{r.kind.lower(): r for r in rest}) for ingest, *rest in groups]
 
     def _whole_entries(self) -> list[Entry]:
-        """entries(), refused with DigestMismatch when an ingest after the
-        first lacks its CHANGESET or FINDINGS, as a writer stopped between
-        appends leaves it: its change set was never recorded."""
-        entries = self.entries()
-        for e in entries[1:]:
-            if e.changeset is None or e.findings is None:
-                missing = "CHANGESET" if e.changeset is None else "FINDINGS"
-                raise diffing.DigestMismatch(f"ledger record {e.ingest.seq} (INGEST) has no {missing}: its ingest was cut short")
-        return entries
+        """entries(), checked once per ledger length; every query reads
+        entries here.  The first ingest has nothing to diff against, so a
+        CHANGESET or FINDINGS in its entry is out of place; an ingest after
+        the first that lacks either, as a writer stopped between appends
+        leaves it, never recorded its change set.  Both raise
+        DigestMismatch."""
+        if self._entries[0] != len(self.records):
+            entries = self.entries()
+            extra = (entries[0].changeset or entries[0].findings) if entries else None
+            if extra:
+                raise diffing.DigestMismatch(f"ledger record {extra.seq} ({extra.kind}) is out of place")
+            for e in entries[1:]:
+                if e.changeset is None or e.findings is None:
+                    missing = "CHANGESET" if e.changeset is None else "FINDINGS"
+                    raise diffing.DigestMismatch(f"ledger record {e.ingest.seq} (INGEST) has no {missing}: its ingest was cut short")
+            self._entries = (len(self._records), entries)
+        return self._entries[1]
 
     @property
     def workbook_id(self) -> str | None:
@@ -538,34 +551,21 @@ class Ledger:
 
     def changesets(self) -> list[diffing.ChangeSet]:
         """The change sets, each leading from one ingested digest to the
-        next; a missing or unlinked change set raises DigestMismatch."""
+        next (else DigestMismatch), replayed in place from the first stored
+        snapshot with every step checked (diffing.replay); they are linked
+        and replayed once per ledger length."""
         entries = self._whole_entries()
-        changesets = [e.changeset.body for e in entries if e.changeset is not None]
-        digests = [e.ingest.body[0] for e in entries]
-        if [(c.from_digest, c.to_digest) for c in changesets] != list(zip(digests, digests[1:])):
-            raise diffing.DigestMismatch("change sets do not link the ingested snapshots")
-        return changesets
-
-    def snapshots(self) -> Iterator[Snapshot]:
-        """The snapshot at each ingest: the first stored one, then each
-        change set replayed on it (diffing.replay checks every step),
-        each with the sign-off of its ingest's ATTEST record."""
-        entries = self._whole_entries()
-        if entries:
-            first = entries[0].ingest.body[0]
-            # load_snapshot parses every line, as the replay's edits need
-            replayed = diffing.replay(self.load_snapshot(first), self.changesets(), self._object(first)[1])
-            for entry, s in zip(entries, replayed):
-                yield Snapshot(s.workbook_id, s.timestamp, s.actor, s.cells, entry.attest and entry.attest.body)
-
-    def _replayed_changesets(self) -> list[diffing.ChangeSet]:
-        """changesets(), each checked to replay to its to_digest; the replay
-        runs once per ledger length, not once per query."""
-        if self._replay_checked_at != len(self._records):
-            for _ in self.snapshots():
-                pass
-            self._replay_checked_at = len(self._records)
-        return self.changesets()
+        if self._history[0] != len(self._records):
+            changesets = [e.changeset.body for e in entries[1:]]
+            if entries:
+                # load_snapshot parses every line, as the replay's edits need
+                first = self.load_snapshot(entries[0].ingest.body[0])
+                digests = [e.ingest.body[0] for e in entries]
+                if [(c.from_digest, c.to_digest) for c in changesets] != list(zip(digests, digests[1:])):
+                    raise diffing.DigestMismatch("change sets do not link the ingested snapshots")
+                diffing.replay(first.cells, self._object(digests[0])[1].copy(), first.workbook_id, changesets)
+            self._history = (len(self._records), changesets)
+        return self._history[1]
 
     def verify_chain(self) -> ChainVerification:
         """The outcome of the check every line passed through when this
@@ -585,7 +585,7 @@ class Ledger:
             return CellSeries(address, ())
         content = self._parsed(ingests[0][0]).cells.get(address)
         states = [(ingests[0][1], content)]
-        for changes in self._replayed_changesets():
+        for changes in self.changesets():
             for event in changes.events:
                 if event.address == address:
                     content = event.after
@@ -598,7 +598,7 @@ class Ledger:
         """Every event at the address, oldest first, once the change sets
         replay (as for series_for_cell)."""
         history = []
-        for changes in self._replayed_changesets():
+        for changes in self.changesets():
             for event in changes.events:
                 if event.address == address:
                     history.append(AttributedChange(event, changes.actor, changes.to_time))

@@ -10,7 +10,8 @@ the digest checks) so that each assertion is a genuine cross-check:
 * a step-by-step task-order simulation
 * a character-by-character unescape, the reference for grid._unescape
 * brute-force ledger history: one stored snapshot re-read per ingest or
-  per change set, the reference for the replayed change-set history
+  per change set, and consecutive stored snapshots diffed by address,
+  the reference for the replayed change-set history
 * a static audit that parses and checks every formula cell on its own,
   the reference for the audit's one parse per copy form
 * ledger payload codecs that escape and split each field by hand, the
@@ -193,6 +194,20 @@ def usage_metrics_by_rescan(ledger):
         mean_data_volatility=sum(data, Fraction(0)) / len(data) if data else Fraction(0),
         ingest_count=len(ingests),
     )
+
+
+def change_history_by_rescan(ledger, address):
+    """Every event at the address, oldest first, from diffing each pair of
+    consecutive ingested snapshots, each loaded by its digest, by address
+    (diff_snapshots_by_address); attributed to the later ingest."""
+    from gridaudit.ledger import AttributedChange
+
+    ingests = ledger.ingests()
+    history = []
+    for (before, _, _), (after, at, actor) in zip(ingests, ingests[1:]):
+        changes = diff_snapshots_by_address(ledger.load_snapshot(before), ledger.load_snapshot(after))
+        history += [AttributedChange(event, actor, at) for event in changes.events if event.address == address]
+    return history
 
 
 # --- static audit, one parse per cell ------------------------------------------

@@ -1105,6 +1105,27 @@ class TestDamagedChangeSet:
             assert captured.err == "integrity error: ledger record 3 (CHANGESET) is out of place\n"
 
 
+    def test_a_change_set_in_the_first_entry_is_an_integrity_error(self, capsys, files, tmp_path):
+        # the second INGEST dropped: the first ingest, which has nothing to
+        # diff against, now holds a CHANGESET and FINDINGS
+        damaged = tmp_path / "damaged"
+        self._rechain(files, damaged, lambda r: None if r.seq == 1 else r.payload)
+        capsys.readouterr()
+        assert run(["verify", str(damaged)]) == 0
+        assert capsys.readouterr().out == "OK n=3\n"
+        for argv in (
+            ["check", str(damaged), "--policy", files["policy.txt"]],
+            ["trend", str(damaged), "S!A1"],
+            ["history", str(damaged), "S!A1"],
+            ["profile", str(damaged)],
+            ["report", str(damaged), "--policy", files["policy.txt"], *TestReport.ARGS],
+        ):
+            assert run(argv) == 3, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "integrity error: ledger record 1 (CHANGESET) is out of place\n"
+
+
 class TestNumberRange:
     def test_digits_past_28_record_no_phantom_change(self, capsys, tmp_path):
         ledger = str(tmp_path / "ledger")

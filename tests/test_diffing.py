@@ -22,7 +22,6 @@ from gridaudit.diffing import (
     apply_changes,
     classify_change,
     diff_snapshots,
-    replay,
     volatility_metrics,
 )
 from gridaudit.grid import (
@@ -118,11 +117,6 @@ class TestApply:
         changes = diff_snapshots(before, after)
         rebuilt = apply_changes(before, changes)
         assert (rebuilt.actor, rebuilt.timestamp, rebuilt.attestation) == ("bob", T0 + hours(1), None)
-        assert [s.attestation for s in replay(before, [changes, diff_snapshots(after, after)])] == [
-            "APP-1 opening",
-            None,
-            None,
-        ]
 
     def test_empty_changeset_is_identity_on_cells(self):
         s = snap({"S!A1": 5})

@@ -1,9 +1,10 @@
 """Replayed ledger history against the brute-force rescans in oracles.py.
 
-Cell series and usage metrics are read from the first stored snapshot plus
-the change sets; the oracles re-read one stored snapshot per ingest or per
-change set.  Both must agree on every ledger an ingest sequence can build,
-and on every prefix view cut where `check` cuts (before an INGEST record).
+Cell series, cell histories and usage metrics are read from the first
+stored snapshot plus the change sets; the oracles re-read one stored
+snapshot per ingest or per change set, and diff consecutive ones.  Both
+must agree on every ledger an ingest sequence can build, and on every
+prefix view cut where `check` cuts (before an INGEST record).
 """
 
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONTENTS, T0, hours
-from oracles import series_for_cell_by_rescan, usage_metrics_by_rescan
+from oracles import change_history_by_rescan, series_for_cell_by_rescan, usage_metrics_by_rescan
 
 from gridaudit.assess import usage_metrics
 from gridaudit.grid import CellAddress, ErrorValue, Formula, Literal, Number, Snapshot, Text
@@ -75,6 +76,7 @@ def test_replayed_history_matches_rescans(sequence):
         for view in [ledger] + [Ledger(ledger.directory, ledger.raw_lines[:cut]) for cut in cuts]:
             for address in seen:
                 assert view.series_for_cell(address) == series_for_cell_by_rescan(view, address)
+                assert view.change_history(address) == change_history_by_rescan(view, address)
             assert usage_metrics(view) == usage_metrics_by_rescan(view)
 
 

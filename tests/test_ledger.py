@@ -473,22 +473,6 @@ class TestEntries:
             with pytest.raises(DigestMismatch, match=rf"^{re.escape(message)}$"):
                 query()
 
-    def test_snapshots_carry_their_own_sign_off(self, ledger):
-        ingest_sequence(
-            ledger,
-            [
-                (0, "alice", {"S!A1": "=A1"}),
-                (1, "bob", {"S!A1": "=A2"}, "APP-1 change"),
-                (2, "carol", {"S!A1": "=A1"}, "APP-2 revert"),
-            ],
-        )
-        for view in (ledger, Ledger.open(ledger.directory)):
-            assert [(s.actor, s.attestation) for s in view.snapshots()] == [
-                ("alice", None),
-                ("bob", "APP-1 change"),
-                ("carol", "APP-2 revert"),
-            ]
-
     def test_every_query_refuses_a_torn_ingest_alike(self, ledger):
         # records: INGEST; INGEST CHANGESET FINDINGS ATTEST; INGEST CHANGESET FINDINGS
         ingest_sequence(ledger, [(0, "alice", {"S!A1": 5}), (1, "bob", {"S!A1": 6}, "APP-1"), (2, "carol", {"S!A1": 7})])
@@ -498,7 +482,6 @@ class TestEntries:
             lambda view: view.workbook_id,
             Ledger.ingests,
             Ledger.changesets,
-            lambda view: list(view.snapshots()),
             Ledger.findings_records,
             lambda view: view.series_for_cell(address),
             lambda view: view.change_history(address),
@@ -528,10 +511,6 @@ class TestEntries:
             6: cut_short.format(5, "CHANGESET"),
             7: cut_short.format(5, "FINDINGS"),
         }
-
-    def test_a_first_sign_off_is_read_from_its_attest_record(self, ledger):
-        ingest_sequence(ledger, [(0, "alice", {"S!A1": 1}, "opening"), (1, "bob", {"S!A1": 2})])
-        assert [s.attestation for s in Ledger.open(ledger.directory).snapshots()] == ["opening", None]
 
 
 def test_ledger_bytes_match_the_golden(tmp_path):

@@ -1,14 +1,17 @@
 """Incremental replay (diffing.replay) against fully rebuilt snapshots, and
-how many cell lines replays and ingests render.
+how much of the history replays, ingests and whole commands read.
 
-A replay re-renders only the cell lines its events touch, so its digest
-must equal snapshot_digest of the snapshot rebuilt from scratch, whatever
-the sheet names, escapes and address case.  The render counts bound the
-work: usage metrics render the first snapshot plus one line per event,
-not the whole workbook once per change set.
+A replay applies each change set in place and re-renders only the cell
+lines its events touch, so after each step its digest must equal
+snapshot_digest of the snapshot rebuilt from scratch, whatever the sheet
+names, escapes and address case.  The counts bound the work: usage
+metrics render one line per event, not the whole workbook once per change
+set, and one command groups the log, parses the first object and decodes
+each change set once per Ledger it reads.
 """
 
 import random
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -18,7 +21,9 @@ from hypothesis import strategies as st
 from conftest import CONTENTS, T0, hours, random_snapshot
 
 from gridaudit import grid
+from gridaudit import ledger as ledger_mod
 from gridaudit.assess import usage_metrics
+from gridaudit.cli import run
 from gridaudit.controls import ControlPolicy, TrendRule
 from gridaudit.diffing import (
     ChangeEvent,
@@ -90,21 +95,28 @@ def changeset_sequences(draw):
     return first, changesets, rebuilt
 
 
-def _stored_keys(snapshot):
-    return sorted((a.sheet, a.row, a.col) for a in snapshot.cells)
+def _stored_keys(cells):
+    return sorted((a.sheet, a.row, a.col) for a in cells)
+
+
+def _start(first):
+    """A cells dict and CellLines of first's, for replay to apply steps to."""
+    return dict(first.cells), grid.CellLines(first.cells)
 
 
 @settings(max_examples=150, deadline=None)
 @given(changeset_sequences())
 def test_incremental_digest_equals_full_rebuild(sequence):
     first, changesets, rebuilt = sequence
-    # replay raises unless each incremental digest equals to_digest, which
-    # is snapshot_digest of the rebuilt snapshot
-    replayed = list(replay(first, changesets))
-    assert [snapshot_digest(s) for s in replayed] == [snapshot_digest(s) for s in rebuilt]
-    assert replayed == rebuilt
-    assert [_stored_keys(s) for s in replayed] == [_stored_keys(s) for s in rebuilt]
-    assert [(s.timestamp, s.actor) for s in replayed] == [(s.timestamp, s.actor) for s in rebuilt]
+    cells, lines = _start(first)
+    for changes, after in zip(changesets, rebuilt[1:]):
+        # replay raises unless the incremental digest equals to_digest,
+        # which is snapshot_digest of the rebuilt snapshot
+        replay(cells, lines, WORKBOOK, [changes])
+        assert lines.digest(WORKBOOK) == snapshot_digest(after)
+        assert list(lines) == list(grid.CellLines(after.cells))
+        assert cells == after.cells
+        assert _stored_keys(cells) == _stored_keys(after.cells)
 
 
 def _with_event(changesets, i, j, event):
@@ -115,25 +127,34 @@ def _with_event(changesets, i, j, event):
     return changesets[:i] + [damaged] + changesets[i + 1 :]
 
 
+def _fails_at_step(first, changesets, rebuilt, i, error):
+    """Replaying changesets raises error at step i, once the steps before
+    it have applied."""
+    with pytest.raises(error):
+        replay(*_start(first), WORKBOOK, changesets)
+    cells, lines = _start(first)
+    replay(cells, lines, WORKBOOK, changesets[:i])  # the steps before still replay
+    assert (cells, lines.digest(WORKBOOK)) == (rebuilt[i].cells, snapshot_digest(rebuilt[i]))
+    with pytest.raises(error):
+        replay(cells, lines, WORKBOOK, changesets[i:])
+
+
 @settings(max_examples=60, deadline=None)
 @given(changeset_sequences(), st.data())
 def test_wrong_before_is_a_conflicting_event(sequence, data):
-    first, changesets, _ = sequence
+    first, changesets, rebuilt = sequence
     positions = [(i, j) for i, changes in enumerate(changesets) for j in range(len(changes.events))]
     assume(positions)
     i, j = data.draw(st.sampled_from(positions))
     event = changesets[i].events[j]
     forged = ChangeEvent(event.address, classify_change(FORGED, event.after), FORGED, event.after)
-    replayed = replay(first, _with_event(changesets, i, j, forged))
-    assert len([next(replayed) for _ in range(i + 1)]) == i + 1  # the steps before still replay
-    with pytest.raises(ConflictingEvent):
-        next(replayed)
+    _fails_at_step(first, _with_event(changesets, i, j, forged), rebuilt, i, ConflictingEvent)
 
 
 @settings(max_examples=60, deadline=None)
 @given(changeset_sequences(), st.data())
 def test_wrong_after_is_a_digest_mismatch(sequence, data):
-    first, changesets, _ = sequence
+    first, changesets, rebuilt = sequence
     # the last event of a change set, so no later event reads its after
     steps = [i for i, changes in enumerate(changesets) if changes.events]
     assume(steps)
@@ -141,10 +162,7 @@ def test_wrong_after_is_a_digest_mismatch(sequence, data):
     j = len(changesets[i].events) - 1
     event = changesets[i].events[j]
     forged = ChangeEvent(event.address, classify_change(event.before, FORGED), event.before, FORGED)
-    replayed = replay(first, _with_event(changesets, i, j, forged))
-    assert len([next(replayed) for _ in range(i + 1)]) == i + 1
-    with pytest.raises(DigestMismatch):
-        next(replayed)
+    _fails_at_step(first, _with_event(changesets, i, j, forged), rebuilt, i, DigestMismatch)
 
 
 def test_removing_an_absent_cell_is_a_conflicting_event():
@@ -152,7 +170,7 @@ def test_removing_an_absent_cell_is_a_conflicting_event():
     changes = ChangeSet(WORKBOOK, snapshot_digest(first), snapshot_digest(first), T0, T0 + hours(1), "bob",
                         (ChangeEvent(CellAddress("S", 1, 1), ChangeKind.REMOVED, None, None),))
     with pytest.raises(ConflictingEvent):
-        list(replay(first, [changes]))
+        replay(*_start(first), WORKBOOK, [changes])
 
 
 # --- render counts -------------------------------------------------------------
@@ -217,3 +235,46 @@ def test_ingest_renders_each_snapshot_once(tmp_path, renders):
     # stored objects are checked as stored, and the two trend rules share one replay
     assert len(renders) <= len(new.cells) + events
     assert ledger.ingests()[-1][0] == snapshot_digest(new)
+
+
+# --- one checked pass per command ----------------------------------------------
+
+
+@pytest.mark.parametrize("ingests", [5, 10, 20])
+def test_each_query_reads_the_history_once(tmp_path, monkeypatch, renders, ingests):
+    """profile and report group the log once, parse the first object once,
+    decode each change set once and render at most one line per event.
+    check reads two Ledgers, its own and the view before the latest
+    ingest, so its bound is once per Ledger."""
+    directory = str(tmp_path / "ledger")
+    ledger, _ = _history(directory, ingests)
+    events = sum(len(changes.events) for changes in ledger.changesets())
+    policy = tmp_path / "policy.txt"
+    policy.write_text("workbook = wb1\n\n[trend]\ncell = Alpha!A40\n")
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Ledger, "entries")
+    count(grid.CellLines, "cells")
+    count(ledger_mod, "parse_changeset")  # LedgerRecord.body looks it up at call time
+    period = ["--from", "2024-01-01T00:00:00Z", "--to", "2025-01-01T00:00:00Z", "--generated-at", "2025-01-02T00:00:00Z"]
+    for argv, ledgers in (
+        (["profile", directory], 1),
+        (["report", directory, "--policy", str(policy), *period], 1),
+        (["check", directory, "--policy", str(policy)], 2),
+    ):
+        calls.clear()
+        renders.clear()
+        assert run(argv) in (0, 1), argv[0]
+        assert calls["entries"] <= ledgers, argv[0]
+        assert calls["cells"] <= ledgers, argv[0]
+        assert calls["parse_changeset"] <= ledgers * (ingests - 1), argv[0]
+        assert len(renders) <= events, argv[0]
