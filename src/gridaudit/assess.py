@@ -334,50 +334,120 @@ def render_report_text(report: ComplianceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finding_dict(finding: Finding) -> dict:
-    return {
-        "rule_id": finding.rule_id,
-        "severity": finding.severity,
-        "location": str(finding.location),
-        "message": finding.message,
-        "observed": finding.observed,
-        "expected": finding.expected,
-    }
+def _json_scalar(value, quote) -> str:
+    """One scalar exactly as json.dumps writes it; quote is its string
+    encoder, json.encoder.encode_basestring_ascii."""
+    if isinstance(value, str):
+        return quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (float("inf"), float("-inf")):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"not a JSON scalar: {value!r}")
+
+
+def _json_array(items: list[str], pad: str) -> list[str]:
+    """The pieces of a JSON array of rendered items, laid out as
+    json.dumps(indent=2) lays it out with its closing bracket at pad."""
+    if not items:
+        return ["[]"]
+    sep = ",\n  " + pad
+    pieces = ["[\n  " + pad]
+    for item in items:
+        pieces += (item, sep)
+    pieces[-1] = "\n" + pad + "]"
+    return pieces
+
+
+def _json_object(fields: dict[str, str | list[str]], pad: str) -> list[str]:
+    """The pieces of a non-empty JSON object in sorted key order, laid out as
+    json.dumps(indent=2, sort_keys=True) lays it out with its closing
+    brace at pad.  A value is rendered text or the pieces of one; the
+    keys are plain ASCII names, which JSON writes as they are."""
+    pieces = []
+    sep = "{"
+    for key, value in sorted(fields.items()):
+        pieces.append(f'{sep}\n  {pad}"{key}": ')
+        pieces += [value] if isinstance(value, str) else value
+        sep = ","
+    pieces.append("\n" + pad + "}")
+    return pieces
+
+
+def _finding_json(finding: Finding, pad: str, quote) -> str:
+    """One finding's JSON object as one string, its closing brace at pad."""
+    i = "\n  " + pad
+    return (
+        f'{{{i}"expected": {_json_scalar(finding.expected, quote)},'
+        f'{i}"location": {quote(str(finding.location))},'
+        f'{i}"message": {_json_scalar(finding.message, quote)},'
+        f'{i}"observed": {_json_scalar(finding.observed, quote)},'
+        f'{i}"rule_id": {quote(finding.rule_id)},'
+        f'{i}"severity": {quote(finding.severity)}\n{pad}}}'
+    )
 
 
 def render_report_json(report: ComplianceReport) -> str:
-    import json  # only here: a text report or a profile does not need it
+    """The report as `json.dumps(document, indent=2, sort_keys=True)` plus
+    a newline would write it, written directly.  Each finding's object is
+    built once per depth it appears at, and the pieces are joined once:
+    json.dumps with indent runs the pure-Python encoder, whose small
+    chunks peak at several times the output."""
+    # only here: a text report or a profile does not need json
+    from json.encoder import encode_basestring_ascii as quote
+
+    built: dict[int, str] = {}  # id(finding) -> its object in a section list
+
+    def in_section(finding: Finding) -> str:
+        text = built.get(id(finding))
+        if text is None:
+            text = built[id(finding)] = _finding_json(finding, "      ", quote)
+        return text
 
     m = report.profile.metrics
-    doc = {
-        "workbook_id": report.workbook_id,
-        "period": {
-            "start": format_instant(report.period_start),
-            "end": format_instant(report.period_end),
-        },
-        "generated_at": format_instant(report.generated_at),
-        "ledger_records": report.record_count,
-        "chain_verified": report.chain_verified,
-        "usage": {
-            "ingest_count": m.ingest_count,
-            "distinct_actors": m.distinct_actors,
-            "persistence_days": round(m.persistence_days, 6),
-            "mean_structural_volatility": round(float(m.mean_structural_volatility), 6),
-            "mean_data_volatility": round(float(m.mean_data_volatility), 6),
-            "classification": report.profile.classification,
-            "risk_score": round(report.profile.risk_score, 2),
-            "rationale": list(report.profile.rationale),
-        },
-        "thresholds": {
-            "operational_actor_min": report.classifier.operational_actor_min,
-            "persistence_days_min": report.classifier.persistence_days_min,
-            "operational_max_structural": round(float(report.classifier.operational_max_structural), 6),
-            "modeling_min_structural": round(float(report.classifier.modeling_min_structural), 6),
-        },
-        "findings_by_section": {
-            str(section): [_finding_dict(f) for f in report.findings_by_sox[section]]
+    cfg = report.classifier
+    pieces = _json_object({
+        "workbook_id": quote(report.workbook_id),
+        "period": _json_object({
+            "start": quote(format_instant(report.period_start)),
+            "end": quote(format_instant(report.period_end)),
+        }, "  "),
+        "generated_at": quote(format_instant(report.generated_at)),
+        "ledger_records": _json_scalar(report.record_count, quote),
+        "chain_verified": _json_scalar(report.chain_verified, quote),
+        "usage": _json_object({
+            "ingest_count": _json_scalar(m.ingest_count, quote),
+            "distinct_actors": _json_scalar(m.distinct_actors, quote),
+            "persistence_days": _json_scalar(round(m.persistence_days, 6), quote),
+            "mean_structural_volatility": _json_scalar(round(float(m.mean_structural_volatility), 6), quote),
+            "mean_data_volatility": _json_scalar(round(float(m.mean_data_volatility), 6), quote),
+            "classification": quote(report.profile.classification),
+            "risk_score": _json_scalar(round(report.profile.risk_score, 2), quote),
+            "rationale": _json_array([quote(line) for line in report.profile.rationale], "    "),
+        }, "  "),
+        "thresholds": _json_object({
+            "operational_actor_min": _json_scalar(cfg.operational_actor_min, quote),
+            "persistence_days_min": _json_scalar(cfg.persistence_days_min, quote),
+            "operational_max_structural": _json_scalar(round(float(cfg.operational_max_structural), 6), quote),
+            "modeling_min_structural": _json_scalar(round(float(cfg.modeling_min_structural), 6), quote),
+        }, "  "),
+        "findings_by_section": _json_object({
+            str(section): _json_array([in_section(f) for f in report.findings_by_sox[section]], "    ")
             for section in SOX_SECTIONS
-        },
-        "material_weaknesses": [_finding_dict(f) for f in report.material_weaknesses],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        }, "  "),
+        "material_weaknesses": _json_array(
+            [_finding_json(f, "    ", quote) for f in report.material_weaknesses], "  "
+        ),
+    }, "")
+    pieces.append("\n")
+    return "".join(pieces)

@@ -5,8 +5,11 @@ once: it records error values and reads each formula's copy key
 (`formula.copy_key`).  It parses each distinct copy form once, renders
 it once in host-relative R1C1 form and checks that one tree for deep IF
 nesting and buried numeric constants; copies with the same key reuse
-those results.  Finally it compares each formula's R1C1 form with the
-majority form of its copy runs across all sheets.
+those results.  Sheet names compare without case, so forms that differ
+only in how a sheet name is spelt count as one, printed as the first
+formula of that form in the snapshot writes it.  Finally it compares
+each formula's R1C1 form with the majority form of its copy runs across
+all sheets.
 
 Rules:
 
@@ -38,6 +41,7 @@ from .formula import (
     Unary,
     copy_key,
     fold,
+    lower_sheet_names,
     normalize_relative,
     parse_formula,
 )
@@ -233,6 +237,9 @@ def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[F
     forms: dict[CellAddress, str] = {}
     # copy key -> (R1C1 form, tree findings), so each copy form is parsed once
     by_key: dict[tuple, tuple[str, list[tuple]]] = {}
+    # R1C1 form with sheet names lowered -> that form as first written, so
+    # copies that spell a sheet name in another case share one form
+    spelled: dict[str, str] = {}
     for address, cell in snapshot.cells.items():
         value = content_value(cell)
         if isinstance(value, ErrorValue):
@@ -261,7 +268,10 @@ def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[F
                 # a broken cell still breaks its run's uniformity rather than splitting it
                 forms[address] = f"!unparsed:{cell.source}"
                 continue
-            by_key[key] = (normalize_relative(tree, address), _tree_findings(tree, cfg))
+            form = normalize_relative(tree, address)
+            if "!" in form:  # a form without one names no sheet: it is its own lowered form
+                form = spelled.setdefault(normalize_relative(lower_sheet_names(tree), address), form)
+            by_key[key] = (form, _tree_findings(tree, cfg))
         forms[address], shapes = by_key[key]
         findings += [make_finding(rule_id, address, *fields) for rule_id, *fields in shapes]
     findings.extend(_copy_findings(forms, cfg))

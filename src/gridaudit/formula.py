@@ -32,7 +32,10 @@ a ``$`` pins an axis: one without it follows its host whether or not the
 reference names a sheet, so ``=Data!A1`` in B1 renders ``=Data!RC[-1]``,
 as in Excel.  ``copy_key`` reads the same tokens without parsing, so a
 caller can parse such copies once; ``shift_relative`` moves a tree as a
-copy would.  All three follow that one rule.
+copy would.  All three follow that one rule.  Sheet names compare
+without case: ``copy_key`` lowers them, and ``lower_sheet_names`` gives
+the tree whose R1C1 form compares that way, while ``normalize_relative``
+prints them as written.
 """
 
 from __future__ import annotations
@@ -252,10 +255,11 @@ def _accept_ref(source: str, m: re.Match) -> tuple | None:
 
 def copy_key(source: str, host: CellAddress) -> tuple:
     """A key that translated copies of one formula share.  It holds every
-    token's kind and text, except that a reference becomes its sheet (a
-    range's end takes its start's), its $ flags and its row and column:
-    an axis with $ keeps its number, any other becomes an offset from
-    host.  Sources with equal keys parse alike and have equal R1C1 forms.
+    token's kind and text, except that a reference becomes its sheet in
+    lower case (a range's end takes its start's), its $ flags and its row
+    and column: an axis with $ keeps its number, any other becomes an
+    offset from host.  Sources with equal keys parse alike and have equal
+    R1C1 forms up to the case of sheet names (see lower_sheet_names).
     Raises the error parse_formula raises for a source it cannot
     tokenize."""
     if not source.startswith("="):
@@ -270,7 +274,8 @@ def copy_key(source: str, host: CellAddress) -> tuple:
             sheet = None
             continue
         row, col, row_abs, col_abs, sheet = ref
-        sheet = sheet or start_sheet
+        # sheet names compare without case, as in CellAddress
+        sheet = sheet.lower() if sheet else start_sheet
         key.append((
             sheet, row_abs, col_abs,
             row if row_abs else row - host.row,
@@ -599,24 +604,14 @@ def references_of(ast: FormulaAst) -> list[CellRef | Range]:
     return out
 
 
-def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
-    """The tree copied (dr, dc) cells away: every axis without $ moves by
-    (dr, dc), whatever sheet its reference names."""
-
-    def shift_ref(ref: CellRef) -> CellRef:
-        return CellRef(
-            ref.row if ref.row_abs else ref.row + dr,
-            ref.col if ref.col_abs else ref.col + dc,
-            ref.row_abs,
-            ref.col_abs,
-            ref.sheet,
-        )
+def _map_refs(node: FormulaAst, rewrite: Callable[[CellRef], CellRef]) -> FormulaAst:
+    """The tree with rewrite applied to every reference, range ends included."""
 
     def combine(node: FormulaAst, parts) -> FormulaAst:
         if isinstance(node, Ref):
-            return Ref(shift_ref(node.ref))
+            return Ref(rewrite(node.ref))
         if isinstance(node, Range):
-            return Range(shift_ref(node.start), shift_ref(node.end))
+            return Range(rewrite(node.start), rewrite(node.end))
         if isinstance(node, Unary):
             return Unary(node.op, *parts)
         if isinstance(node, Binary):
@@ -626,3 +621,23 @@ def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
         return node
 
     return fold(node, combine)
+
+
+def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
+    """The tree copied (dr, dc) cells away: every axis without $ moves by
+    (dr, dc), whatever sheet its reference names."""
+    return _map_refs(node, lambda ref: CellRef(
+        ref.row if ref.row_abs else ref.row + dr,
+        ref.col if ref.col_abs else ref.col + dc,
+        ref.row_abs,
+        ref.col_abs,
+        ref.sheet,
+    ))
+
+
+def lower_sheet_names(node: FormulaAst) -> FormulaAst:
+    """The tree with every sheet name in lower case.  Sheet names compare
+    without case, so two trees name the same cells where these agree."""
+    return _map_refs(node, lambda ref: ref if ref.sheet is None else CellRef(
+        ref.row, ref.col, ref.row_abs, ref.col_abs, ref.sheet.lower()
+    ))

@@ -18,6 +18,8 @@ the digest checks) so that each assertion is a genuine cross-check:
   reference for the ledger's one row codec
 * a diff that keys both snapshots' cells by address and compares content
   objects, the reference for the merge over cell lines
+* a JSON report built as one document and written by json.dumps, the
+  reference for the report's direct emitter
 """
 
 from __future__ import annotations
@@ -215,14 +217,16 @@ def change_history_by_rescan(ledger, address):
 
 def audit_by_cell(snapshot, cfg=None):
     """audit_workbook's findings, with every formula cell parsed, rendered
-    in R1C1 form and checked on its own: no copy key and no cache."""
+    in R1C1 form and checked on its own: no copy key and no cache.  A form
+    is kept as the first cell whose form agrees with it up to the case of
+    sheet names writes it."""
     from gridaudit.audit import AuditConfig, _copy_findings, _tree_findings
     from gridaudit.findings import Finding, make_finding
-    from gridaudit.formula import FormulaError, normalize_relative, parse_formula
+    from gridaudit.formula import FormulaError, lower_sheet_names, normalize_relative, parse_formula
     from gridaudit.grid import ErrorValue, Formula, content_value
 
     cfg = cfg or AuditConfig()
-    findings, forms = [], {}
+    findings, forms, spelled = [], {}, {}
     for address, cell in snapshot.cells.items():
         value = content_value(cell)
         if isinstance(value, ErrorValue):
@@ -239,7 +243,8 @@ def audit_by_cell(snapshot, cfg=None):
             findings.append(make_finding("PARSE_FAILURE", address, message, cell.source))
             forms[address] = f"!unparsed:{cell.source}"
             continue
-        forms[address] = normalize_relative(tree, address)
+        folded = normalize_relative(lower_sheet_names(tree), address)
+        forms[address] = spelled.setdefault(folded, normalize_relative(tree, address))
         findings += [make_finding(rule_id, address, *fields) for rule_id, *fields in _tree_findings(tree, cfg)]
     findings += _copy_findings(forms, cfg)
     return sorted(findings, key=Finding.sort_key)
@@ -407,3 +412,60 @@ def diff_snapshots_by_address(before, after):
         actor=after.actor,
         events=tuple(events),
     )
+
+
+# --- JSON report as one document through json.dumps --------------------------
+
+
+def _finding_dict(finding) -> dict:
+    return {
+        "rule_id": finding.rule_id,
+        "severity": finding.severity,
+        "location": str(finding.location),
+        "message": finding.message,
+        "observed": finding.observed,
+        "expected": finding.expected,
+    }
+
+
+def report_json_by_dumps(report) -> str:
+    """The JSON report as one document of dicts and lists, written by
+    json.dumps(indent=2, sort_keys=True) with a trailing newline."""
+    import json
+
+    from gridaudit.assess import SOX_SECTIONS
+    from gridaudit.grid import format_instant
+
+    m = report.profile.metrics
+    doc = {
+        "workbook_id": report.workbook_id,
+        "period": {
+            "start": format_instant(report.period_start),
+            "end": format_instant(report.period_end),
+        },
+        "generated_at": format_instant(report.generated_at),
+        "ledger_records": report.record_count,
+        "chain_verified": report.chain_verified,
+        "usage": {
+            "ingest_count": m.ingest_count,
+            "distinct_actors": m.distinct_actors,
+            "persistence_days": round(m.persistence_days, 6),
+            "mean_structural_volatility": round(float(m.mean_structural_volatility), 6),
+            "mean_data_volatility": round(float(m.mean_data_volatility), 6),
+            "classification": report.profile.classification,
+            "risk_score": round(report.profile.risk_score, 2),
+            "rationale": list(report.profile.rationale),
+        },
+        "thresholds": {
+            "operational_actor_min": report.classifier.operational_actor_min,
+            "persistence_days_min": report.classifier.persistence_days_min,
+            "operational_max_structural": round(float(report.classifier.operational_max_structural), 6),
+            "modeling_min_structural": round(float(report.classifier.modeling_min_structural), 6),
+        },
+        "findings_by_section": {
+            str(section): [_finding_dict(f) for f in report.findings_by_sox[section]]
+            for section in SOX_SECTIONS
+        },
+        "material_weaknesses": [_finding_dict(f) for f in report.material_weaknesses],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

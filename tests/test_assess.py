@@ -5,15 +5,21 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import T0, addr, hours, snap
+from oracles import report_json_by_dumps
 
 from gridaudit.assess import (
     INDETERMINATE,
     MODELING,
     OPERATIONAL,
+    SOX_SECTIONS,
     ClassifierConfig,
+    ComplianceReport,
     EmptyLedger,
+    RiskProfile,
     UnknownRule,
     UsageMetrics,
     build_report,
@@ -26,8 +32,8 @@ from gridaudit.assess import (
     usage_metrics,
 )
 from gridaudit.controls import ControlPolicy, Mode, RegionRule, parse_policy_file
-from gridaudit.findings import CRITICAL, make_finding
-from gridaudit.grid import parse_region
+from gridaudit.findings import CRITICAL, INFO, RULE_SEVERITY, WARNING, Finding, make_finding
+from gridaudit.grid import CellAddress, Region, parse_region
 from gridaudit import ledger as ledger_mod
 from gridaudit.ledger import Ledger
 
@@ -285,3 +291,124 @@ class TestReports:
         assert doc["chain_verified"] is True
         assert doc["findings_by_section"]["302"][0]["rule_id"] == "UNATTESTED_LOGIC_CHANGE"
         assert doc["usage"]["distinct_actors"] == 2
+
+
+# --- the JSON report against json.dumps ---------------------------------------
+
+# quote, backslash, controls, non-ASCII, a line separator, non-BMP and a lone surrogate
+_AWKWARD = st.sampled_from(['"', "\\", "\t", "\n", "\x00", "\x1f", "\x7f", "é", " ", "😀", "\U0010ffff", "\ud800"])
+_TEXT = st.text(st.one_of(_AWKWARD, st.characters()), max_size=10)
+_SHEET = st.text(st.one_of(_AWKWARD, st.characters()), min_size=1, max_size=6)
+_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([1e300, -1e300, 1e-300, 5e-7, 4.9999995e-7, 123456789.1234567, 0.1, -0.0]),
+)
+_FRACTION = st.fractions(min_value=-(10**6), max_value=10**6)
+_LOCATION = st.one_of(
+    st.builds(CellAddress, _SHEET, st.integers(1, 10**6), st.integers(1, 16384)),
+    st.builds(lambda sheet, top, left: Region(sheet, top, left, top + 3, left + 1), _SHEET, st.integers(1, 99), st.integers(1, 99)),
+    _TEXT,
+)
+_FINDING = st.builds(
+    Finding,
+    st.sampled_from(sorted(RULE_SEVERITY)),
+    st.sampled_from([INFO, WARNING, CRITICAL]),
+    _LOCATION,
+    _TEXT,
+    _TEXT,
+    st.one_of(st.none(), _TEXT),
+)
+_INSTANT = st.datetimes(timezones=st.just(timezone.utc))
+
+
+@st.composite
+def _reports(draw) -> ComplianceReport:
+    """Reports whose sections share finding objects, as build_report's do."""
+    pool = draw(st.lists(_FINDING, max_size=5))
+    picks = st.lists(st.sampled_from(pool), max_size=6) if pool else st.just([])
+    profile = RiskProfile(
+        metrics=UsageMetrics(
+            distinct_actors=draw(st.integers(0, 10**9)),
+            persistence_days=draw(st.one_of(_FLOAT, st.integers(0, 999))),
+            mean_structural_volatility=draw(_FRACTION),
+            mean_data_volatility=draw(_FRACTION),
+            ingest_count=draw(st.integers(0, 10**9)),
+        ),
+        classification=draw(st.one_of(st.sampled_from([OPERATIONAL, MODELING, INDETERMINATE]), _TEXT)),
+        risk_score=draw(_FLOAT),
+        rationale=tuple(draw(st.lists(_TEXT, max_size=3))),
+    )
+    return ComplianceReport(
+        workbook_id=draw(_TEXT),
+        period_start=draw(_INSTANT),
+        period_end=draw(_INSTANT),
+        generated_at=draw(_INSTANT),
+        record_count=draw(st.integers(0, 10**9)),
+        chain_verified=draw(st.booleans()),
+        findings_by_sox={section: draw(picks) for section in SOX_SECTIONS},
+        material_weaknesses=draw(picks),
+        profile=profile,
+        classifier=ClassifierConfig(
+            operational_actor_min=draw(st.integers(-5, 10**6)),
+            persistence_days_min=draw(st.one_of(_FLOAT, st.integers(0, 999))),
+            operational_max_structural=draw(_FRACTION),
+            modeling_min_structural=draw(_FRACTION),
+        ),
+        policy=None,
+    )
+
+
+def _large_report(count: int) -> ComplianceReport:
+    """A report of count findings laid out as build_report lays them out:
+    every finding in 103 and 404, logic changes in 302, critical value
+    findings in 304 and in the material weaknesses."""
+    rules = ["COPY_INCONSISTENT", "EMBEDDED_CONSTANT", "ERROR_VALUE", "UNATTESTED_LOGIC_CHANGE", "BOUND_VIOLATION"]
+    findings = [
+        make_finding(
+            rules[i % len(rules)],
+            CellAddress(f"Sheet{i % 16}", 2 + i // 16, 3 + i % 7),
+            f"formula deviates from the majority form of its run ({i % 9 + 3}/{i % 9 + 4} cells agree)",
+            observed=f"=Data!R[{i % 5}]C[-1]*{i}",
+            expected="=Data!RC[-1]*2" if i % 2 else None,
+        )
+        for i in range(count)
+    ]
+    by_section = {section: [] for section in SOX_SECTIONS}
+    for finding in findings:
+        for section in sorted(map_finding_to_sox(finding)):
+            by_section[section].append(finding)
+    return ComplianceReport(
+        workbook_id="wb-large",
+        period_start=T0,
+        period_end=T0 + hours(24),
+        generated_at=T0 + hours(25),
+        record_count=2 * count,
+        chain_verified=True,
+        findings_by_sox=by_section,
+        material_weaknesses=[f for f in findings if f.severity == CRITICAL],
+        profile=RiskProfile(metrics(actors=3, days=31.5, structural=Fraction(1, 7)), OPERATIONAL, 95.0, ("one", "two")),
+        classifier=ClassifierConfig(),
+        policy=None,
+    )
+
+
+class TestJsonReport:
+    @settings(max_examples=200, deadline=None)
+    @given(_reports())
+    def test_same_text_as_json_dumps(self, report):
+        assert render_report_json(report) == report_json_by_dumps(report)
+
+    def test_render_peak_is_bounded_by_output(self):
+        # counted, not timed: the traced peak of one render, output included
+        import tracemalloc
+
+        report = _large_report(600)
+        text = render_report_json(report)  # imports json before tracing starts
+        assert text == report_json_by_dumps(report)
+        tracemalloc.start()
+        try:
+            render_report_json(report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)

@@ -78,6 +78,29 @@ class TestCopyInconsistencies:
         ]
         assert sources == ["=Data!A1*2", "=Data!A4*3"]  # one parse per copy form
 
+    def test_sheet_name_case_does_not_break_a_run(self, monkeypatch):
+        sources = []
+
+        def counted(source):
+            sources.append(source)
+            return parse_formula(source)
+
+        monkeypatch.setattr(audit, "parse_formula", counted)
+        cells = {f"S!B{row}": f"=Data!A{row}*2" for row in range(1, 7)}
+        cells["S!B4"] = "=data!A4*2"
+        assert [f for f in audit_workbook(snap(cells)) if f.rule_id == "COPY_INCONSISTENT"] == []
+        assert sources == ["=Data!A1*2"]  # the other spelling shares the parse
+
+    def test_sheet_name_case_keeps_a_deviation_as_written(self):
+        # forms are compared without sheet-name case but printed as first written
+        cells = {f"S!B{row}": f"=Data!A{row}*2" for row in range(1, 7)}
+        cells["S!B2"] = "=(DATA!A2*2)"
+        cells["S!B4"] = "=data!A4*3"
+        findings = [f for f in audit_workbook(snap(cells)) if f.rule_id == "COPY_INCONSISTENT"]
+        assert [(str(f.location), f.observed, f.expected) for f in findings] == [
+            ("S!B4", "=data!RC[-1]*3", "=Data!RC[-1]*2")
+        ]
+
     def test_run_below_min_length_ignored(self):
         cells = {"S!A1": "=B1*2", "S!B1": "=Z9*9"}
         assert detect_copy_inconsistencies(snap(cells), "S") == []

@@ -27,6 +27,7 @@ from gridaudit.formula import (
     UnbalancedParens,
     UnknownToken,
     copy_key,
+    lower_sheet_names,
     normalize_relative,
     parse_formula,
     print_formula,
@@ -268,6 +269,13 @@ class TestNormalization:
         out = normalize_relative(parse_formula("=SUM(Data!$A1:B$2)"), addr("S!C3"))
         assert out == "=SUM(Data!R[-2]C1:R2C[-1])"
 
+    def test_sheet_names_print_as_written_and_lower_for_comparison(self):
+        tree = parse_formula("='My Data'!B9+SUM(Data!A1:B2)+A1")
+        assert normalize_relative(tree, addr("S!C3")) == "='My Data'!R[6]C[-1]+SUM(Data!R[-2]C[-2]:R[-1]C[-1])+R[-2]C[-2]"
+        lowered = lower_sheet_names(tree)
+        assert normalize_relative(lowered, addr("S!C3")) == "='my data'!R[6]C[-1]+SUM(data!R[-2]C[-2]:R[-1]C[-1])+R[-2]C[-2]"
+        assert lowered == lower_sheet_names(parse_formula("='MY DATA'!B9+SUM(data!A1:B2)+A1"))
+
 
 class TestReferences:
     def test_duplicates_preserved(self):
@@ -403,8 +411,8 @@ _KEY_TEMPLATES = st.one_of(
 
 class TestCopyKey:
     """copy_key against parse_formula: equal keys must mean equal parses,
-    R1C1 forms and tree findings, and the key scan fails exactly where
-    tokenizing does."""
+    R1C1 forms and tree findings up to the case of sheet names, and the
+    key scan fails exactly where tokenizing does."""
 
     @given(st.lists(_KEY_TEMPLATES, min_size=1, max_size=3))
     @settings(max_examples=500, deadline=None)
@@ -426,7 +434,7 @@ class TestCopyKey:
                     assert not isinstance(exc, UnknownToken) and getattr(exc, "expected", "") != "closing quote"
                     outcome = None
                 else:
-                    outcome = (normalize_relative(tree, host), _tree_findings(tree, _KEY_CFG))
+                    outcome = (normalize_relative(lower_sheet_names(tree), host), _tree_findings(tree, _KEY_CFG))
                 assert outcome_of.setdefault(key, outcome) == outcome
 
     def test_source_without_equals_sign_fails_as_in_parsing(self):
@@ -437,6 +445,7 @@ class TestCopyKey:
         key = copy_key("=SUM(B2:B4)*$A$1+Data!C3", addr("S!A1"))
         assert copy_key("=SUM(C9:C11)*$A$1+Data!D10", addr("S!B8")) == key
         assert copy_key("= sum( C9 : C11 ) * $A$1 + Data!D10", addr("S!B8")) != key
+        assert copy_key("=SUM(C9:C11)*$A$1+DATA!D10", addr("S!B8")) == key  # sheet names ignore case
 
     @pytest.mark.parametrize(
         "first, second, step",
