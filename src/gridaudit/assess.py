@@ -336,7 +336,7 @@ def render_report_text(report: ComplianceReport) -> str:
 
 def _json_scalar(value, quote) -> str:
     """One scalar exactly as json.dumps writes it; quote is its string
-    encoder, json.encoder.encode_basestring_ascii."""
+    encoder, encode_basestring_ascii."""
     if isinstance(value, str):
         return quote(value)
     if value is None:
@@ -403,8 +403,13 @@ def render_report_json(report: ComplianceReport) -> str:
     built once per depth it appears at, and the pieces are joined once:
     json.dumps with indent runs the pure-Python encoder, whose small
     chunks peak at several times the output."""
-    # only here: a text report or a profile does not need json
-    from json.encoder import encode_basestring_ascii as quote
+    # only here: a text report or a profile does not need it.  json.encoder
+    # takes its string encoder from the C module _json, and importing it
+    # there skips loading the json package's decoder and scanner
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:  # an interpreter without the C accelerator
+        from json.encoder import encode_basestring_ascii as quote
 
     built: dict[int, str] = {}  # id(finding) -> its object in a section list
 

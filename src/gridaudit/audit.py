@@ -1,15 +1,15 @@
 """Static audit of one snapshot for error-prone logic.
 
 `audit_workbook` is the only pass over a snapshot.  It visits every cell
-once: it records error values and reads each formula's copy key
-(`formula.copy_key`).  It parses each distinct copy form once, renders
-it once in host-relative R1C1 form and checks that one tree for deep IF
+once, in address order: it records error values and reads each
+formula's copy key (`formula.copy_key`).  It parses each distinct copy
+form once, renders its copy form (`formula.copy_form`, host-relative
+R1C1 with sheet names lowered) and checks that one tree for deep IF
 nesting and buried numeric constants; copies with the same key reuse
-those results.  Sheet names compare without case, so forms that differ
-only in how a sheet name is spelt count as one, printed as the first
-formula of that form in the snapshot writes it.  Finally it compares
-each formula's R1C1 form with the majority form of its copy runs across
-all sheets.
+those results.  A form prints as the first cell of that form by address
+writes it, so the findings depend on the cells alone, not on the order
+they come in.  Finally it compares each formula's form with the
+majority form of its copy runs across all sheets.
 
 Rules:
 
@@ -39,9 +39,9 @@ from .formula import (
     FormulaError,
     NumberLit,
     Unary,
+    copy_form,
     copy_key,
     fold,
-    lower_sheet_names,
     normalize_relative,
     parse_formula,
 )
@@ -235,12 +235,12 @@ def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[F
     cfg = cfg or AuditConfig()
     findings: list[Finding] = []
     forms: dict[CellAddress, str] = {}
-    # copy key -> (R1C1 form, tree findings), so each copy form is parsed once
+    # copy key -> (printed form, tree findings), so each copy form is parsed once
     by_key: dict[tuple, tuple[str, list[tuple]]] = {}
-    # R1C1 form with sheet names lowered -> that form as first written, so
-    # copies that spell a sheet name in another case share one form
-    spelled: dict[str, str] = {}
-    for address, cell in snapshot.cells.items():
+    # copy form -> that form as the first cell of it by address writes it
+    printed: dict[str, str] = {}
+    for address in sorted(snapshot.cells, key=CellAddress.sort_key):
+        cell = snapshot.cells[address]
         value = content_value(cell)
         if isinstance(value, ErrorValue):
             where = "cached" if isinstance(cell, Formula) else "literal"
@@ -268,9 +268,7 @@ def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[F
                 # a broken cell still breaks its run's uniformity rather than splitting it
                 forms[address] = f"!unparsed:{cell.source}"
                 continue
-            form = normalize_relative(tree, address)
-            if "!" in form:  # a form without one names no sheet: it is its own lowered form
-                form = spelled.setdefault(normalize_relative(lower_sheet_names(tree), address), form)
+            form = printed.setdefault(copy_form(tree, address), normalize_relative(tree, address))
             by_key[key] = (form, _tree_findings(tree, cfg))
         forms[address], shapes = by_key[key]
         findings += [make_finding(rule_id, address, *fields) for rule_id, *fields in shapes]

@@ -30,12 +30,13 @@ tree is a rule over the iterative ``fold``, so a chain of any length
 cell, so translated copies of one formula produce identical text.  Only
 a ``$`` pins an axis: one without it follows its host whether or not the
 reference names a sheet, so ``=Data!A1`` in B1 renders ``=Data!RC[-1]``,
-as in Excel.  ``copy_key`` reads the same tokens without parsing, so a
-caller can parse such copies once; ``shift_relative`` moves a tree as a
-copy would.  All three follow that one rule.  Sheet names compare
-without case: ``copy_key`` lowers them, and ``lower_sheet_names`` gives
-the tree whose R1C1 form compares that way, while ``normalize_relative``
-prints them as written.
+as in Excel.  ``copy_form`` is that text with every sheet name lowered,
+since sheet names compare without case: copies are compared by it.
+``normalize_relative`` prints sheet names as written, and an audit
+prints a form as the first cell of that form by address writes it.
+``copy_key`` reads the same tokens without parsing, so a caller can
+parse such copies once; ``shift_relative`` moves a tree as a copy would.
+All of them follow that one rule.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def copy_key(source: str, host: CellAddress) -> tuple:
     lower case (a range's end takes its start's), its $ flags and its row
     and column: an axis with $ keeps its number, any other becomes an
     offset from host.  Sources with equal keys parse alike and have equal
-    R1C1 forms up to the case of sheet names (see lower_sheet_names).
+    copy forms (copy_form).
     Raises the error parse_formula raises for a source it cannot
     tokenize."""
     if not source.startswith("="):
@@ -518,12 +519,12 @@ def _prec(node: FormulaAst) -> int:
     return _PREC_ATOM
 
 
-def _sheet_prefix(ref: CellRef) -> str:
-    if ref.sheet is None:
+def _sheet_prefix(sheet: str | None) -> str:
+    if sheet is None:
         return ""
-    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", ref.sheet):
-        return ref.sheet + "!"
-    return "'" + ref.sheet.replace("'", "''") + "'!"
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", sheet):
+        return sheet + "!"
+    return "'" + sheet.replace("'", "''") + "'!"
 
 
 def _a1_axes(ref: CellRef) -> str:
@@ -531,9 +532,9 @@ def _a1_axes(ref: CellRef) -> str:
     return col + ("$" if ref.row_abs else "") + str(ref.row)
 
 
-def _render(tree: FormulaAst, axes: Callable[[CellRef], str]) -> str:
-    """tree's text, with axes(ref) printing each reference's row and
-    column in one notation."""
+def _render(tree: FormulaAst, prefix: Callable[[str | None], str], axes: Callable[[CellRef], str]) -> str:
+    """tree's text, with prefix(sheet) printing each reference's sheet and
+    axes(ref) its row and column in one notation."""
 
     def combine(node: FormulaAst, parts) -> str:
         if isinstance(node, NumberLit):
@@ -545,10 +546,10 @@ def _render(tree: FormulaAst, axes: Callable[[CellRef], str]) -> str:
         if isinstance(node, ErrorLit):
             return node.code
         if isinstance(node, Ref):
-            return _sheet_prefix(node.ref) + axes(node.ref)
+            return prefix(node.ref.sheet) + axes(node.ref)
         if isinstance(node, Range):
             # endpoints share a sheet; it prints once, before the start
-            return f"{_sheet_prefix(node.start)}{axes(node.start)}:{axes(node.end)}"
+            return f"{prefix(node.start.sheet)}{axes(node.start)}:{axes(node.end)}"
         if isinstance(node, Unary):
             (child,) = parts
             if _prec(node.child) < _prec(node):
@@ -572,20 +573,29 @@ def _render(tree: FormulaAst, axes: Callable[[CellRef], str]) -> str:
 def print_formula(ast: FormulaAst) -> str:
     """Canonical text: minimal parentheses, uppercase function names, no
     whitespace.  parse(print(ast)) is structurally equal to ast."""
-    return "=" + _render(ast, _a1_axes)
+    return "=" + _render(ast, _sheet_prefix, _a1_axes)
 
 
-def normalize_relative(ast: FormulaAst, host: CellAddress) -> str:
-    """R1C1 rendering relative to the host cell.  Translated copies of a
-    formula normalize to identical text, which is the equivalence key for
-    copy-region consistency checks."""
-
+def _r1c1(tree: FormulaAst, host: CellAddress, prefix: Callable[[str | None], str]) -> str:
     def axes(ref: CellRef) -> str:
         dr, dc = ref.row - host.row, ref.col - host.col
         row = f"R{ref.row}" if ref.row_abs else f"R[{dr}]" if dr else "R"
         return row + (f"C{ref.col}" if ref.col_abs else f"C[{dc}]" if dc else "C")
 
-    return "=" + _render(ast, axes)
+    return "=" + _render(tree, prefix, axes)
+
+
+def normalize_relative(ast: FormulaAst, host: CellAddress) -> str:
+    """R1C1 rendering relative to the host cell, sheet names as written.
+    Translated copies of a formula normalize to identical text."""
+    return _r1c1(ast, host, _sheet_prefix)
+
+
+def copy_form(tree: FormulaAst, host: CellAddress) -> str:
+    """normalize_relative's text with every sheet name lowered: the form
+    by which copy-region consistency checks compare formulas, since sheet
+    names compare without case."""
+    return _r1c1(tree, host, lambda sheet: _sheet_prefix(sheet and sheet.lower()))
 
 
 def references_of(ast: FormulaAst) -> list[CellRef | Range]:
@@ -604,14 +614,19 @@ def references_of(ast: FormulaAst) -> list[CellRef | Range]:
     return out
 
 
-def _map_refs(node: FormulaAst, rewrite: Callable[[CellRef], CellRef]) -> FormulaAst:
-    """The tree with rewrite applied to every reference, range ends included."""
+def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
+    """The tree copied (dr, dc) cells away: every axis without $ moves by
+    (dr, dc), whatever sheet its reference names."""
+
+    def move(ref: CellRef) -> CellRef:
+        row, col = ref.row if ref.row_abs else ref.row + dr, ref.col if ref.col_abs else ref.col + dc
+        return CellRef(row, col, ref.row_abs, ref.col_abs, ref.sheet)
 
     def combine(node: FormulaAst, parts) -> FormulaAst:
         if isinstance(node, Ref):
-            return Ref(rewrite(node.ref))
+            return Ref(move(node.ref))
         if isinstance(node, Range):
-            return Range(rewrite(node.start), rewrite(node.end))
+            return Range(move(node.start), move(node.end))
         if isinstance(node, Unary):
             return Unary(node.op, *parts)
         if isinstance(node, Binary):
@@ -621,23 +636,3 @@ def _map_refs(node: FormulaAst, rewrite: Callable[[CellRef], CellRef]) -> Formul
         return node
 
     return fold(node, combine)
-
-
-def shift_relative(node: FormulaAst, dr: int, dc: int) -> FormulaAst:
-    """The tree copied (dr, dc) cells away: every axis without $ moves by
-    (dr, dc), whatever sheet its reference names."""
-    return _map_refs(node, lambda ref: CellRef(
-        ref.row if ref.row_abs else ref.row + dr,
-        ref.col if ref.col_abs else ref.col + dc,
-        ref.row_abs,
-        ref.col_abs,
-        ref.sheet,
-    ))
-
-
-def lower_sheet_names(node: FormulaAst) -> FormulaAst:
-    """The tree with every sheet name in lower case.  Sheet names compare
-    without case, so two trees name the same cells where these agree."""
-    return _map_refs(node, lambda ref: ref if ref.sheet is None else CellRef(
-        ref.row, ref.col, ref.row_abs, ref.col_abs, ref.sheet.lower()
-    ))

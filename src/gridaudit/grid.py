@@ -77,17 +77,6 @@ class FrozenRecordError(AttributeError):
     """Raised on assigning to or deleting a field of a record."""
 
 
-class _Fresh:
-    """A record field default made anew for each instance (a dict or list
-    default would otherwise be shared by every instance)."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
 def _record_repr(self) -> str:
     fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
     return f"{type(self).__qualname__}({fields})"
@@ -147,11 +136,7 @@ def _bind(qualname: str, names: tuple, defaults: dict, args: tuple, kwargs: dict
         listed = " and ".join(missing) if len(missing) < 3 else ", ".join(missing[:-1]) + ", and " + missing[-1]
         plural = "s" if len(missing) > 1 else ""
         raise TypeError(f"{qualname}() missing {len(missing)} required positional argument{plural}: {listed}")
-    for name in names:
-        if name not in values:
-            default = defaults[name]
-            values[name] = default.make() if isinstance(default, _Fresh) else default
-    return [values[name] for name in names]
+    return [values[name] if name in values else defaults[name] for name in names]
 
 
 def _compiled(qualname: str, names: tuple, defaults: dict, post_init) -> dict:
@@ -160,15 +145,12 @@ def _compiled(qualname: str, names: tuple, defaults: dict, post_init) -> dict:
     namespace = {"_setattr": _setattr, "_post_init": post_init}
     params, body = [], []
     for name in names:
-        value = name
         if name in defaults:
             namespace[f"_dflt_{name}"] = defaults[name]
             params.append(f"{name}=_dflt_{name}")
-            if isinstance(defaults[name], _Fresh):
-                value = f"_dflt_{name}.make() if {name} is _dflt_{name} else {name}"
         else:
             params.append(name)
-        body.append(f"  _setattr(self, {name!r}, {value})")
+        body.append(f"  _setattr(self, {name!r}, {name})")
     if post_init is not None:
         body.append("  _post_init(self)")
     own, other = ("(" + "".join(f"{side}.{name}," for name in names) + ")" for side in ("self", "other"))
@@ -190,8 +172,7 @@ def _compiled(qualname: str, names: tuple, defaults: dict, post_init) -> dict:
 def record(cls):
     """Make cls a frozen value class over its annotated fields, in order.
 
-    A class attribute named like a field is that field's default; a
-    ``_Fresh(make)`` default is replaced by ``make()`` in each instance.
+    A class attribute named like a field is that field's default.
     ``__init__`` sets each field, then calls ``__post_init__`` if the class
     has one; it takes the fields as a ``def`` would take them as parameters
     and raises the same ``TypeError`` on a bad call, and
@@ -208,9 +189,6 @@ def record(cls):
     """
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
-    for name, default in defaults.items():
-        if isinstance(default, _Fresh):
-            delattr(cls, name)
     count, post_init = len(names), getattr(cls, "__post_init__", None)
     qualname, methods, made = f"{cls.__qualname__}.__init__", ["__init__"], 0
 
@@ -400,13 +378,15 @@ class Snapshot:
     workbook_id: str
     timestamp: datetime
     actor: str
-    cells: dict[CellAddress, CellContent] = _Fresh(dict)
+    cells: dict[CellAddress, CellContent] = None  # None: a {} of the instance's own
     attestation: str | None = None
 
     def __post_init__(self):
         if self.timestamp.tzinfo is None:
             raise ValueError("snapshot timestamp must be timezone-aware")
         object.__setattr__(self, "timestamp", self.timestamp.astimezone(timezone.utc))
+        if self.cells is None:
+            object.__setattr__(self, "cells", {})
 
     def formula_cells(self) -> dict[CellAddress, Formula]:
         return {a: c for a, c in self.cells.items() if isinstance(c, Formula)}

@@ -217,17 +217,19 @@ def change_history_by_rescan(ledger, address):
 
 def audit_by_cell(snapshot, cfg=None):
     """audit_workbook's findings, with every formula cell parsed, rendered
-    in R1C1 form and checked on its own: no copy key and no cache.  A form
-    is kept as the first cell whose form agrees with it up to the case of
-    sheet names writes it."""
+    in R1C1 form and checked on its own: no copy key and no cache.  Cells
+    are visited in address order, and a form is kept as the first of them
+    whose copy form (R1C1 with sheet names lowered) agrees with it writes
+    it."""
     from gridaudit.audit import AuditConfig, _copy_findings, _tree_findings
     from gridaudit.findings import Finding, make_finding
-    from gridaudit.formula import FormulaError, lower_sheet_names, normalize_relative, parse_formula
-    from gridaudit.grid import ErrorValue, Formula, content_value
+    from gridaudit.formula import FormulaError, copy_form, normalize_relative, parse_formula
+    from gridaudit.grid import CellAddress, ErrorValue, Formula, content_value
 
     cfg = cfg or AuditConfig()
-    findings, forms, spelled = [], {}, {}
-    for address, cell in snapshot.cells.items():
+    findings, forms, printed = [], {}, {}
+    for address in sorted(snapshot.cells, key=CellAddress.sort_key):
+        cell = snapshot.cells[address]
         value = content_value(cell)
         if isinstance(value, ErrorValue):
             where = "cached" if isinstance(cell, Formula) else "literal"
@@ -243,8 +245,7 @@ def audit_by_cell(snapshot, cfg=None):
             findings.append(make_finding("PARSE_FAILURE", address, message, cell.source))
             forms[address] = f"!unparsed:{cell.source}"
             continue
-        folded = normalize_relative(lower_sheet_names(tree), address)
-        forms[address] = spelled.setdefault(folded, normalize_relative(tree, address))
+        forms[address] = printed.setdefault(copy_form(tree, address), normalize_relative(tree, address))
         findings += [make_finding(rule_id, address, *fields) for rule_id, *fields in _tree_findings(tree, cfg)]
     findings += _copy_findings(forms, cfg)
     return sorted(findings, key=Finding.sort_key)

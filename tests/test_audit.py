@@ -1,6 +1,7 @@
 """Static logic audit detectors."""
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from gridaudit.audit import (
     load_audit_config,
 )
 from gridaudit.formula import copy_key, parse_formula
-from gridaudit.grid import CellAddress, Formula, Snapshot, col_to_letters
+from gridaudit.grid import CellAddress, Formula, Snapshot, col_to_letters, parse_snapshot_file, write_snapshot_file
 
 
 def _copied_row(source_template, cols, row=1, sheet="S"):
@@ -99,6 +100,17 @@ class TestCopyInconsistencies:
         findings = [f for f in audit_workbook(snap(cells)) if f.rule_id == "COPY_INCONSISTENT"]
         assert [(str(f.location), f.observed, f.expected) for f in findings] == [
             ("S!B4", "=data!RC[-1]*3", "=Data!RC[-1]*2")
+        ]
+
+    @pytest.mark.parametrize("order", [[1, 2, 3, 4, 5, 6], [2, 1, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1]])
+    def test_a_form_prints_as_its_first_cell_by_address_writes_it(self, order):
+        # B1, B3 and B5 spell Data, B2 and B4 data: file order must not matter
+        sources = {row: f"={'Data' if row % 2 else 'data'}!A{row}*2" for row in range(1, 6)}
+        sources[6] = "=Data!A6*3"
+        workbook = snap({f"S!B{row}": sources[row] for row in order})
+        findings = [f for f in audit_workbook(workbook) if f.rule_id == "COPY_INCONSISTENT"]
+        assert [(str(f.location), f.observed, f.expected) for f in findings] == [
+            ("S!B6", "=Data!RC[-1]*3", "=Data!RC[-1]*2")
         ]
 
     def test_run_below_min_length_ignored(self):
@@ -383,6 +395,47 @@ class TestCopyFormCache:
         assert len(sources) == 4 + 2 + 2
         assert [str(f.location) for f in findings if f.rule_id == "PARSE_FAILURE"] == ["S!C3", "S!D7"]
         assert findings == audit_by_cell(workbook)
+
+
+def _respelt(source: str, spelling: str) -> str:
+    """source with every reference to sheet Data spelt as spelling."""
+    return re.sub(r"(?i)(?<![A-Za-z0-9_'])data!", spelling + "!", source)
+
+
+# a run's copies all read sheet Data, each spelling it its own way
+_SPELT_RUNS = st.lists(
+    st.tuples(
+        COPY_TEMPLATES.map(lambda template: [("Data!", False, False, 0, 0, "copy"), "*", "(", *template, ")"]),
+        st.sampled_from(["S", "s", "T"]),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(3, 6),
+        st.booleans(),
+        st.dictionaries(st.integers(0, 5), COPY_TEMPLATES, max_size=1),
+        st.lists(st.sampled_from(["Data", "data", "DATA", "dAtA"]), min_size=6, max_size=6),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestCellOrder:
+    """The findings depend on a snapshot's cells alone, not on the order
+    they come in, when copies spell a sheet name in mixed case."""
+
+    @given(_SPELT_RUNS, st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_any_order_and_the_stored_file_audit_alike(self, runs, data):
+        cells = {}
+        for template, sheet, row, col, length, down, edits, spellings in runs:
+            for i in range(length):
+                host = CellAddress(sheet, row + i * down, col + i * (not down))
+                cells[host] = Formula(_respelt(render_copy(edits.get(i, template), host), spellings[i]))
+        shuffled = Snapshot("wb1", T0, "alice", dict(data.draw(st.permutations(list(cells.items())))))
+        expected = audit_workbook(Snapshot("wb1", T0, "alice", cells))
+        assert audit_workbook(shuffled) == expected
+        assert audit_workbook(parse_snapshot_file(write_snapshot_file(shuffled))) == expected
+        assert audit_by_cell(shuffled) == expected
 
 
 class TestConfig:

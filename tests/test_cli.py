@@ -490,7 +490,20 @@ class TestQueries:
         for step in plan["ingest_pass"]:
             assert run(step["argv"]) == step["exit"], step["argv"]
         capsys.readouterr()
-        ledger_dir, policy_file = plan["ingest_pass"][-1]["argv"][1], plan["ingest_pass"][-1]["argv"][-1]
+        _, ledger_dir, last_file, *_, policy_file = plan["ingest_pass"][-1]["argv"]
+        # one more ingest, of a file whose lines are out of address order and
+        # whose copy run spells its sheet name two ways: the first line of the
+        # run's form says close!, the first cell of it by address Close!
+        last = parse_snapshot_file(pathlib.Path(last_file).read_text())
+        cells = dict(last.cells)
+        for row in range(1, 6):
+            cells[CellAddress("Check", row, 2)] = Formula(f"={'Close' if row == 1 else 'close'}!A{row}*2")
+        cells[CellAddress("Check", 6, 2)] = Formula("=Close!A6*3")
+        head, *lines = write_snapshot_file(Snapshot(last.workbook_id, last.timestamp + hours(1), "carol", cells)).splitlines()
+        shuffled = tmp_path / "shuffled.snap"
+        shuffled.write_text("\n".join([head, *reversed(lines)]) + "\n")
+        assert run(["ingest", ledger_dir, str(shuffled), "--policy", policy_file]) in (0, 1)
+        capsys.readouterr()
         policy = gridaudit.controls.parse_policy_file(pathlib.Path(policy_file).read_text())
         ledger = Ledger.open(ledger_dir)
         checked = 0
@@ -498,8 +511,12 @@ class TestQueries:
             end = max(r.seq for r in (entry.ingest, entry.changeset, entry.findings, entry.attest) if r) + 1
             recorded = [f for f in entry.findings.body if f.rule_id in POLICY_RULES]
             assert Ledger(ledger.directory, ledger.raw_lines[:end]).check(policy) == recorded, entry.ingest.seq
+            # the static half is the audit of the stored object, whatever order the file had
+            static = gridaudit.audit.audit_workbook(ledger.load_snapshot(entry.ingest.body[0]))
+            assert entry.findings.body == static + recorded, entry.ingest.seq
             checked += len(recorded)
         assert checked  # the workload seeds policy violations
+        assert ("Check!B6", "=Close!RC[-1]*2") in [(str(f.location), f.expected) for f in static]
 
 
 class TestIngestParsesOneSnapshot:

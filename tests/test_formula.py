@@ -26,8 +26,8 @@ from gridaudit.formula import (
     Unary,
     UnbalancedParens,
     UnknownToken,
+    copy_form,
     copy_key,
-    lower_sheet_names,
     normalize_relative,
     parse_formula,
     print_formula,
@@ -272,9 +272,13 @@ class TestNormalization:
     def test_sheet_names_print_as_written_and_lower_for_comparison(self):
         tree = parse_formula("='My Data'!B9+SUM(Data!A1:B2)+A1")
         assert normalize_relative(tree, addr("S!C3")) == "='My Data'!R[6]C[-1]+SUM(Data!R[-2]C[-2]:R[-1]C[-1])+R[-2]C[-2]"
-        lowered = lower_sheet_names(tree)
-        assert normalize_relative(lowered, addr("S!C3")) == "='my data'!R[6]C[-1]+SUM(data!R[-2]C[-2]:R[-1]C[-1])+R[-2]C[-2]"
-        assert lowered == lower_sheet_names(parse_formula("='MY DATA'!B9+SUM(data!A1:B2)+A1"))
+        form = copy_form(tree, addr("S!C3"))
+        assert form == "='my data'!R[6]C[-1]+SUM(data!R[-2]C[-2]:R[-1]C[-1])+R[-2]C[-2]"
+        assert copy_form(parse_formula("='MY DATA'!B9+SUM(data!A1:B2)+A1"), addr("S!C3")) == form
+
+    def test_copy_form_quotes_the_lowered_name(self):
+        # the Kelvin sign lowers to an ASCII k, which needs no quotes
+        assert copy_form(parse_formula("='\u212a'!A1"), addr("S!B1")) == copy_form(parse_formula("=K!A1"), addr("S!B1")) == "=k!RC[-1]"
 
 
 class TestReferences:
@@ -411,8 +415,8 @@ _KEY_TEMPLATES = st.one_of(
 
 class TestCopyKey:
     """copy_key against parse_formula: equal keys must mean equal parses,
-    R1C1 forms and tree findings up to the case of sheet names, and the
-    key scan fails exactly where tokenizing does."""
+    copy forms and tree findings, and the key scan fails exactly where
+    tokenizing does."""
 
     @given(st.lists(_KEY_TEMPLATES, min_size=1, max_size=3))
     @settings(max_examples=500, deadline=None)
@@ -434,7 +438,7 @@ class TestCopyKey:
                     assert not isinstance(exc, UnknownToken) and getattr(exc, "expected", "") != "closing quote"
                     outcome = None
                 else:
-                    outcome = (normalize_relative(lower_sheet_names(tree), host), _tree_findings(tree, _KEY_CFG))
+                    outcome = (copy_form(tree, host), _tree_findings(tree, _KEY_CFG))
                 assert outcome_of.setdefault(key, outcome) == outcome
 
     def test_source_without_equals_sign_fails_as_in_parsing(self):
@@ -464,7 +468,7 @@ class TestCopyKey:
         host = addr("S!C1")
         moved = CellAddress("S", host.row + step[0], host.col + step[1])
         assert copy_key(first, host) != copy_key(second, moved)
-        assert normalize_relative(parse_formula(first), host) != normalize_relative(parse_formula(second), moved)
+        assert copy_form(parse_formula(first), host) != copy_form(parse_formula(second), moved)
 
 
 class TestReadLimits:

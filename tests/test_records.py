@@ -127,8 +127,6 @@ def twin(cls: type) -> type:
     for param in inspect.signature(cls).parameters.values():
         if param.default is param.empty:
             spec = dataclasses.field()
-        elif isinstance(param.default, grid._Fresh):
-            spec = dataclasses.field(default_factory=param.default.make)
         else:
             spec = dataclasses.field(default=param.default)
         fields.append((param.name, cls.__annotations__[param.name], spec))

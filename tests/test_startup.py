@@ -120,6 +120,7 @@ REPORT = ["--from", "2024-03-01T00:00:00Z", "--to", "2024-03-31T00:00:00Z", "--g
         (["diff", "{s1}", "{s2}"], None, {"ledger.py"}, set()),
         (["profile", "{ledger}"], None, {"controls.py"}, {"statistics", "json"}),
         (["report", "{ledger}", "--policy", "{policy}", *REPORT], None, set(), {"json"}),
+        (["report", "{ledger}", "--policy", "{policy}", *REPORT, "--format", "json"], None, set(), {"json"}),
         (
             ["check", "{ledger}", "--policy", "{policy}"],
             {"__init__.py", "cli.py", "controls.py", "diffing.py", "findings.py", "grid.py", "ledger.py"},
@@ -127,7 +128,7 @@ REPORT = ["--from", "2024-03-01T00:00:00Z", "--to", "2024-03-31T00:00:00Z", "--g
             {"statistics", "fractions", "json"},
         ),
     ],
-    ids=["verify", "audit", "diff", "profile", "text-report", "check"],
+    ids=["verify", "audit", "diff", "profile", "text-report", "json-report", "check"],
 )
 def test_each_command_compiles_only_what_it_runs(tmp_path, argv, exactly, not_compiled, not_imported):
     from gridaudit.cli import run
