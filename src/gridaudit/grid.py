@@ -26,7 +26,6 @@ can be replayed digest-to-digest.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from bisect import bisect_left
 from datetime import datetime, timezone
@@ -39,6 +38,16 @@ ERROR_CODES = frozenset(
 
 MAX_COL = 16384
 MAX_EXPONENT = 999_999  # a nonzero number's adjusted exponent lies within ±MAX_EXPONENT
+
+# CPython's own SHA-256, the one hashlib falls back to without OpenSSL:
+# the same digests, without loading libcrypto into every command
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # another interpreter
+        from hashlib import sha256
 
 _NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 _A1_RE = re.compile(r"([A-Za-z]{1,3})([0-9]+)")
@@ -636,7 +645,7 @@ class CellLines:
         """64 lowercase hex chars of SHA-256 over the content-only
         canonical bytes: a reduced header, then the cell lines."""
         payload = "\n".join([join_fields("SNAP1", workbook_id), *self._lines]) + "\n"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return sha256(payload.encode("utf-8")).hexdigest()
 
 
 def write_snapshot_file(snapshot: Snapshot, lines: CellLines | None = None) -> str:

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import base64
 import fcntl
-import hashlib
 import os
 import re
 from contextlib import contextmanager, nullcontext, suppress
@@ -96,6 +95,7 @@ from .grid import (
     parse_location,
     read_stored_lines,
     record,
+    sha256,
     split_fields,
     write_snapshot_file,
 )
@@ -176,7 +176,7 @@ class AttributedChange:
 
 
 def record_hash(seq_text: str, prev_hash: str, kind: str, payload: bytes, recorded_at_text: str) -> str:
-    hasher = hashlib.sha256()
+    hasher = sha256()
     hasher.update(f"{seq_text}\n{prev_hash}\n{kind}\n".encode("utf-8"))
     hasher.update(payload)
     hasher.update(f"\n{recorded_at_text}".encode("utf-8"))
@@ -444,16 +444,15 @@ class Ledger:
 
     # --- object store ---
 
-    def store_snapshot(self, snapshot: Snapshot, lines: CellLines | None = None) -> str:
-        """Store the snapshot's bytes under its digest; lines, if given,
-        are its CellLines, already rendered.  The snapshot stands in for
-        the parse of those bytes, which it equals.  The bytes go to a temp
-        file first and are renamed onto the digest name, so a write cut
-        short never leaves a torn object under that name; the temp file of
-        a write that raises is removed, and the object is cached only once
-        it is written, so a retry writes it again."""
-        lines = CellLines(snapshot.cells) if lines is None else lines
-        digest = lines.digest(snapshot.workbook_id)
+    def store_snapshot(self, snapshot: Snapshot, lines: CellLines, digest: str) -> str:
+        """Store the snapshot's bytes under digest, which is
+        lines.digest(snapshot.workbook_id), and return it; lines are its
+        CellLines, already rendered.  The snapshot stands in for the parse
+        of those bytes, which it equals.  The bytes go to a temp file first
+        and are renamed onto the digest name, so a write cut short never
+        leaves a torn object under that name; the temp file of a write that
+        raises is removed, and the object is cached only once it is
+        written, so a retry writes it again."""
         if digest not in self._objects:
             data = write_snapshot_file(snapshot, lines).encode("utf-8")
             if self.directory is not None:
@@ -677,7 +676,7 @@ class Ledger:
                 if policy is not None:
                     findings.extend(controls_mod.evaluate_policies(changes, policy, self, snapshot.attestation))
 
-            self.store_snapshot(snapshot, lines)
+            self.store_snapshot(snapshot, lines, digest)
             self.append_record("INGEST", serialize_ingest(digest, snapshot.timestamp, snapshot.actor), snapshot.timestamp)
             if changes is not None:
                 self.append_record("CHANGESET", serialize_changeset(changes), snapshot.timestamp)

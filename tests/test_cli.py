@@ -24,6 +24,7 @@ from gridaudit.cli import run
 from gridaudit.grid import (
     MAX_EXPONENT,
     CellAddress,
+    CellLines,
     Formula,
     Literal,
     Number,
@@ -955,7 +956,8 @@ class TestDamagedChangeSet:
             if payload is not None:
                 damaged.append_record(record.kind, payload, record.recorded_at)
         for digest, _at, _actor in source.ingests():
-            damaged.store_snapshot(source.load_snapshot(digest))
+            snapshot = source.load_snapshot(digest)
+            damaged.store_snapshot(snapshot, CellLines(snapshot.cells), digest)
 
     @pytest.mark.parametrize("side", ["after", "before"])
     def test_change_set_that_does_not_replay_is_an_integrity_error(self, capsys, files, tmp_path, side):

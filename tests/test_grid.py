@@ -1,5 +1,6 @@
 """Snapshot model, file format and content digest."""
 
+import hashlib
 from datetime import datetime, timezone
 from decimal import Decimal
 
@@ -35,6 +36,7 @@ from gridaudit.grid import (
     parse_region,
     parse_snapshot_file,
     read_stored_lines,
+    sha256,
     snapshot_digest,
     write_snapshot_file,
 )
@@ -359,3 +361,17 @@ class TestProperties:
             assert str(caught.value) == str(exc)
         else:
             assert _unescape(text) == expected
+
+    # record_hash feeds three pieces: the "seq\nprev\nkind\n" head, the
+    # payload and the "\nrecorded_at" tail
+    @given(st.binary(max_size=200), st.binary(max_size=200), st.binary(max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_builtin_sha256_matches_hashlib(self, head, payload, tail):
+        whole = head + payload + tail
+        expected = hashlib.sha256(whole).hexdigest()
+        assert sha256(whole).hexdigest() == expected
+        hasher = sha256()
+        for piece in (head, payload, tail):
+            hasher.update(piece)
+        assert hasher.hexdigest() == expected
+        assert sha256_hex(whole) == expected

@@ -237,6 +237,26 @@ def test_ingest_renders_each_snapshot_once(tmp_path, renders):
     assert ledger.ingests()[-1][0] == snapshot_digest(new)
 
 
+@pytest.mark.parametrize("ingests", [0, 1, 8])
+def test_ingest_hashes_the_new_snapshot_once(tmp_path, monkeypatch, ingests):
+    """The digest that names the new object is the one the diff and the
+    no-op check used: its lines are hashed once per ingest."""
+    _, new = _history(tmp_path, ingests)
+    expected = snapshot_digest(new)
+    digests = []
+    digest = grid.CellLines.digest
+
+    def counted(self, workbook_id):
+        digests.append(digest(self, workbook_id))
+        return digests[-1]
+
+    monkeypatch.setattr(grid.CellLines, "digest", counted)
+    ledger = Ledger.open(tmp_path)
+    ledger.ingest_snapshot(new, policy=POLICY)
+    assert ledger.ingests()[-1][0] == expected
+    assert digests.count(expected) == 1
+
+
 # --- one checked pass per command ----------------------------------------------
 
 

@@ -34,7 +34,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_traceback():
 # Runs gridaudit in a fresh interpreter and prints, as its last line, the
 # exit code, the gridaudit source files compiled on the way and, after a
 # "|", which of WATCHED it imported.
-WATCHED = ("json", "statistics", "fractions", "argparse", "gettext", "locale")
+WATCHED = ("json", "statistics", "fractions", "argparse", "gettext", "locale", "hashlib", "_hashlib")
 COMPILE_PROBE = f"""
 import os, sys
 bare = set(sys.modules)
@@ -166,6 +166,42 @@ def test_cli_import_and_plain_commands_load_no_argparse(tmp_path):
         code, _, imported = _compiled(tmp_path, *argv)
         assert code == 0, argv
         assert not imported & ARGPARSE, argv
+
+
+# hashlib's sha256 loads OpenSSL's libcrypto, a few MB per process
+HASHLIB = {"hashlib", "_hashlib"}
+
+
+def test_plain_commands_load_no_hashlib(tmp_path):
+    from gridaudit.cli import run
+
+    paths = _two_ingests(tmp_path)
+    ledger, policy = paths["ledger"], paths["policy"]
+    s3 = tmp_path / "s3.snap"
+    s3.write_text(SNAP_2.replace("03-02", "03-03").replace("\t6\n", "\t7\n"), encoding="utf-8")
+    for argv in (
+        ["ingest", str(tmp_path / "fresh"), paths["s1"], "--policy", policy],
+        ["ingest", ledger, str(s3), "--policy", policy],  # a locked cell changes: exit 1
+        ["verify", ledger],
+        ["check", ledger, "--policy", policy],
+        ["trend", ledger, "S!A1"],
+        ["history", ledger, "S!A1"],
+        ["profile", ledger],
+        ["report", ledger, "--policy", policy, *REPORT],
+        ["report", ledger, "--policy", policy, *REPORT, "--format", "json"],
+        ["audit", paths["s2"]],
+        ["diff", paths["s1"], paths["s2"]],
+    ):
+        code, _, imported = _compiled(tmp_path, *argv)
+        assert code == (int(argv[1] == ledger) if argv[0] == "ingest" else run(argv)), argv
+        assert not imported & HASHLIB, argv
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="names CPython's built-in hash modules")
+def test_sha256_is_cpythons_built_in():
+    from gridaudit import grid
+
+    assert grid.sha256.__module__ in {"_sha2", "_sha256"}
 
 
 def test_help_still_goes_through_argparse(tmp_path):
