@@ -1,7 +1,7 @@
 """Declared control policies evaluated against each change set.
 
 Five rule families, all configuration-driven and all pure functions of
-(change set, policy, ledger read-view, sign-off):
+(change set, policy, ledger, sign-off, bound):
 
 * region modes: LOCKED, DATA_ONLY, FORMULA_MAINTAINED, FREE
 * cadence windows: when changes inside a region are allowed (UTC)
@@ -12,6 +12,13 @@ Five rule families, all configuration-driven and all pure functions of
 Overlapping region rules are each enforced: a cell under both a LOCKED
 and a DATA_ONLY rule is checked against both, so adding a rule can only
 add findings.  A workflow period resets at each ATTEST record.
+
+The bound k is the index of the ledger entry whose change set is judged:
+trend and task-order rules read only the entries before it, through
+Ledger.series_for_cell(address, k) and _period_events(ledger, k), so the
+ledger already open answers for any point in its history.  An ingest
+evaluates before it appends, so it passes no bound and they read every
+entry.
 """
 
 from __future__ import annotations
@@ -327,19 +334,19 @@ def _trend_verdict(
     return TrendVerdict(address, new_value, mean, 0.0, 0.0, new != mean)
 
 
-def _check_trends(changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | None") -> list[Finding]:
+def _check_trends(
+    changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | None", before: int | None = None
+) -> list[Finding]:
     if ledger is None or not policy.trend_rules:
         return []
-    events = {e.address: e for e in changes.events}
+    after = {e.address: e.after for e in changes.events}
     findings = []
     for rule in policy.trend_rules:
-        event = events.get(rule.address)
-        if event is None or event.after is None:
-            continue
-        value = content_value(event.after)
+        content = after.get(rule.address)
+        value = None if content is None else content_value(content)
         if not isinstance(value, Number):
             continue
-        verdict = trend_deviation(ledger.series_for_cell(rule.address), value.value, rule)
+        verdict = trend_deviation(ledger.series_for_cell(rule.address, before), value.value, rule)
         if verdict.violated:
             if verdict.stddev > 0:
                 detail = (
@@ -360,31 +367,30 @@ def _check_trends(changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | N
     return findings
 
 
-def _period_events(ledger: "Ledger") -> list[ChangeEvent]:
+def _period_events(ledger: "Ledger", before: int | None = None) -> list[ChangeEvent]:
     """Events in change sets recorded since the last ATTEST record, which
-    closes its own ingest's changes too; the entries are the ledger's
-    checked ones, as every query reads them."""
-    entries = ledger._whole_entries()
+    closes its own ingest's changes too, among the ledger's first `before`
+    entries (all of them when before is None); the entries are the
+    ledger's checked ones, as every query reads them."""
+    entries = ledger._whole_entries()[:before]
     since = max((i + 1 for i, e in enumerate(entries) if e.attest is not None), default=0)
     return [event for e in entries[since:] if e.changeset is not None for event in e.changeset.body.events]
 
 
 def _touched_steps(workflow: Workflow, events) -> set[int]:
-    touched = set()
-    for i, step in enumerate(workflow.steps):
-        if any(step.region.contains(e.address) for e in events):
-            touched.add(i)
-    return touched
+    return {i for i, step in enumerate(workflow.steps) if any(step.region.contains(e.address) for e in events)}
 
 
-def check_task_order(ledger: "Ledger | None", workflow: Workflow | None, changes: ChangeSet) -> list[Finding]:
+def check_task_order(
+    ledger: "Ledger | None", workflow: Workflow | None, changes: ChangeSet, before: int | None = None
+) -> list[Finding]:
     """Steps must first be touched in declared order within a period.
     Re-touching a completed step is allowed (rework); events outside all
     step regions are ignored.  One finding per out-of-order step touch,
     naming the steps skipped."""
     if workflow is None:
         return []
-    touched = _touched_steps(workflow, _period_events(ledger)) if ledger is not None else set()
+    touched = _touched_steps(workflow, _period_events(ledger, before)) if ledger is not None else set()
     findings = []
     for k in sorted(_touched_steps(workflow, changes.events)):
         missing = [j for j in range(k) if j not in touched]
@@ -404,12 +410,16 @@ def check_task_order(ledger: "Ledger | None", workflow: Workflow | None, changes
 
 
 def evaluate_policies(
-    changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | None" = None, attestation: str | None = None
+    changes: ChangeSet, policy: ControlPolicy, ledger: "Ledger | None" = None,
+    attestation: str | None = None, before: int | None = None,
 ) -> list[Finding]:
     """All control findings for one change set, deduplicated and ordered
     by location then rule id.  attestation is the change set's sign-off,
-    the text of the ATTEST record its ingest appends; ledger is the
-    read-view before that ingest, which trend and task-order rules read."""
+    the text of the ATTEST record its ingest appends.  Trend and task-order
+    rules read the ledger's first `before` entries, the history before the
+    change set's own entry: Ledger.check passes the latest entry's index,
+    and an ingest, which evaluates before it appends, passes None for all
+    of them."""
     if changes.workbook_id != policy.workbook_id:
         raise WorkbookMismatch(
             f"change set is for {changes.workbook_id!r}, policy for {policy.workbook_id!r}"
@@ -418,10 +428,9 @@ def evaluate_policies(
     findings.extend(_check_regions(changes, policy, attestation))
     findings.extend(check_cadence(changes, policy))
     findings.extend(check_bounds(changes, policy))
-    findings.extend(_check_trends(changes, policy, ledger))
-    findings.extend(check_task_order(ledger, policy.workflow, changes))
-    unique = list(dict.fromkeys(findings))
-    return sorted(unique, key=Finding.sort_key)
+    findings.extend(_check_trends(changes, policy, ledger, before))
+    findings.extend(check_task_order(ledger, policy.workflow, changes, before))
+    return sorted(dict.fromkeys(findings), key=Finding.sort_key)
 
 
 # --- policy file -------------------------------------------------------------

@@ -29,9 +29,11 @@ Ingesting appends INGEST, then (after the first snapshot) CHANGESET and
 FINDINGS, then ATTEST when the snapshot carries an attestation; entries()
 groups each ingest's records and finds any record out of that order.  The
 trailing ATTEST closes a workflow period including its own changes, and
-its text is the ingest's sign-off, at ingest and in check().  A ledger as
-of record k is Ledger(directory, raw_lines[:k]); check() re-evaluates the
-latest change set as its ingest did, on the ledger before its INGEST and
+its text is the ingest's sign-off, at ingest and in check().  Policies
+read the history before entry k through a bound on this same ledger
+(series_for_cell(address, k), controls._period_events(ledger, k)), so no
+second Ledger is built: check() re-evaluates the latest change set, entry
+k = len(entries) - 1, as its ingest did, on the entries before it and
 with its ATTEST's sign-off.
 ingest_snapshot holds the writer lock (an flock on ledger.log) and reads
 the log again under it, so a stale or prefix Ledger appends after the
@@ -573,18 +575,19 @@ class Ledger:
             return ChainVerification(True, None, len(self.raw_lines))
         return ChainVerification(False, self._corrupt.seq, len(self.raw_lines), self._corrupt.reason)
 
-    def series_for_cell(self, address: CellAddress) -> CellSeries:
-        """Value history of one cell across ingested snapshots, oldest
-        first: the cell in the first stored snapshot, then its content
-        after each change set.  Cells that are absent, have no value, or
-        hold an error value leave a gap.  Change sets that do not replay
-        raise ConflictingEvent or DigestMismatch."""
-        ingests = self.ingests()
+    def series_for_cell(self, address: CellAddress, before: int | None = None) -> CellSeries:
+        """Value history of one cell across the first `before` ingested
+        snapshots (all of them when before is None), oldest first: the cell
+        in the first stored snapshot, then its content after each change
+        set between them.  Cells that are absent, have no value, or hold an
+        error value leave a gap.  Change sets that do not replay, any of
+        the ledger's, raise ConflictingEvent or DigestMismatch."""
+        ingests = self.ingests()[:before]
         if not ingests:
             return CellSeries(address, ())
         content = self._parsed(ingests[0][0]).cells.get(address)
         states = [(ingests[0][1], content)]
-        for changes in self.changesets():
+        for changes in self.changesets()[: len(ingests) - 1]:
             for event in changes.events:
                 if event.address == address:
                     content = event.after
@@ -608,14 +611,15 @@ class Ledger:
 
     def check(self, policy: "controls_mod.ControlPolicy") -> list[Finding]:
         """The policy's findings for the latest change set, evaluated as its
-        ingest evaluated them: on the ledger before its INGEST, with the
+        ingest evaluated them: on this ledger bounded to the entries before
+        the latest (every entry after the first has a change set), with the
         sign-off of its ATTEST record.  A ledger without a change set
         raises ValueError."""
-        entry = next((e for e in reversed(self._whole_entries()) if e.changeset is not None), None)
-        if entry is None:
+        entries = self._whole_entries()
+        if len(entries) < 2:
             raise ValueError("ledger holds no change sets to check")
-        view = Ledger(self.directory, self.raw_lines[: entry.ingest.seq])
-        return controls_mod.evaluate_policies(entry.changeset.body, policy, view, entry.attest and entry.attest.body)
+        changeset, attest = entries[-1].changeset, entries[-1].attest
+        return controls_mod.evaluate_policies(changeset.body, policy, self, attest and attest.body, len(entries) - 1)
 
     # --- ingestion ---
 

@@ -986,6 +986,33 @@ class TestDamagedChangeSet:
             assert captured.out == ""
             assert "integrity error" in captured.err
 
+    @pytest.mark.parametrize("side", ["after", "before"])
+    def test_check_with_a_trend_rule_fails_as_trend_does(self, capsys, files, tmp_path, side):
+        # the latest change set still links its two digests but does not
+        # replay; check evaluates on the ledger that holds it, so a trend
+        # rule whose series read replays it fails exactly as trend does
+        def edit(record):
+            if record.kind != "CHANGESET":
+                return record.payload
+            old = "S\tA1\tDataChanged\tV\\tN\\t5\tV\\tN\\t6"
+            new = old.replace("N\\t6", "N\\t7") if side == "after" else old.replace("N\\t5", "N\\t4")
+            return record.payload.decode().replace(old, new).encode()
+
+        damaged = str(tmp_path / "damaged")
+        self._rechain(files, tmp_path / "damaged", edit)
+        policy = tmp_path / "trend.txt"
+        policy.write_text("workbook = wb1\n\n[trend]\ncell = S!A1\n")
+        capsys.readouterr()
+        assert run(["verify", damaged]) == 0
+        capsys.readouterr()
+        outcomes = []
+        for argv in (["check", damaged, "--policy", str(policy)], ["trend", damaged, "S!A1"]):
+            outcomes.append((run(argv), *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        assert (code, out) == (3, "")
+        assert err.startswith("integrity error")
+
     @pytest.mark.parametrize("damage", ["dropped-change-set", "stopped-after-ingest"])
     def test_unlinked_change_sets_are_an_integrity_error(self, capsys, files, tmp_path, damage):
         # the second INGEST loses the change set that links it to the first:

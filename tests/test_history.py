@@ -4,7 +4,9 @@ Cell series, cell histories and usage metrics are read from the first
 stored snapshot plus the change sets; the oracles re-read one stored
 snapshot per ingest or per change set, and diff consecutive ones.  Both
 must agree on every ledger an ingest sequence can build, and on every
-prefix view cut where `check` cuts (before an INGEST record).
+prefix view cut before an INGEST record.  The whole ledger bounded to its
+first k entries, as policies read it, must answer as the prefix view of
+those entries does.
 """
 
 import tempfile
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import CONTENTS, T0, hours
 from oracles import change_history_by_rescan, series_for_cell_by_rescan, usage_metrics_by_rescan
 
+from gridaudit import controls
 from gridaudit.assess import usage_metrics
 from gridaudit.grid import CellAddress, ErrorValue, Formula, Literal, Number, Snapshot, Text
 from gridaudit.ledger import Ledger
@@ -78,6 +81,12 @@ def test_replayed_history_matches_rescans(sequence):
                 assert view.series_for_cell(address) == series_for_cell_by_rescan(view, address)
                 assert view.change_history(address) == change_history_by_rescan(view, address)
             assert usage_metrics(view) == usage_metrics_by_rescan(view)
+        # cut k holds the first k entries: the history before entry k
+        for k, cut in enumerate(cuts):
+            view = Ledger(ledger.directory, ledger.raw_lines[:cut])
+            for address in seen:
+                assert ledger.series_for_cell(address, k) == series_for_cell_by_rescan(view, address), k
+            assert controls._period_events(ledger, k) == controls._period_events(view), k
 
 
 def test_covering_sequence_has_every_change_shape():

@@ -6,8 +6,8 @@ lines its events touch, so after each step its digest must equal
 snapshot_digest of the snapshot rebuilt from scratch, whatever the sheet
 names, escapes and address case.  The counts bound the work: usage
 metrics render one line per event, not the whole workbook once per change
-set, and one command groups the log, parses the first object and decodes
-each change set once per Ledger it reads.
+set, and one command decodes each log line once, groups the log once,
+parses the first object once and decodes each change set once.
 """
 
 import random
@@ -262,15 +262,17 @@ def test_ingest_hashes_the_new_snapshot_once(tmp_path, monkeypatch, ingests):
 
 @pytest.mark.parametrize("ingests", [5, 10, 20])
 def test_each_query_reads_the_history_once(tmp_path, monkeypatch, renders, ingests):
-    """profile and report group the log once, parse the first object once,
-    decode each change set once and render at most one line per event.
-    check reads two Ledgers, its own and the view before the latest
-    ingest, so its bound is once per Ledger."""
+    """profile, report and check group the log once, parse the first
+    object once, decode each change set once and render at most one line
+    per event; check bounds the ledger it opened instead of building a
+    view of the history before the latest ingest.  These and verify
+    decode each log line once."""
     directory = str(tmp_path / "ledger")
     ledger, _ = _history(directory, ingests)
     events = sum(len(changes.events) for changes in ledger.changesets())
     policy = tmp_path / "policy.txt"
     policy.write_text("workbook = wb1\n\n[trend]\ncell = Alpha!A40\n")
+    lines = len(ledger.raw_lines)
     calls = Counter()
 
     def count(owner, name):
@@ -285,16 +287,19 @@ def test_each_query_reads_the_history_once(tmp_path, monkeypatch, renders, inges
     count(Ledger, "entries")
     count(grid.CellLines, "cells")
     count(ledger_mod, "parse_changeset")  # LedgerRecord.body looks it up at call time
+    count(ledger_mod, "decode_record")  # so does Ledger._decode
     period = ["--from", "2024-01-01T00:00:00Z", "--to", "2025-01-01T00:00:00Z", "--generated-at", "2025-01-02T00:00:00Z"]
-    for argv, ledgers in (
-        (["profile", directory], 1),
-        (["report", directory, "--policy", str(policy), *period], 1),
-        (["check", directory, "--policy", str(policy)], 2),
+    for argv in (
+        ["profile", directory],
+        ["report", directory, "--policy", str(policy), *period],
+        ["check", directory, "--policy", str(policy)],
+        ["verify", directory],
     ):
         calls.clear()
         renders.clear()
         assert run(argv) in (0, 1), argv[0]
-        assert calls["entries"] <= ledgers, argv[0]
-        assert calls["cells"] <= ledgers, argv[0]
-        assert calls["parse_changeset"] <= ledgers * (ingests - 1), argv[0]
+        assert calls["decode_record"] <= lines, argv[0]
+        assert calls["entries"] <= 1, argv[0]
+        assert calls["cells"] <= 1, argv[0]
+        assert calls["parse_changeset"] <= ingests - 1, argv[0]
         assert len(renders) <= events, argv[0]
