@@ -101,10 +101,14 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    diff_snapshots = diffing.diff_snapshots  # resolved before the snapshots are read
-    before = parse_snapshot_file(_read_text(args.snapshot_a))
-    after = parse_snapshot_file(_read_text(args.snapshot_b))
-    for event in diff_snapshots(before, after).events:
+    diff_events = diffing.diff_events  # resolved before the snapshots are read
+    # the second file is parsed against the first file's lines, so a line
+    # both hold is parsed once and is the very same cell on both sides;
+    # diff prints no digest, so no line is rendered and nothing hashed
+    parsed = {}
+    before = parse_snapshot_file(_read_text(args.snapshot_a), parsed)
+    after = parse_snapshot_file(_read_text(args.snapshot_b), parsed)
+    for event in diff_events(before, after):
         print(
             f"{event.kind.value}\t{event.address}\t"
             f"{render_content(event.before)}\t{render_content(event.after)}"

@@ -5,6 +5,14 @@ added/removed/changed cells, never as inferred moves.  Formula equality is
 source-text equality, so refactors that preserve meaning are still logged;
 a cached-value-only change on a formula cell counts as data movement, not
 a logic change.
+
+There are two paths to the same events.  diff_events compares two parsed
+snapshots through their cells dicts and passes the cells both hold as the
+very same objects; `diff` parses its two files against one map of line
+text (grid.parse_snapshot_file), so every line they share is such a cell,
+and it renders and hashes nothing.  diff_snapshots given lines merges two
+snapshots' CellLines instead, parsing only the lines that differ: ingest
+diffs the stored object that way without parsing it.
 """
 
 from __future__ import annotations
@@ -127,45 +135,87 @@ def diff_snapshots(
     digests: tuple[str, str] | None = None,
     lines: tuple[CellLines, CellLines] | None = None,
 ) -> ChangeSet:
-    """One event per address whose content differs between the snapshots,
-    in CellAddress.sort_key order.  A cell whose sheet name changed only
-    in letter case is Removed under the old name and Added under the new
-    one, so replay restores the stored names (addresses compare
-    case-insensitively, digests do not).
+    """The change set from before to after: one event per address whose
+    content differs, in CellAddress.sort_key order (see diff_events for
+    the rules), with both snapshots' digests.
 
-    The events come from one merge of the two snapshots' CellLines, which
-    are in sort_key order: a line whose text equals its twin's is passed
-    without being parsed, and only the lines that differ are parsed, to
-    classify the change.  lines, if given, are the two CellLines, already
-    rendered or read as stored; then neither cells dict is read, so
-    before may be a header with no cells.  A before line that the merge
-    parses must sort after the before line ahead of it (else
-    DigestMismatch); one whose content equals its twin's, though spelt
-    otherwise, makes no event.  digests, if given, are the two snapshots'
-    digests, already known."""
+    The events come from one of two paths, chosen by the input.  Without
+    lines, diff_events compares the two cells dicts.  lines, if given,
+    are the two snapshots' CellLines, already rendered or read as stored
+    (ingest's path, which must not parse the stored object); then _merge
+    walks them in sort_key order, passes a line whose text equals its
+    twin's without parsing it and parses only the lines that differ, and
+    neither cells dict is read, so before may be a header with no cells.
+    A before line that the merge parses must sort after the before line
+    ahead of it (else DigestMismatch).  digests, if given, are the two
+    snapshots' digests, already known; else they are hashed here."""
+    if lines is None:
+        events = diff_events(before, after)
+    else:
+        _check_workbooks(before, after)
+        events = _merge(*lines)
+    if digests is None:
+        old, new = lines or (CellLines(before.cells), CellLines(after.cells))
+        digests = old.digest(before.workbook_id), new.digest(after.workbook_id)
+    return ChangeSet(
+        workbook_id=before.workbook_id,
+        from_digest=digests[0],
+        to_digest=digests[1],
+        from_time=before.timestamp,
+        to_time=after.timestamp,
+        actor=after.actor,
+        events=tuple(events),
+    )
+
+
+def _check_workbooks(before: Snapshot, after: Snapshot) -> None:
     if before.workbook_id != after.workbook_id:
         raise WorkbookMismatch(
             f"cannot diff {before.workbook_id!r} against {after.workbook_id!r}"
         )
-    old, new = lines or (CellLines(before.cells), CellLines(after.cells))
-    from_digest, to_digest = digests or (old.digest(before.workbook_id), new.digest(after.workbook_id))
-    return ChangeSet(
-        workbook_id=before.workbook_id,
-        from_digest=from_digest,
-        to_digest=to_digest,
-        from_time=before.timestamp,
-        to_time=after.timestamp,
-        actor=after.actor,
-        events=tuple(_merge(old, new)),
-    )
+
+
+def diff_events(before: Snapshot, after: Snapshot) -> list[ChangeEvent]:
+    """The events of diff_snapshots, from the two snapshots' cells dicts;
+    nothing is rendered or hashed.  Snapshots of different workbooks raise
+    WorkbookMismatch.
+
+    A cell that both dicts hold as the very same address and content
+    objects is unchanged and is not compared: that is every line two files
+    share when grid.parse_snapshot_file parsed them against one map.  Only
+    the addresses left are sorted and classified.  A cell whose sheet name
+    changed only in letter case is Removed under the old name and Added
+    under the new one, so replay restores the stored names (addresses
+    compare case-insensitively, digests do not).  Content equal to its
+    twin's, though spelt otherwise (5 and 5.0), makes no event."""
+    _check_workbooks(before, after)
+    old, new = before.cells, after.cells
+    # keyed by object identity, which hashes in C: an address's own hash
+    # is a Python call per cell
+    old_at = {id(address): content for address, content in old.items()}
+    new_at = {id(address): content for address, content in new.items()}
+    olds = {a: (a, c) for a, c in old.items() if new_at.get(id(a)) is not c}
+    news = {a: (a, c) for a, c in new.items() if old_at.get(id(a)) is not c}
+    events: list[ChangeEvent] = []
+    for address in sorted(olds.keys() | news.keys(), key=CellAddress.sort_key):
+        old_address, old_content = olds.get(address, (None, None))
+        new_address, new_content = news.get(address, (None, None))
+        if old_address is not None and new_address is not None and old_address.sheet != new_address.sheet:
+            events.append(ChangeEvent(old_address, ChangeKind.REMOVED, old_content, None))
+            events.append(ChangeEvent(new_address, ChangeKind.ADDED, None, new_content))
+        elif old_content != new_content:
+            kind = classify_change(old_content, new_content)
+            events.append(ChangeEvent(new_address or old_address, kind, old_content, new_content))
+    return events
 
 
 def _merge(old: CellLines, new: CellLines) -> list[ChangeEvent]:
-    """The events of diff_snapshots.  new must be in sort_key order; old
-    is checked for it at each line the merge parses.  A before line equal
-    to the after line it meets sorts as that line does, so a parsed
-    before line must sort after both the last before line parsed and the
-    after line just passed."""
+    """The events of diff_snapshots given lines, by the rules of
+    diff_events.  new must be in sort_key order; old is checked for it
+    at each line the merge parses.  A before line equal to the after
+    line it meets sorts as that line does, so a parsed before line must
+    sort after both the last before line parsed and the after line just
+    passed."""
     olds, news = list(old), list(new)
     events: list[ChangeEvent] = []
     i = j = 0

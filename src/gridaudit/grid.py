@@ -697,7 +697,19 @@ def _parse_head(lines: list[str]) -> tuple[str, datetime, str, str | None, int]:
     return workbook_id, timestamp, actor, None, 1
 
 
-def parse_snapshot_file(content: str) -> Snapshot:
+def parse_snapshot_file(
+    content: str, parsed: dict[str, tuple[CellAddress, CellContent]] | None = None
+) -> Snapshot:
+    """The snapshot a file holds, with every cell line checked: a blank
+    line is skipped, a malformed one raises BadAddress with its line
+    number, and a second line for one address raises DuplicateCell.
+
+    parsed, if given, maps a cell line's text to the (address, content)
+    an earlier parse made of it, and gains every line parsed here.  Each
+    distinct line is parsed once: identical text gives an identical,
+    immutable cell, so a line already in parsed is taken from it.  Two
+    files parsed against one map therefore hold each line they share as
+    the very same objects, which diffing.diff_events passes unexamined."""
     # the format is LF-delimited; split("\n") keeps exotic line-breaking
     # characters (NEL, VT, FF, U+2028...) safely inside fields
     lines = content.split("\n")
@@ -708,8 +720,19 @@ def parse_snapshot_file(content: str) -> Snapshot:
     for lineno, line in enumerate(lines[start:], start + 1):
         if not line:
             continue
-        address, cell = _parse_cell_line(lineno, line)
-        if cells.setdefault(address, cell) is not cell:
+        # with no map no line is kept: one file alone shares no lines, and
+        # keeping a large file's lines costs an audit or an ingest time
+        if parsed is None:
+            address, cell = _parse_cell_line(lineno, line)
+        elif (known := parsed.get(line)) is None:
+            address, cell = parsed[line] = _parse_cell_line(lineno, line)
+        else:
+            address, cell = known
+        # a repeat is found by key, not by identity (a line repeated in one
+        # file gives the very same cell both times), and with one hash
+        count = len(cells)
+        cells[address] = cell
+        if len(cells) == count:
             raise DuplicateCell(address)
     return Snapshot(workbook_id, timestamp, actor, cells, attestation)
 

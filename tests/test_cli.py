@@ -4,9 +4,11 @@ import io
 import json
 import os
 import pathlib
+import random
 import tempfile
 import threading
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONTENTS, T0, hours
+from conftest import CONTENTS, T0, hours, mutate_snapshot, random_snapshot
 from golden_fixtures import GOLDEN_DIR
 from oracles import exact_trend_stats, sha256_hex
 
@@ -536,6 +538,70 @@ class TestIngestParsesOneSnapshot:
         # the new file's two lines, then the merge's two sides of the one
         # changed cell: the latest object's unchanged line is never parsed
         assert lines == ["S\tA1\tV\tN\t6", "S\tB1\tV\tN\t11", "S\tB1\tV\tN\t10", "S\tB1\tV\tN\t11"]
+
+
+class TestDiffParsesSharedLinesOnce:
+    """diff parses the second file against the first file's lines, so a
+    line the two share is parsed once, and prints no digest, so it hashes
+    nothing; every check of either file still holds."""
+
+    def test_each_distinct_line_is_parsed_once_and_nothing_hashed(self, capsys, tmp_path, monkeypatch):
+        rng = random.Random(20240301)
+        before = random_snapshot(rng, max_cells=400)
+        after = mutate_snapshot(rng, before, T0 + hours(1))
+        paths, distinct = [], set()
+        for name, snapshot in (("a.snap", before), ("b.snap", after)):
+            text = write_snapshot_file(snapshot)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            paths.append(str(tmp_path / name))
+            distinct.update(text.split("\n")[1:-1])
+        calls = Counter()
+        parse_line, sha256 = gridaudit.grid._parse_cell_line, gridaudit.grid.sha256
+        monkeypatch.setattr(gridaudit.grid, "_parse_cell_line", lambda n, line: calls.update(["parse"]) or parse_line(n, line))
+        monkeypatch.setattr(gridaudit.grid, "sha256", lambda data: calls.update(["sha256"]) or sha256(data))
+        assert run(["diff", *paths]) == 0
+        assert capsys.readouterr().out
+        assert calls["sha256"] == 0
+        assert calls["parse"] == len(distinct) < len(before.cells) + len(after.cells)
+
+    HEAD_A = "SNAP1\twb1\t2024-03-01T09:00:00Z\talice\n"
+    HEAD_B = "SNAP1\twb1\t2024-03-02T09:00:00Z\tbob\n"
+
+    @pytest.mark.parametrize(
+        "a, b, code, out, err",
+        [
+            pytest.param(
+                HEAD_A + "S\tA1\tV\tN\t5\nS\tB1\tV\tN\t10\n", HEAD_B + "S\tA1\tV\tN\t5\nS\tA1\tV\tN\t5\n",
+                2, "", "error: duplicate cell S!A1\n", id="B-repeats-a-line-A-holds",
+            ),
+            pytest.param(
+                HEAD_A + "S\tA1\tV\tN\t5\n", HEAD_B + "S\tA1\tV\tN\t5\ns\tA1\tV\tN\t5\n",
+                2, "", "error: duplicate cell s!A1\n", id="B-repeats-an-address-respelt",
+            ),
+            pytest.param(
+                HEAD_A + "S\tA1\tV\tN\t5\nS\tB1\tV\tN\t10\n", HEAD_B + "S\tA1\tV\tN\t5\nS\tB1\tV\tN\t10\nS\tZZ\tV\tN\t1\n",
+                2, "", "error: line 4: bad A1 address 'ZZ'\n", id="malformed-only-in-B",
+            ),
+            pytest.param(
+                HEAD_A + "S\tZZ\tV\tN\t1\nS\tA1\tV\tN\t5\n", HEAD_B + "S\tA1\tV\tN\t5\nS\tB1\tV\tN\t10\nS\tZZ\tV\tN\t1\n",
+                2, "", "error: line 2: bad A1 address 'ZZ'\n", id="malformed-in-both-reported-from-A",
+            ),
+            pytest.param(
+                HEAD_A + "S\tA1\tV\tN\t5\n", HEAD_B.replace("wb1", "wb2") + "S\tA1\tV\tN\t5\n",
+                2, "", "error: cannot diff 'wb1' against 'wb2'\n", id="different-workbooks",
+            ),
+            pytest.param(
+                HEAD_A + "S\tA1\tV\tN\t5\nS\tB1\tV\tN\t10\nT\tA1\tV\tN\t2\n",
+                HEAD_B + "S\tA1\tV\tN\t5.0\ns\tB1\tV\tN\t10\nT\tA1\tV\tN\t3\n",
+                0, "Removed\tS!B1\t10\t-\nAdded\ts!B1\t-\t10\nDataChanged\tT!A1\t2\t3\n", "", id="respelt-sheet-and-number",
+            ),
+        ],
+    )
+    def test_checks_and_output_are_unchanged(self, capsys, tmp_path, a, b, code, out, err):
+        (tmp_path / "a.snap").write_text(a, encoding="utf-8")
+        (tmp_path / "b.snap").write_text(b, encoding="utf-8")
+        assert run(["diff", str(tmp_path / "a.snap"), str(tmp_path / "b.snap")]) == code
+        assert capsys.readouterr() == (out, err)
 
 
 class TestMissingObject:

@@ -1,7 +1,11 @@
 """Cell-level diffing, classification, replay and volatility metrics."""
 
+import io
+import pathlib
 import random
 import re
+import tempfile
+from contextlib import redirect_stdout
 from datetime import timedelta
 from decimal import Decimal
 from fractions import Fraction
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import CONTENTS, T0, addr, hours, mutate_snapshot, random_snapshot, snap
 from oracles import diff_snapshots_by_address
 
+from gridaudit.cli import run
 from gridaudit.diffing import (
     ChangeKind,
     ConflictingEvent,
@@ -21,6 +26,7 @@ from gridaudit.diffing import (
     WorkbookMismatch,
     apply_changes,
     classify_change,
+    diff_events,
     diff_snapshots,
     volatility_metrics,
 )
@@ -32,6 +38,7 @@ from gridaudit.grid import (
     Number,
     Snapshot,
     read_stored_lines,
+    render_content,
     snapshot_digest,
     write_snapshot_file,
 )
@@ -240,8 +247,10 @@ class TestRandomizedProperties:
 
 
 class TestMergeAgainstTheOracle:
-    """The merge over cell lines against the diff that keys both cells
-    dicts by address and compares content objects."""
+    """Both event paths against the diff that keys both cells dicts by
+    address and compares content objects: diff_events over two cells
+    dicts, directly and as the diff command feeds it from two files, and
+    the merge over cell lines."""
 
     @staticmethod
     def _pair(base, edits):
@@ -257,6 +266,11 @@ class TestMergeAgainstTheOracle:
     def _spelt(events):
         return [(str(e.address), e) for e in events]
 
+    @staticmethod
+    def _respelt(text, respelling):
+        """text with respelling appended to each integer number line."""
+        return "\n".join(line + respelling if re.search(r"\tN\t-?[0-9]+$", line) else line for line in text.split("\n"))
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.dictionaries(_ADDRESSES, _CONTENTS, max_size=8),
@@ -266,16 +280,29 @@ class TestMergeAgainstTheOracle:
     def test_merge_matches_the_oracle(self, base, edits, respelling):
         before, after = self._pair(base, edits)
         expected = diff_snapshots_by_address(before, after)
-        # from the parsed inputs, as the diff command feeds it
+        # from the two cells dicts, which share every unchanged cell's objects
         changes = diff_snapshots(before, after)
         assert changes == expected
         assert self._spelt(changes.events) == self._spelt(expected.events)
+        assert self._spelt(diff_events(before, after)) == self._spelt(expected.events)
+        # the diff command over written files, the second one respelt: a
+        # number line spelt otherwise is not the first file's line, so it
+        # is parsed anew, to the same content, and makes no event
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [f"{tmp}/a.snap", f"{tmp}/b.snap"]
+            pathlib.Path(paths[0]).write_text(write_snapshot_file(before), encoding="utf-8")
+            pathlib.Path(paths[1]).write_text(self._respelt(write_snapshot_file(after), respelling), encoding="utf-8")
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert run(["diff", *paths]) == 0
+        assert out.getvalue() == "".join(
+            f"{e.kind.value}\t{e.address}\t{render_content(e.before)}\t{render_content(e.after)}\n"
+            for e in expected.events
+        )
         # from stored bytes, as ingest feeds it; a number line spelt
         # otherwise is not the canonical line, but parses to the same
         # content and so makes no event
-        head, *lines, end = write_snapshot_file(before).split("\n")
-        lines = [line + respelling if re.search(r"\tN\t-?[0-9]+$", line) else line for line in lines]
-        workbook_id, *_, stored = read_stored_lines("\n".join([head, *lines, end]))
+        workbook_id, *_, stored = read_stored_lines(self._respelt(write_snapshot_file(before), respelling))
         fed = diff_snapshots(before, after, lines=(stored, CellLines(after.cells)))
         assert workbook_id == "wb1"
         assert self._spelt(fed.events) == self._spelt(expected.events)

@@ -71,9 +71,11 @@ def test_traced_commands_match_the_plain_cli(capsys, tmp_path):
 
 
 def test_traced_verify_and_history_match_the_plain_cli(capsys, tmp_path):
-    # Also audit and diff, which load neither ledger nor diffing when the
-    # command line is imported: the shim finds those modules in sys.modules
-    # as lazy stubs, and its spans must still reach the functions they run.
+    # Also audit and diff, which load no ledger when the command line is
+    # imported.  The shim finds the lazy modules in sys.modules as stubs, and
+    # the history and audit rows pin that its spans still reach the functions
+    # they run.  diff's events come from diffing.diff_events, which the shim
+    # does not wrap, so its row counts the snapshot parse it calls instead.
     ledger = str(tmp_path / "ledger")
     for name, text in (("s1.snap", SNAP_1), ("s2.snap", SNAP_2), ("err.snap", SNAP_ERROR)):
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -85,7 +87,7 @@ def test_traced_verify_and_history_match_the_plain_cli(capsys, tmp_path):
         (["verify", ledger], "ledger.verify_chain"),
         (["history", ledger, "S!A1"], "ledger.parse_changeset"),
         (["audit", str(tmp_path / "err.snap")], "audit.audit_workbook"),
-        (["diff", str(tmp_path / "s1.snap"), str(tmp_path / "s2.snap")], "diffing.diff_snapshots"),
+        (["diff", str(tmp_path / "s1.snap"), str(tmp_path / "s2.snap")], "grid.parse_snapshot_file"),
     ):
         capsys.readouterr()
         code = run(command)
