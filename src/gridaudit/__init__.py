@@ -8,10 +8,14 @@ sections 103, 302, 304 and 404.
 
 Importing the package loads no submodule: each exported name is looked up
 in its submodule on first use, and `formula`, `audit`, `controls`,
-`assess`, `ledger` and `diffing` compile only when one of their attributes
-is first read.  A command compiles only the modules it runs: `verify`
-compiles `ledger` but not `diffing`, `audit` compiles no `ledger`, and
-`profile` compiles no `controls`.
+`assess`, `ledger`, `diffing` and `trend` compile only when one of their
+attributes is first read.  A command compiles only the modules it runs:
+`verify` compiles `ledger` but not `diffing`, `audit` compiles no
+`ledger`, `profile` compiles no `controls`, and `trend` compiles `trend`
+but not `controls`, the policy engine that `check`, `ingest` and `report`
+load.  `grid` binds the C `datetime` types from `_datetime`, so no command
+runs the pure-Python body of `datetime.py`, and only `ingest` imports
+`fcntl`, to lock the ledger.
 """
 
 import sys
@@ -49,6 +53,7 @@ controls = _lazy_submodule("controls")
 assess = _lazy_submodule("assess")
 ledger = _lazy_submodule("ledger")
 diffing = _lazy_submodule("diffing")
+trend = _lazy_submodule("trend")
 
 # exported name -> the submodule that defines it
 _SUBMODULE_OF = {
@@ -71,11 +76,9 @@ _SUBMODULE_OF = {
         ("controls", (
             "ControlPolicy",
             "Mode",
-            "TrendRule",
             "Workflow",
             "evaluate_policies",
             "parse_policy_file",
-            "trend_deviation",
         )),
         ("diffing", (
             "ChangeEvent",
@@ -97,6 +100,7 @@ _SUBMODULE_OF = {
             "write_snapshot_file",
         )),
         ("ledger", ("Ledger",)),
+        ("trend", ("TrendRule", "trend_deviation")),
     )
     for name in names
 }

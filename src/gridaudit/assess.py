@@ -14,13 +14,12 @@ or JSON.
 
 from __future__ import annotations
 
-from datetime import datetime
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .diffing import volatility_ratios
 from .findings import CRITICAL, RULE_SEVERITY, Finding, finding_line
-from .grid import Formula, format_instant, record
+from .grid import Formula, datetime, format_instant, record
 from .ledger import Ledger
 
 if TYPE_CHECKING:

@@ -27,22 +27,23 @@ cost every command several milliseconds of start-up.
 from __future__ import annotations
 
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from . import assess, audit, controls, diffing
+from . import assess, audit, controls, diffing, trend
 from . import ledger as ledger_mod
 from .findings import Finding, finding_line, has_critical
 from .grid import (
     Number,
+    datetime,
     format_instant,
     parse_instant,
     parse_qualified_address,
     parse_snapshot_file,
     render_content,
     render_value,
+    timezone,
 )
 
 if TYPE_CHECKING:
@@ -124,7 +125,7 @@ def _cmd_check(args) -> int:
 def _cmd_trend(args) -> int:
     ledger = _open_existing(args.ledger_dir)
     address = parse_qualified_address(args.cell)
-    rule = controls.TrendRule(address=address, window=args.window)
+    rule = trend.TrendRule(address=address, window=args.window)
     series = ledger.series_for_cell(address)
     for at, value in series.points:
         print(f"{format_instant(at)}\t{render_value(value)}")
@@ -133,7 +134,7 @@ def _cmd_trend(args) -> int:
         print("TREND\tinsufficient-data")
         return EXIT_OK
     history = ledger_mod.CellSeries(address, tuple(numeric[:-1]))
-    verdict = controls.trend_deviation(history, numeric[-1][1].value, rule)
+    verdict = trend.trend_deviation(history, numeric[-1][1].value, rule)
     flag = "true" if verdict.violated else "false"
     print(
         f"TREND\tmean={verdict.mean:.6f}\tstddev={verdict.stddev:.6f}"

@@ -18,7 +18,6 @@ diffs the stored object that way without parsing it.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from datetime import datetime
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -29,6 +28,7 @@ from .grid import (
     Formula,
     Literal,
     Snapshot,
+    datetime,
     record,
 )
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from datetime import datetime, timezone
 from decimal import Decimal
 from operator import attrgetter
 
@@ -38,6 +37,13 @@ ERROR_CODES = frozenset(
 
 MAX_COL = 16384
 MAX_EXPONENT = 999_999  # a nonzero number's adjusted exponent lies within ±MAX_EXPONENT
+
+# the C types without running datetime.py, whose pure-Python body CPython
+# executes in full before it swaps them in
+try:
+    from _datetime import datetime, timezone
+except ImportError:  # another interpreter
+    from datetime import datetime, timezone
 
 # CPython's own SHA-256, the one hashlib falls back to without OpenSSL:
 # the same digests, without loading libcrypto into every command

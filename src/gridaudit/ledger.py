@@ -68,11 +68,9 @@ like workbook_id's, comes from an object's header, which the hash covers.
 from __future__ import annotations
 
 import base64
-import fcntl
 import os
 import re
 from contextlib import contextmanager, nullcontext, suppress
-from datetime import datetime
 from functools import cached_property
 from pathlib import Path
 
@@ -88,6 +86,7 @@ from .grid import (
     Snapshot,
     SnapshotError,
     content_value,
+    datetime,
     decode_content,
     encode_content,
     format_instant,
@@ -305,6 +304,8 @@ def _exclusive_lock(directory: Path):
     ledger it leaves is removed, so a rejected first ingest leaves no
     directory for a read-only command to mistake for an empty ledger.  A
     writer that was waiting on the removed log locks a new one."""
+    import fcntl  # only here: only writers lock
+
     made = [path for path in (directory, *directory.parents) if not path.exists()]
     log = directory / "ledger.log"
     while True:

@@ -13,13 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from gridaudit import assess, audit, controls, diffing, findings, formula, grid, ledger
+from gridaudit import assess, audit, controls, diffing, findings, formula, grid, ledger, trend
 from gridaudit.controls import Mode
 from gridaudit.diffing import ChangeKind
 from gridaudit.formula import BoolLit, CellRef, ErrorLit, NumberLit, Ref, TextLit, Unary, parse_formula
 from gridaudit.grid import CellAddress, FrozenRecordError, Literal, Number, Region, Text
 
-MODULES = (grid, formula, findings, diffing, audit, controls, ledger, assess)
+MODULES = (grid, formula, findings, diffing, audit, controls, trend, ledger, assess)
 
 T0 = datetime(2024, 3, 1, 9, 0, tzinfo=timezone.utc)
 T1 = T0 + timedelta(days=1)

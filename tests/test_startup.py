@@ -4,6 +4,7 @@ The package surface stays whole although its submodules load on first use."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -34,7 +35,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_traceback():
 # Runs gridaudit in a fresh interpreter and prints, as its last line, the
 # exit code, the gridaudit source files compiled on the way and, after a
 # "|", which of WATCHED it imported.
-WATCHED = ("json", "statistics", "fractions", "argparse", "gettext", "locale", "hashlib", "_hashlib")
+WATCHED = ("json", "statistics", "fractions", "argparse", "gettext", "locale", "hashlib", "_hashlib", "datetime", "fcntl")
 COMPILE_PROBE = f"""
 import os, sys
 bare = set(sys.modules)
@@ -123,12 +124,18 @@ REPORT = ["--from", "2024-03-01T00:00:00Z", "--to", "2024-03-31T00:00:00Z", "--g
         (["report", "{ledger}", "--policy", "{policy}", *REPORT, "--format", "json"], None, set(), {"json"}),
         (
             ["check", "{ledger}", "--policy", "{policy}"],
-            {"__init__.py", "cli.py", "controls.py", "diffing.py", "findings.py", "grid.py", "ledger.py"},
+            {"__init__.py", "cli.py", "controls.py", "diffing.py", "findings.py", "grid.py", "ledger.py", "trend.py"},
             set(),
             {"statistics", "fractions", "json"},
         ),
+        (
+            ["trend", "{ledger}", "S!A1"],
+            {"__init__.py", "cli.py", "diffing.py", "findings.py", "grid.py", "ledger.py", "trend.py"},
+            set(),
+            set(),
+        ),
     ],
-    ids=["verify", "audit", "diff", "profile", "text-report", "json-report", "check"],
+    ids=["verify", "audit", "diff", "profile", "text-report", "json-report", "check", "trend"],
 )
 def test_each_command_compiles_only_what_it_runs(tmp_path, argv, exactly, not_compiled, not_imported):
     from gridaudit.cli import run
@@ -172,29 +179,49 @@ def test_cli_import_and_plain_commands_load_no_argparse(tmp_path):
 HASHLIB = {"hashlib", "_hashlib"}
 
 
-def test_plain_commands_load_no_hashlib(tmp_path):
+@pytest.fixture(scope="module")
+def plain_imports(tmp_path_factory) -> dict[str, set[str]]:
+    """The WATCHED modules that each plain command imports, by its name
+    (the two ingests as "ingest" and "ingest-locked"); each exit code is
+    checked against an in-process run."""
     from gridaudit.cli import run
 
+    tmp_path = tmp_path_factory.mktemp("plain")
     paths = _two_ingests(tmp_path)
     ledger, policy = paths["ledger"], paths["policy"]
     s3 = tmp_path / "s3.snap"
     s3.write_text(SNAP_2.replace("03-02", "03-03").replace("\t6\n", "\t7\n"), encoding="utf-8")
-    for argv in (
-        ["ingest", str(tmp_path / "fresh"), paths["s1"], "--policy", policy],
-        ["ingest", ledger, str(s3), "--policy", policy],  # a locked cell changes: exit 1
-        ["verify", ledger],
-        ["check", ledger, "--policy", policy],
-        ["trend", ledger, "S!A1"],
-        ["history", ledger, "S!A1"],
-        ["profile", ledger],
-        ["report", ledger, "--policy", policy, *REPORT],
-        ["report", ledger, "--policy", policy, *REPORT, "--format", "json"],
-        ["audit", paths["s2"]],
-        ["diff", paths["s1"], paths["s2"]],
+    imports = {}
+    for name, argv in (
+        ("ingest", ["ingest", str(tmp_path / "fresh"), paths["s1"], "--policy", policy]),
+        ("ingest-locked", ["ingest", ledger, str(s3), "--policy", policy]),  # a locked cell changes: exit 1
+        ("verify", ["verify", ledger]),
+        ("check", ["check", ledger, "--policy", policy]),
+        ("trend", ["trend", ledger, "S!A1"]),
+        ("history", ["history", ledger, "S!A1"]),
+        ("profile", ["profile", ledger]),
+        ("text-report", ["report", ledger, "--policy", policy, *REPORT]),
+        ("json-report", ["report", ledger, "--policy", policy, *REPORT, "--format", "json"]),
+        ("audit", ["audit", paths["s2"]]),
+        ("diff", ["diff", paths["s1"], paths["s2"]]),
     ):
-        code, _, imported = _compiled(tmp_path, *argv)
+        code, _, imports[name] = _compiled(tmp_path, *argv)
         assert code == (int(argv[1] == ledger) if argv[0] == "ingest" else run(argv)), argv
-        assert not imported & HASHLIB, argv
+    return imports
+
+
+def test_plain_commands_load_no_hashlib(plain_imports):
+    for name, imported in plain_imports.items():
+        assert not imported & HASHLIB, name
+
+
+def test_plain_commands_load_no_pure_python_datetime(plain_imports):
+    for name, imported in plain_imports.items():
+        assert "datetime" not in imported, name
+
+
+def test_only_ingest_loads_fcntl(plain_imports):
+    assert {name for name, imported in plain_imports.items() if "fcntl" in imported} == {"ingest", "ingest-locked"}
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython", reason="names CPython's built-in hash modules")
@@ -202,6 +229,57 @@ def test_sha256_is_cpythons_built_in():
     from gridaudit import grid
 
     assert grid.sha256.__module__ in {"_sha2", "_sha256"}
+
+
+# Runs each command given as JSON in one process and prints the type of
+# grid.datetime.now, then each exit code; with "pure" first, it hides the C
+# module as an interpreter without one would, so grid falls back to datetime.py.
+FALLBACK_PROBE = """
+import json, sys
+if sys.argv[1] == "pure":
+    sys.modules["_datetime"] = None
+from gridaudit import grid
+from gridaudit.cli import run
+print(type(grid.datetime.now).__name__)
+for argv in json.loads(sys.argv[2]):
+    print("exit", run(argv))
+"""
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="hides CPython's C datetime module")
+def test_pure_python_datetime_gives_the_same_bytes(tmp_path):
+    policy = tmp_path / "policy.txt"
+    policy.write_text(POLICY + "\n[trend]\ncell = S!B1\nwindow = 5\n", encoding="utf-8")
+    times = ["2024-03-01T09:00:00Z", "2024-03-02T10:30:00+01:00", "2024-03-03T09:00:00.250Z",
+             "2024-03-03T23:45:00-05:00", "2024-03-05T09:00:00Z", "2024-03-06T09:00:00+05:30"]
+    argvs = []
+    for i, at in enumerate(times):
+        snap = tmp_path / f"s{i}.snap"
+        # S!A1 changes in the locked region at the last ingest only: exit 1
+        snap.write_text(f"SNAP1\twb1\t{at}\tann\nS\tA1\tV\tN\t{5 + (i == 5)}\nS\tB1\tV\tN\t{10 + i * i}\n", encoding="utf-8")
+        argvs.append(["ingest", "L", str(snap), "--policy", str(policy)])
+    argvs += [["trend", "L", "S!B1"], ["history", "L", "S!B1"], ["report", "L", "--policy", str(policy), *REPORT]]
+    runs = {}
+    for mode in ("c", "pure"):
+        (tmp_path / mode).mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", FALLBACK_PROBE, mode, json.dumps(argvs)],
+            cwd=tmp_path / mode,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            check=True,
+        )
+        ledger = tmp_path / mode / "L"
+        objects = {path.name: path.read_bytes() for path in (ledger / "objects").iterdir()}
+        runs[mode] = result.stdout.split(b"\n", 1), (ledger / "ledger.log").read_bytes(), objects
+    (c_type, c_out), c_log, c_objects = runs["c"]
+    (pure_type, pure_out), pure_log, pure_objects = runs["pure"]
+    assert (c_type, pure_type) == (b"builtin_function_or_method", b"method")
+    assert b"TREND\tmean=" in c_out
+    assert [line for line in c_out.splitlines() if line.startswith(b"exit ")] == [
+        *[b"exit 0"] * 5, b"exit 1", b"exit 0", b"exit 0", b"exit 1"
+    ]
+    assert (pure_out, pure_log, pure_objects) == (c_out, c_log, c_objects)
 
 
 def test_help_still_goes_through_argparse(tmp_path):
