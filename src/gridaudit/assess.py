@@ -240,6 +240,7 @@ def build_report(
         for section in sorted(map_finding_to_sox(finding)):
             by_section[section].append(finding)
     workbook = ledger.workbook_id if chain.ok else None
+    withheld = UsageMetrics(0, 0.0, Fraction(0), Fraction(0), 0)  # a failed chain reads no usage metric
     return ComplianceReport(
         workbook_id=workbook or (policy.workbook_id if policy else "unknown"),
         period_start=start,
@@ -250,9 +251,9 @@ def build_report(
         findings_by_sox=by_section,
         material_weaknesses=[f for f in findings if f.severity == CRITICAL],
         profile=build_profile(ledger, findings, classifier) if chain.ok else RiskProfile(
-            metrics=UsageMetrics(0, 0.0, Fraction(0), Fraction(0), 0),
+            metrics=withheld,
             classification=INDETERMINATE,
-            risk_score=min(100.0, 5.0 * sum(1 for f in findings if f.severity == CRITICAL)),
+            risk_score=risk_score(withheld, findings),
             rationale=("ledger failed verification; usage metrics withheld",),
         ),
         classifier=classifier,

@@ -6,13 +6,13 @@ source-text equality, so refactors that preserve meaning are still logged;
 a cached-value-only change on a formula cell counts as data movement, not
 a logic change.
 
-There are two paths to the same events.  diff_events compares two parsed
-snapshots through their cells dicts and passes the cells both hold as the
-very same objects; `diff` parses its two files against one map of line
-text (grid.parse_snapshot_file), so every line they share is such a cell,
-and it renders and hashes nothing.  diff_snapshots given lines merges two
-snapshots' CellLines instead, parsing only the lines that differ: ingest
-diffs the stored object that way without parsing it.
+Every diff reads the two snapshots' cells dicts (diff_events), and a cell
+that both hold as the very same address and content objects is passed
+unexamined.  Two files parsed against one map of line text share such a
+cell for every line they share: `diff` parses its two files that way
+(grid.parse_snapshot_file), and ingest parses the latest stored object
+against the new snapshot's rendered lines (grid.CellLines.cells), so a
+stored line is parsed only where it differs from the new snapshot.
 """
 
 from __future__ import annotations
@@ -128,35 +128,15 @@ def classify_change(before: CellContent | None, after: CellContent | None) -> Ch
     return ChangeKind.KIND_CHANGED
 
 
-def diff_snapshots(
-    before: Snapshot,
-    after: Snapshot,
-    *,
-    digests: tuple[str, str] | None = None,
-    lines: tuple[CellLines, CellLines] | None = None,
-) -> ChangeSet:
+def diff_snapshots(before: Snapshot, after: Snapshot, *, digests: tuple[str, str] | None = None) -> ChangeSet:
     """The change set from before to after: one event per address whose
-    content differs, in CellAddress.sort_key order (see diff_events for
-    the rules), with both snapshots' digests.
-
-    The events come from one of two paths, chosen by the input.  Without
-    lines, diff_events compares the two cells dicts.  lines, if given,
-    are the two snapshots' CellLines, already rendered or read as stored
-    (ingest's path, which must not parse the stored object); then _merge
-    walks them in sort_key order, passes a line whose text equals its
-    twin's without parsing it and parses only the lines that differ, and
-    neither cells dict is read, so before may be a header with no cells.
-    A before line that the merge parses must sort after the before line
-    ahead of it (else DigestMismatch).  digests, if given, are the two
-    snapshots' digests, already known; else they are hashed here."""
-    if lines is None:
-        events = diff_events(before, after)
-    else:
-        _check_workbooks(before, after)
-        events = _merge(*lines)
+    content differs, in CellAddress.sort_key order (diff_events gives the
+    events and their rules), with both snapshots' digests.  digests, if
+    given, are the two snapshots' digests, already known; else they are
+    hashed here."""
+    events = diff_events(before, after)
     if digests is None:
-        old, new = lines or (CellLines(before.cells), CellLines(after.cells))
-        digests = old.digest(before.workbook_id), new.digest(after.workbook_id)
+        digests = CellLines(before.cells).digest(before.workbook_id), CellLines(after.cells).digest(after.workbook_id)
     return ChangeSet(
         workbook_id=before.workbook_id,
         from_digest=digests[0],
@@ -166,13 +146,6 @@ def diff_snapshots(
         actor=after.actor,
         events=tuple(events),
     )
-
-
-def _check_workbooks(before: Snapshot, after: Snapshot) -> None:
-    if before.workbook_id != after.workbook_id:
-        raise WorkbookMismatch(
-            f"cannot diff {before.workbook_id!r} against {after.workbook_id!r}"
-        )
 
 
 def diff_events(before: Snapshot, after: Snapshot) -> list[ChangeEvent]:
@@ -188,7 +161,8 @@ def diff_events(before: Snapshot, after: Snapshot) -> list[ChangeEvent]:
     under the new one, so replay restores the stored names (addresses
     compare case-insensitively, digests do not).  Content equal to its
     twin's, though spelt otherwise (5 and 5.0), makes no event."""
-    _check_workbooks(before, after)
+    if before.workbook_id != after.workbook_id:
+        raise WorkbookMismatch(f"cannot diff {before.workbook_id!r} against {after.workbook_id!r}")
     old, new = before.cells, after.cells
     # keyed by object identity, which hashes in C: an address's own hash
     # is a Python call per cell
@@ -206,58 +180,6 @@ def diff_events(before: Snapshot, after: Snapshot) -> list[ChangeEvent]:
         elif old_content != new_content:
             kind = classify_change(old_content, new_content)
             events.append(ChangeEvent(new_address or old_address, kind, old_content, new_content))
-    return events
-
-
-def _merge(old: CellLines, new: CellLines) -> list[ChangeEvent]:
-    """The events of diff_snapshots given lines, by the rules of
-    diff_events.  new must be in sort_key order; old is checked for it
-    at each line the merge parses.  A before line equal to the after
-    line it meets sorts as that line does, so a parsed before line must
-    sort after both the last before line parsed and the after line just
-    passed."""
-    olds, news = list(old), list(new)
-    events: list[ChangeEvent] = []
-    i = j = 0
-    floor = None  # the sort key the next parsed before line must exceed
-    pending = None  # before line i, once parsed: (address, sort key, content)
-    while i < len(olds):
-        if pending is None:
-            if j < len(news) and olds[i] == news[j]:
-                i += 1
-                j += 1
-                continue
-            address, content = old.cell(i)
-            key = address.sort_key()
-            if j:
-                passed = new.address(j - 1).sort_key()
-                floor = passed if floor is None else max(floor, passed)
-            if floor is not None and key <= floor:
-                raise DigestMismatch(f"{address} does not sort after the cell line before it")
-            floor = key
-            pending = (address, key, content)
-        address, key, content = pending
-        new_at = new.address(j) if j < len(news) else None
-        if new_at is None or key < new_at.sort_key():
-            events.append(ChangeEvent(address, ChangeKind.REMOVED, content, None))
-            i += 1
-            pending = None
-        elif key > new_at.sort_key():
-            events.append(ChangeEvent(new_at, ChangeKind.ADDED, None, new.cell(j)[1]))
-            j += 1
-        else:
-            after = new.cell(j)[1]
-            if address.sheet != new_at.sheet:
-                events.append(ChangeEvent(address, ChangeKind.REMOVED, content, None))
-                events.append(ChangeEvent(new_at, ChangeKind.ADDED, None, after))
-            elif content != after:
-                events.append(ChangeEvent(new_at, classify_change(content, after), content, after))
-            i += 1
-            j += 1
-            pending = None
-    for k in range(j, len(news)):
-        at, content = new.cell(k)
-        events.append(ChangeEvent(at, ChangeKind.ADDED, None, content))
     return events
 
 

@@ -580,10 +580,9 @@ class CellLines:
     one line and keep the order with bisect, so a replayed snapshot is
     re-hashed without re-rendering the cells it did not touch.
 
-    CellLines.stored holds a file's lines as stored instead, each parsed
-    only when cell or address asks for it.  cells parses every line and
-    checks their order, so set and remove, which bisect on the addresses,
-    find any line once it has run."""
+    CellLines.stored holds a file's lines as stored instead, none parsed
+    until cells reads them all and checks their order, so set and remove,
+    which bisect on the addresses, find any line once it has run."""
 
     def __init__(self, cells: dict[CellAddress, CellContent]):
         self._addresses: list[CellAddress | None] = sorted(cells, key=CellAddress.sort_key)
@@ -606,27 +605,27 @@ class CellLines:
         other._first_lineno = self._first_lineno
         return other
 
-    def cell(self, i: int) -> tuple[CellAddress, CellContent]:
-        """The address and content of line i, parsed from the line (a line
-        that does not parse raises BadAddress with its file line number)."""
-        address, content = _parse_cell_line(self._first_lineno + i, self._lines[i])
-        self._addresses[i] = self._addresses[i] or address
-        return self._addresses[i], content
+    def by_line(self, cells: dict[CellAddress, CellContent]) -> dict[str, tuple[CellAddress, CellContent]]:
+        """Each line's text mapped to its address and content in cells, the
+        dict these lines were rendered from: the map that cells takes."""
+        return {line: (address, cells[address]) for line, address in zip(self._lines, self._addresses)}
 
-    def address(self, i: int) -> CellAddress:
-        """The address of line i, parsed the first time it is asked for."""
-        return self._addresses[i] or self.cell(i)[0]
-
-    def cells(self) -> dict[CellAddress, CellContent]:
-        """The cells of every line, each line parsed once, here.  Each line
-        must sort strictly after the one before it, so a blank, malformed,
-        repeated or out-of-order line raises SnapshotError (BadAddress)."""
+    def cells(self, parsed: dict[str, tuple[CellAddress, CellContent]] | None = None) -> dict[CellAddress, CellContent]:
+        """The cells of every line, each line parsed once, here, unless
+        parsed maps its text to the (address, content) it stands for (as
+        for parse_snapshot_file): then those very objects are taken.  Each
+        line must sort strictly after the one before it, whichever way it
+        was read, so a blank, malformed, repeated or out-of-order line
+        raises SnapshotError (BadAddress).  Every line's address is kept."""
+        known = parsed or {}
         cells, previous = {}, ()  # () sorts before every key
-        for i in range(len(self._lines)):
-            address, content = self.cell(i)
-            if address.sort_key() <= previous:
+        for i, line in enumerate(self._lines):
+            address, content = known.get(line) or _parse_cell_line(self._first_lineno + i, line)
+            key = address.sort_key()
+            if key <= previous:
                 raise BadAddress(self._first_lineno + i, f"{address} does not sort after the cell line before it")
-            cells[address], previous = content, address.sort_key()
+            self._addresses[i] = address
+            cells[address], previous = content, key
         return cells
 
     def set(self, address: CellAddress, content: CellContent) -> None:

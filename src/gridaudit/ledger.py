@@ -60,9 +60,11 @@ actor and ATTEST line are outside that hash, so no verdict reads them
 from objects/.  The checked lines are the only source of an object's
 cells: CellLines.cells parses each once per Ledger, and a blank,
 malformed, repeated or out-of-order line raises DigestMismatch.  An ingest
-diffs the new snapshot against the latest object's lines, so it parses
-only the lines that changed (diffing.diff_snapshots); its workbook id,
-like workbook_id's, comes from an object's header, which the hash covers.
+reads the latest object that way too, against a map of the new snapshot's
+rendered lines: a stored line found there is taken as the new snapshot's
+very cell, unparsed, and diffing.diff_snapshots passes it unexamined, so
+only the stored lines that changed are parsed.  Its workbook id, like
+workbook_id's, comes from an object's header, which the hash covers.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from . import diffing
 from .findings import Finding
 from .grid import (
     CellAddress,
+    CellContent,
     CellLines,
     CellValue,
     ErrorValue,
@@ -450,12 +453,14 @@ class Ledger:
     def store_snapshot(self, snapshot: Snapshot, lines: CellLines, digest: str) -> str:
         """Store the snapshot's bytes under digest, which is
         lines.digest(snapshot.workbook_id), and return it; lines are its
-        CellLines, already rendered.  The snapshot stands in for the parse
-        of those bytes, which it equals.  The bytes go to a temp file first
-        and are renamed onto the digest name, so a write cut short never
-        leaves a torn object under that name; the temp file of a write that
-        raises is removed, and the object is cached only once it is
-        written, so a retry writes it again."""
+        CellLines, already rendered.  Only its header and lines are kept:
+        its cells are built from the lines when first read, as any object's
+        are (_parsed), so the next ingest on this ledger reads them against
+        its own new lines.  The bytes go to a temp file first and are
+        renamed onto the digest name, so a write cut short never leaves a
+        torn object under that name; the temp file of a write that raises
+        is removed, and the object is cached only once it is written, so a
+        retry writes it again."""
         if digest not in self._objects:
             data = write_snapshot_file(snapshot, lines).encode("utf-8")
             if self.directory is not None:
@@ -470,21 +475,25 @@ class Ledger:
                         raise
                     os.replace(temp, path)
             self._objects[digest] = data
-            self._stored[digest] = (_own_cells(snapshot), lines)
+            header = Snapshot(snapshot.workbook_id, snapshot.timestamp, snapshot.actor, attestation=snapshot.attestation)
+            self._stored[digest] = (header, lines)
         return digest
 
     def load_snapshot(self, digest: str) -> Snapshot:
         """The stored snapshot named by digest, with a cells dict of its own."""
         return _own_cells(self._parsed(digest))
 
-    def _parsed(self, digest: str) -> Snapshot:
+    def _parsed(self, digest: str, parsed: dict[str, tuple[CellAddress, CellContent]] | None = None) -> Snapshot:
         """The object named by digest with its cells, built from its checked
         lines once per ledger (CellLines.cells, which leaves every address of
-        those lines parsed); a bad line raises DigestMismatch."""
+        those lines parsed); a bad line raises DigestMismatch.  parsed, if
+        given, goes to CellLines.cells when the cells are built: each line
+        it maps is taken from it, not parsed.  Once built, the cells are
+        returned as they are."""
         snapshot, lines = self._object(digest)
         if not snapshot.cells:  # not parsed yet, or no cells to parse
             try:
-                snapshot.cells.update(lines.cells())
+                snapshot.cells.update(lines.cells(parsed))
             except SnapshotError as exc:
                 raise diffing.DigestMismatch(f"stored object {digest[:12]}... does not parse: {exc}") from exc
         return snapshot
@@ -644,10 +653,10 @@ class Ledger:
                 self._reload()
             entries = self._whole_entries()
             if entries:
-                # the diff base: the latest object's lines as stored, and the
-                # workbook id in its header (ingest keeps one id per ledger)
+                # the workbook id in the latest object's header (ingest keeps
+                # one id per ledger); no cell line is parsed for it
                 last_digest, last_at, last_actor = entries[-1].ingest.body
-                latest, previous_lines = self._object(last_digest)
+                latest = self._object(last_digest)[0]
                 if snapshot.workbook_id != latest.workbook_id:
                     raise diffing.WorkbookMismatch(
                         f"ledger tracks {latest.workbook_id!r}, snapshot is {snapshot.workbook_id!r}"
@@ -668,15 +677,14 @@ class Ledger:
                         f"snapshot at {format_instant(snapshot.timestamp)} does not "
                         f"advance past {format_instant(last_at)}"
                     )
-                # the change set starts at the latest INGEST record's time: the
-                # object's header keeps the time its content was first seen
-                previous = Snapshot(latest.workbook_id, last_at, last_actor)
-                try:
-                    changes = diffing.diff_snapshots(
-                        previous, snapshot, digests=(last_digest, digest), lines=(previous_lines, lines)
-                    )
-                except (SnapshotError, diffing.DigestMismatch) as exc:  # a stored line the diff parsed
-                    raise diffing.DigestMismatch(f"stored object {last_digest[:12]}... does not parse: {exc}") from exc
+                # the latest object read against the new snapshot's lines: each
+                # line the two share is the new snapshot's very cell, which the
+                # diff passes unexamined.  The change set starts at the latest
+                # INGEST record's time: the object's header keeps the time its
+                # content was first seen
+                cells = self._parsed(last_digest, lines.by_line(snapshot.cells)).cells
+                previous = Snapshot(latest.workbook_id, last_at, last_actor, cells)
+                changes = diffing.diff_snapshots(previous, snapshot, digests=(last_digest, digest))
                 findings.extend(audit_mod.audit_workbook(snapshot, cfg))
                 if policy is not None:
                     findings.extend(controls_mod.evaluate_policies(changes, policy, self, snapshot.attestation))

@@ -32,6 +32,7 @@ from gridaudit.grid import (
     Number,
     Snapshot,
     parse_snapshot_file,
+    read_stored_lines,
     snapshot_digest,
     write_snapshot_file,
 )
@@ -535,9 +536,38 @@ class TestIngestParsesOneSnapshot:
         monkeypatch.setattr(gridaudit.grid, "_parse_cell_line", lambda n, line: lines.append(line) or parse_line(n, line))
         assert run(["ingest", files["ledger"], str(later), "--policy", files["policy.txt"]]) == 0
         assert parses == [later.read_text()]
-        # the new file's two lines, then the merge's two sides of the one
-        # changed cell: the latest object's unchanged line is never parsed
-        assert lines == ["S\tA1\tV\tN\t6", "S\tB1\tV\tN\t11", "S\tB1\tV\tN\t10", "S\tB1\tV\tN\t11"]
+        # the new file's two lines, then the latest object's one changed
+        # line: its unchanged line is the new snapshot's cell, never parsed
+        assert lines == ["S\tA1\tV\tN\t6", "S\tB1\tV\tN\t11", "S\tB1\tV\tN\t10"]
+
+    @pytest.mark.parametrize("ingests", [10, 20, 40])
+    def test_ingest_parses_the_new_file_and_the_stored_lines_it_changed(self, tmp_path, monkeypatch, ingests):
+        """history-long at smoke rows: each ingest parses the new file's cell
+        lines and, after the first, the latest object's lines that are not
+        among the new snapshot's canonical lines, however long the history.
+        Its trend rules replay the history from the first object, which
+        adds that object's lines once it is no longer the latest."""
+        workloads = _workloads()
+        params = dict(workloads.SIZES["history-long"]["smoke"], ingests=ingests)
+        plan = workloads._history_long(random.Random("history-long:7"), tmp_path, params)
+        monkeypatch.chdir(tmp_path)
+        parse_line, parsed = gridaudit.grid._parse_cell_line, []
+        monkeypatch.setattr(gridaudit.grid, "_parse_cell_line", lambda n, line: parsed.append(line) or parse_line(n, line))
+        stored = []  # the cell lines of each ingest's object, as stored
+        for step in plan["ingest_pass"]:
+            parsed.clear()
+            assert run(step["argv"]) == step["exit"], step["argv"]
+            counted = sorted(parsed)
+            text = pathlib.Path(step["argv"][2]).read_text()
+            new = parse_snapshot_file(text)
+            expected = list(read_stored_lines(text)[-1])
+            if stored:
+                canonical = set(CellLines(new.cells))
+                expected += [line for line in stored[-1] if line not in canonical]
+                if len(stored) > 1 and stored[0] != stored[-1]:
+                    expected += stored[0]
+            assert counted == sorted(expected), step["argv"]
+            stored.append(list(read_stored_lines(pathlib.Path("ledger", "objects", snapshot_digest(new)).read_text())[-1]))
 
 
 class TestDiffParsesSharedLinesOnce:

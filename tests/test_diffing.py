@@ -31,12 +31,14 @@ from gridaudit.diffing import (
     volatility_metrics,
 )
 from gridaudit.grid import (
+    BadAddress,
     CellAddress,
     CellLines,
     Formula,
     Literal,
     Number,
     Snapshot,
+    parse_snapshot_file,
     read_stored_lines,
     render_content,
     snapshot_digest,
@@ -299,11 +301,56 @@ class TestMergeAgainstTheOracle:
             f"{e.kind.value}\t{e.address}\t{render_content(e.before)}\t{render_content(e.after)}\n"
             for e in expected.events
         )
-        # from stored bytes, as ingest feeds it; a number line spelt
-        # otherwise is not the canonical line, but parses to the same
-        # content and so makes no event
+        # from stored bytes read against the after snapshot's lines, as
+        # ingest feeds it; a number line spelt otherwise is not the
+        # canonical line, so it is parsed, to the same content, and makes
+        # no event
         workbook_id, *_, stored = read_stored_lines(self._respelt(write_snapshot_file(before), respelling))
-        fed = diff_snapshots(before, after, lines=(stored, CellLines(after.cells)))
+        lines = CellLines(after.cells)
+        previous = Snapshot(workbook_id, T0, "alice", stored.cells(lines.by_line(after.cells)))
+        fed = diff_snapshots(previous, after, digests=(stored.digest(workbook_id), lines.digest("wb1")))
         assert workbook_id == "wb1"
         assert self._spelt(fed.events) == self._spelt(expected.events)
         assert (fed.from_digest == expected.from_digest) == (list(stored) == list(CellLines(before.cells)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(_ADDRESSES, _CONTENTS, max_size=8),
+        st.dictionaries(_ADDRESSES, st.none() | _CONTENTS, max_size=6),
+        st.sampled_from(["", ".0", "e0", "0E-1"]),
+        st.sampled_from([None, "blank", "malformed", "repeated", "out-of-order"]),
+        st.integers(0, 8),
+    )
+    def test_cells_read_through_a_map_match_a_full_parse(self, base, edits, respelling, damage, at):
+        """CellLines.cells(parsed), as ingest reads the latest object against
+        the new snapshot's lines, against cells(): the same cells, each line
+        found in the map as the map's very objects, or the same BadAddress
+        at the same line.  The map also holds the repeated or moved line,
+        so a map entry never hides a line out of order."""
+        before, after = self._pair(base, edits)
+        head, *lines, end = self._respelt(write_snapshot_file(before), respelling).split("\n")
+        parsed = CellLines(after.cells).by_line(after.cells)
+        at = min(at, len(lines))
+        if damage in ("blank", "malformed"):
+            lines.insert(at, "" if damage == "blank" else "S\tA1\tV\tN\tten")
+        elif damage == "repeated" and lines:
+            at = min(at, len(lines) - 1)
+            lines.insert(at, lines[at])
+            parse_snapshot_file(f"{head}\n{lines[at]}\n", parsed)
+        elif damage == "out-of-order" and len(lines) > 1:
+            at = min(at, len(lines) - 2)
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+            parse_snapshot_file(f"{head}\n{lines[at]}\n{lines[at + 1]}\n", parsed)
+        full, mapped = (read_stored_lines("\n".join([head, *lines, end]))[-1] for _ in range(2))
+        try:
+            expected = full.cells()
+        except BadAddress as exc:
+            with pytest.raises(BadAddress) as caught:
+                mapped.cells(parsed)
+            assert (caught.value.lineno, str(caught.value)) == (exc.lineno, str(exc))
+            return
+        cells = mapped.cells(parsed)
+        assert [(str(a), c) for a, c in cells.items()] == [(str(a), c) for a, c in expected.items()]
+        for line, (address, content) in zip(mapped, cells.items()):
+            if line in parsed:
+                assert parsed[line][0] is address and parsed[line][1] is content
