@@ -14,6 +14,11 @@ severity<TAB>rule_id<TAB>location<TAB>message; diagnostics go to stderr.
 Given identical inputs (and a fixed --generated-at for reports) every
 command produces byte-identical output.
 
+`main` is the process entry point (the `gridaudit` script): it ends the
+process, with the heap frozen so that the interpreter's exit-time
+collections skip it.  `run(argv)` runs one command in process and returns
+its exit code; it freezes nothing, so tests and library callers use it.
+
 COMMANDS is the one description of the command line: each command's
 handler, help, positionals and options.  `run` reads a plain command line
 (every option spelled out in full, given once and followed by its value)
@@ -26,6 +31,7 @@ cost every command several milliseconds of start-up.
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -326,7 +332,19 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The process entry point: run the command line, then exit with its
+    code.  The heap is frozen on the way out; call `run` in process."""
+    code = run(sys.argv[1:])
+    # At exit CPython collects the heap even with the collector disabled,
+    # walking every object the loaded modules left alive (about 13k, some
+    # 6-11 ms a command) only to free the few held in reference cycles.
+    # Frozen objects are skipped by those collections; atexit handlers,
+    # the flush of the standard streams, module teardown and every free by
+    # reference count still happen.  This is safe because gridaudit has no
+    # finalizer and closes each file it opens before `run` returns.
+    if hasattr(gc, "freeze"):  # absent on some interpreters
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
