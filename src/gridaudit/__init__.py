@@ -30,10 +30,9 @@ def _lazy_submodule(name: str):
     A module that loads before a stub is needed must bind the stub as a
     module (`from . import audit`) and read its attributes only inside
     functions: any attribute read loads it, and `from .audit import name`
-    is one.  An `except` tuple counts as inside a function, because it is
-    evaluated only when an exception propagates.  A command handler reads
-    the lazy modules it needs before it reads a snapshot, since compiling
-    a module with a snapshot in memory raises the command's peak memory.
+    is one.  A command handler reads the lazy modules it needs before it
+    reads a snapshot, since compiling a module with a snapshot in memory
+    raises the command's peak memory.
 
     The stubs exist because the benchmark shim reads these modules from
     sys.modules right after `import gridaudit.cli`; once a production

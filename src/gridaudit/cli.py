@@ -41,6 +41,7 @@ from . import assess, audit, controls, diffing, trend
 from . import ledger as ledger_mod
 from .findings import Finding, finding_line, has_critical
 from .grid import (
+    IntegrityError,
     Number,
     datetime,
     format_instant,
@@ -313,14 +314,12 @@ def run(argv: list[str]) -> int:
             if exc.code is None:
                 return EXIT_OK
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    # the except tuples are evaluated, and so load ledger and diffing, only
-    # when an exception propagates
     try:
         return args.handler(args)
-    except (ledger_mod.LedgerCorrupt, diffing.DigestMismatch, diffing.ConflictingEvent, ledger_mod.MissingObject) as exc:
+    except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except (ValueError, ledger_mod.LedgerError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

@@ -26,7 +26,7 @@ from .grid import (
     CellContent,
     CellLines,
     Formula,
-    Literal,
+    IntegrityError,
     Snapshot,
     datetime,
     record,
@@ -56,11 +56,11 @@ class NoChange(DiffError):
     pass
 
 
-class DigestMismatch(DiffError):
+class DigestMismatch(DiffError, IntegrityError):
     pass
 
 
-class ConflictingEvent(DiffError):
+class ConflictingEvent(DiffError, IntegrityError):
     pass
 
 
@@ -107,7 +107,6 @@ class ChangeSet:
 class VolatilityMetrics:
     structural_volatility: Fraction
     data_volatility: Fraction
-    added_fraction: Fraction
 
 
 def classify_change(before: CellContent | None, after: CellContent | None) -> ChangeKind:
@@ -119,7 +118,7 @@ def classify_change(before: CellContent | None, after: CellContent | None) -> Ch
         return ChangeKind.ADDED
     if after is None:
         return ChangeKind.REMOVED
-    if isinstance(before, Literal) and isinstance(after, Literal):
+    if not isinstance(before, Formula) and not isinstance(after, Formula):
         return ChangeKind.DATA_CHANGED
     if isinstance(before, Formula) and isinstance(after, Formula):
         if before.source != after.source:
@@ -233,23 +232,22 @@ def volatility_ratios(changes: ChangeSet, formula_count: int, cell_count: int) -
 
     structural_volatility: formula cells whose logic changed, flipped kind
     or were removed, over formula cells in before.  data_volatility: the
-    same over literal cells.  added_fraction: added cells over before cell
-    count (over 1 when before is empty).  Cached-value-only changes count
-    in neither volatility since neither the logic nor a literal moved.
+    same over literal cells.  Added cells and cached-value-only changes
+    count in neither volatility since neither the logic nor a literal of
+    before moved.
     """
     from fractions import Fraction  # only here: `diff` and `history` never need it
 
     literal_count = cell_count - formula_count
-    structural = data = added = 0
+    structural = data = 0
     for event in changes.events:
         if event.kind is ChangeKind.ADDED:
-            added += 1
-        elif not isinstance(event.before, Formula):
+            continue
+        if not isinstance(event.before, Formula):
             data += 1
         elif event.kind is not ChangeKind.DATA_CHANGED:
             structural += 1
     return VolatilityMetrics(
         structural_volatility=Fraction(structural, formula_count) if formula_count else Fraction(0),
         data_volatility=Fraction(data, literal_count) if literal_count else Fraction(0),
-        added_fraction=Fraction(added, cell_count) if cell_count else Fraction(added),
     )

@@ -18,6 +18,10 @@ one line, so arbitrary text payloads round-trip.  Empty cells are never
 stored; absence from the cell map means empty.  Timestamps are RFC 3339
 and are normalized to UTC on parse.
 
+In memory a cell's content (CellContent) is what its line holds: a ``V``
+cell is its value itself (Number, Text, Boolean or ErrorValue), and an
+``F`` cell a Formula whose ``cached`` is such a value or None.
+
 The content digest is SHA-256 over the canonical cell lines plus a reduced
 header holding only the workbook id.  Timestamp, actor and attestation are
 excluded so that a re-save without edits keeps its digest and change sets
@@ -57,6 +61,11 @@ except ImportError:
 
 _NUMBER_RE = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 _A1_RE = re.compile(r"([A-Za-z]{1,3})([0-9]+)")
+
+
+class IntegrityError(Exception):
+    """Base for errors that show stored data was damaged or forged: a
+    ledger record, a stored object or a change set does not check out."""
 
 
 class SnapshotError(ValueError):
@@ -371,11 +380,6 @@ CellValue = Number | Text | Boolean | ErrorValue
 
 
 @record
-class Literal:
-    value: CellValue
-
-
-@record
 class Formula:
     source: str
     cached: CellValue | None = None
@@ -385,7 +389,7 @@ class Formula:
             raise ValueError(f"formula source must start with '=': {self.source!r}")
 
 
-CellContent = Literal | Formula
+CellContent = CellValue | Formula
 
 
 @record
@@ -542,8 +546,8 @@ def _parse_value_fields(kind: str, payload: str) -> CellValue:
 
 
 def _content_fields(content: CellContent) -> list[str]:
-    if isinstance(content, Literal):
-        return ["V", *_value_fields(content.value)]
+    if not isinstance(content, Formula):
+        return ["V", *_value_fields(content)]
     fields = ["F", _escape(content.source)]
     if content.cached is not None:
         fields.extend(_value_fields(content.cached))
@@ -559,7 +563,7 @@ def _parse_content_fields(fields: list[str]) -> CellContent:
     if kind == "V":
         if len(fields) != 3:
             raise ValueError(f"literal content needs 3 fields, found {len(fields)}")
-        return Literal(_parse_value_fields(fields[1], fields[2]))
+        return _parse_value_fields(fields[1], fields[2])
     if kind == "F":
         if len(fields) not in (2, 4):
             raise ValueError(f"formula content needs 2 or 4 fields, found {len(fields)}")
@@ -772,11 +776,11 @@ def snapshot_digest(snapshot: Snapshot) -> str:
 
 
 def content_value(content: CellContent) -> CellValue | None:
-    """The observable value of a cell: a literal's value or a formula's
-    cached value, if any."""
-    if isinstance(content, Literal):
-        return content.value
-    return content.cached
+    """The observable value of a cell: a value cell's own value or a
+    formula's cached value, if any."""
+    if isinstance(content, Formula):
+        return content.cached
+    return content
 
 
 def render_value(value: CellValue) -> str:
@@ -791,9 +795,9 @@ def render_value(value: CellValue) -> str:
 
 
 def render_content(content: CellContent | None) -> str:
-    """Display text for a cell: formula source, literal value, or '-'."""
+    """Display text for a cell: formula source, value, or '-'."""
     if content is None:
         return "-"
     if isinstance(content, Formula):
         return content.source
-    return render_value(content.value)
+    return render_value(content)

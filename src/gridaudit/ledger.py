@@ -86,6 +86,7 @@ from .grid import (
     CellLines,
     CellValue,
     ErrorValue,
+    IntegrityError,
     Snapshot,
     SnapshotError,
     content_value,
@@ -114,18 +115,18 @@ class LedgerError(Exception):
     pass
 
 
-class NonMonotonicTimestamp(LedgerError):
+class NonMonotonicTimestamp(LedgerError, ValueError):
     pass
 
 
-class LedgerCorrupt(LedgerError):
+class LedgerCorrupt(LedgerError, IntegrityError):
     def __init__(self, seq: int, reason: str):
         super().__init__(f"ledger record {seq} is corrupt: {reason}")
         self.seq = seq
         self.reason = reason
 
 
-class MissingObject(LedgerError):
+class MissingObject(LedgerError, IntegrityError):
     pass
 
 

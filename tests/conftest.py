@@ -16,7 +16,6 @@ from gridaudit.grid import (
     CellValue,
     ErrorValue,
     Formula,
-    Literal,
     Number,
     Snapshot,
     Text,
@@ -47,14 +46,14 @@ def val(raw) -> CellValue:
 
 def cell(raw) -> CellContent:
     """Coerce shorthand to content: '=...' becomes a formula, a 2-tuple
-    ('=...', cached) a formula with a cached value, anything else a literal."""
-    if isinstance(raw, (Literal, Formula)):
+    ('=...', cached) a formula with a cached value, anything else a value."""
+    if isinstance(raw, CellContent):
         return raw
     if isinstance(raw, tuple):
         return Formula(raw[0], val(raw[1]))
     if isinstance(raw, str) and raw.startswith("="):
         return Formula(raw)
-    return Literal(val(raw))
+    return val(raw)
 
 
 def snap(cells: dict, wb: str = "wb1", at: datetime = T0, actor: str = "alice", att: str | None = None) -> Snapshot:
@@ -77,13 +76,13 @@ def random_snapshot(rng: random.Random, wb: str = "wb1", at: datetime = T0, acto
 def _random_content(rng: random.Random) -> CellContent:
     roll = rng.random()
     if roll < 0.45:
-        return Literal(Number(Decimal(rng.randrange(-1000, 1000)) / 10))
+        return Number(Decimal(rng.randrange(-1000, 1000)) / 10)
     if roll < 0.55:
-        return Literal(Text(rng.choice(["ok", "pending", "total", "tab\tchar", 'quo"te'])))
+        return Text(rng.choice(["ok", "pending", "total", "tab\tchar", 'quo"te']))
     if roll < 0.6:
-        return Literal(Boolean(rng.random() < 0.5))
+        return Boolean(rng.random() < 0.5)
     if roll < 0.65:
-        return Literal(ErrorValue(rng.choice(["#DIV/0!", "#REF!", "#N/A"])))
+        return ErrorValue(rng.choice(["#DIV/0!", "#REF!", "#N/A"]))
     source = rng.choice(["=A1+B2", "=SUM(A1:C3)", "=IF(A1>0,1,0)", "=B2*D4", "=MAX(A1,B1)"])
     cached = Number(Decimal(rng.randrange(100))) if rng.random() < 0.5 else None
     return Formula(source, cached)
@@ -111,9 +110,9 @@ def mutate_snapshot(rng: random.Random, snapshot: Snapshot, at: datetime, actor:
 TEXTS = ["x", "y", "tab\there", "new\nline", "back\\slash", "cr\rhere"]
 
 CONTENTS = st.one_of(
-    st.integers(-3, 3).map(lambda n: Literal(Number(Decimal(n)))),
-    st.sampled_from(TEXTS).map(lambda t: Literal(Text(t))),
-    st.sampled_from(["#N/A", "#REF!"]).map(lambda code: Literal(ErrorValue(code))),
+    st.integers(-3, 3).map(lambda n: Number(Decimal(n))),
+    st.sampled_from(TEXTS).map(Text),
+    st.sampled_from(["#N/A", "#REF!"]).map(ErrorValue),
     st.builds(
         Formula,
         st.sampled_from(["=S!A1", "=S!A1+1", "=SUM(S!A1:B2)"]),

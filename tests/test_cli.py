@@ -28,7 +28,6 @@ from gridaudit.grid import (
     CellAddress,
     CellLines,
     Formula,
-    Literal,
     Number,
     Snapshot,
     parse_snapshot_file,
@@ -36,7 +35,8 @@ from gridaudit.grid import (
     snapshot_digest,
     write_snapshot_file,
 )
-from gridaudit.ledger import Ledger, serialize_ingest
+from gridaudit.diffing import ConflictingEvent, DigestMismatch
+from gridaudit.ledger import Ledger, LedgerCorrupt, MissingObject, NonMonotonicTimestamp, serialize_ingest
 
 SNAP_1 = """SNAP1\twb1\t2024-03-01T09:00:00Z\talice
 S\tA1\tV\tN\t5
@@ -1405,6 +1405,27 @@ class TestNonFiniteNumbers:
         assert captured.err == "error: line 1: constant_whitelist takes finite numbers only\n"
 
 
+# an error a handler raises -> the exit code and stderr it gives
+ERROR_EXITS = [
+    (LedgerCorrupt(2, "forged"), 3, "integrity error: ledger record 2 is corrupt: forged\n"),
+    (MissingObject("no object"), 3, "integrity error: no object\n"),
+    (DigestMismatch("digest differs"), 3, "integrity error: digest differs\n"),
+    (ConflictingEvent("content differs"), 3, "integrity error: content differs\n"),
+    (NonMonotonicTimestamp("too early"), 2, "error: too early\n"),
+]
+
+
+class TestErrorClasses:
+    @pytest.mark.parametrize("error, code, err", ERROR_EXITS, ids=[type(error).__name__ for error, _, _ in ERROR_EXITS])
+    def test_the_error_class_decides_the_exit_code(self, capsys, files, monkeypatch, error, code, err):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("gridaudit.audit.audit_workbook", fail)
+        assert run(["audit", files["s1.snap"]]) == code
+        assert capsys.readouterr() == ("", err)
+
+
 class TestInternalError:
     def test_uncaught_exception_exits_four(self, capsys, files, monkeypatch):
         def crash(*args, **kwargs):
@@ -1436,7 +1457,7 @@ NUMBERS = st.just(Decimal(0)) | st.builds(
     st.integers(-MAX_EXPONENT, MAX_EXPONENT),
 )
 _CELLS = [CellAddress("S", row, col) for row in (1, 2) for col in (1, 2)]
-_NUMBER_CONTENTS = NUMBERS.map(lambda n: Literal(Number(n))) | NUMBERS.map(lambda n: Formula(f"=S!A1*{n:E}", Number(n)))
+_NUMBER_CONTENTS = NUMBERS.map(Number) | NUMBERS.map(lambda n: Formula(f"=S!A1*{n:E}", Number(n)))
 _STANZAS = [
     "[trend]\ncell = S!A1\nwindow = 5\n",
     "[region]\nrange = S!B1:B2\nmode = FORMULA_MAINTAINED\n",
@@ -1470,7 +1491,7 @@ class TestNoInternalError:
             paths = []
             for i, (cells, a1) in enumerate(sequence):
                 if a1 is not None:  # S!A1 holds the trend rule's series
-                    cells = {**cells, _CELLS[0]: Literal(Number(a1))}
+                    cells = {**cells, _CELLS[0]: Number(a1)}
                 paths.append(f"{tmp}/s{i}.snap")
                 pathlib.Path(paths[-1]).write_text(write_snapshot_file(Snapshot("wb1", T0 + hours(i), "alice", cells)))
             policy, ledger = f"{tmp}/policy.txt", f"{tmp}/ledger"

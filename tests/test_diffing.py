@@ -35,7 +35,6 @@ from gridaudit.grid import (
     CellAddress,
     CellLines,
     Formula,
-    Literal,
     Number,
     Snapshot,
     parse_snapshot_file,
@@ -47,24 +46,24 @@ from gridaudit.grid import (
 
 # sheet names equal but for case, and number spellings that render alike
 _ADDRESSES = st.builds(CellAddress, st.sampled_from(["S", "s", "T"]), st.integers(1, 3), st.integers(1, 2))
-_CONTENTS = CONTENTS | st.sampled_from(["1", "1.0", "1e0", "10E-1", "-2"]).map(lambda t: Literal(Number(Decimal(t))))
+_CONTENTS = CONTENTS | st.sampled_from(["1", "1.0", "1e0", "10E-1", "-2"]).map(lambda t: Number(Decimal(t)))
 
 
 class TestClassify:
     def test_added(self):
-        assert classify_change(None, Literal(Number(Decimal(3)))) is ChangeKind.ADDED
+        assert classify_change(None, Number(Decimal(3))) is ChangeKind.ADDED
 
     def test_removed(self):
-        assert classify_change(Literal(Number(Decimal(3))), None) is ChangeKind.REMOVED
+        assert classify_change(Number(Decimal(3)), None) is ChangeKind.REMOVED
 
     def test_formula_source_change_is_logic(self):
         assert classify_change(Formula("=A1"), Formula("=A2")) is ChangeKind.LOGIC_CHANGED
 
     def test_literal_to_formula_is_kind_change(self):
-        assert classify_change(Literal(Number(Decimal(3))), Formula("=A1")) is ChangeKind.KIND_CHANGED
+        assert classify_change(Number(Decimal(3)), Formula("=A1")) is ChangeKind.KIND_CHANGED
 
     def test_literal_change_is_data(self):
-        assert classify_change(Literal(Number(Decimal(3))), Literal(Number(Decimal(4)))) is ChangeKind.DATA_CHANGED
+        assert classify_change(Number(Decimal(3)), Number(Decimal(4))) is ChangeKind.DATA_CHANGED
 
     def test_cached_value_only_change_is_data(self):
         before = Formula("=A1", Number(Decimal(1)))
@@ -73,7 +72,7 @@ class TestClassify:
 
     def test_equal_contents_rejected(self):
         with pytest.raises(NoChange):
-            classify_change(Literal(Number(Decimal(3))), Literal(Number(Decimal(3))))
+            classify_change(Number(Decimal(3)), Number(Decimal(3)))
 
 
 class TestDiff:
@@ -165,7 +164,7 @@ class TestApply:
             to_time=changes.to_time,
             actor=changes.actor,
             events=tuple(
-                type(e)(e.address, e.kind, Literal(Number(Decimal(99))), e.after)
+                type(e)(e.address, e.kind, Number(Decimal(99)), e.after)
                 for e in changes.events
             ),
         )
@@ -194,13 +193,13 @@ class TestVolatility:
         metrics = volatility_metrics(diff_snapshots(s, s), s)
         assert metrics.structural_volatility == 0
         assert metrics.data_volatility == 0
-        assert metrics.added_fraction == 0
 
-    def test_added_fraction_guard_for_empty_before(self):
+    def test_cells_added_to_an_empty_snapshot_move_neither_volatility(self):
         before = snap({})
-        after = snap({"S!A1": 1, "S!B1": 2, "S!C1": 3}, at=T0 + hours(1))
+        after = snap({"S!A1": 1, "S!B1": "=S!A1", "S!C1": ("=S!B1", 1)}, at=T0 + hours(1))
         metrics = volatility_metrics(diff_snapshots(before, after), before)
-        assert metrics.added_fraction == 3
+        assert metrics.structural_volatility == 0
+        assert metrics.data_volatility == 0
 
     def test_cached_only_change_counts_in_neither(self):
         before = snap({"S!A1": ("=X1", 1), "S!B1": 5})
@@ -245,7 +244,6 @@ class TestRandomizedProperties:
             metrics = volatility_metrics(diff_snapshots(a, b), a)
             assert 0 <= metrics.structural_volatility <= 1
             assert 0 <= metrics.data_volatility <= 1
-            assert metrics.added_fraction >= 0
 
 
 class TestMergeAgainstTheOracle:

@@ -20,7 +20,6 @@ from gridaudit.grid import (
     DuplicateCell,
     ErrorValue,
     Formula,
-    Literal,
     MalformedHeader,
     Number,
     Region,
@@ -84,7 +83,7 @@ class TestSnapshotFile:
     def test_parse_single_number_cell(self):
         text = "SNAP1\twb1\t2024-03-01T09:00:00Z\talice\nSheet1\tA1\tV\tN\t5\n"
         parsed = parse_snapshot_file(text)
-        assert parsed.cells == {addr("Sheet1!A1"): Literal(Number(Decimal(5)))}
+        assert parsed.cells == {addr("Sheet1!A1"): Number(Decimal(5))}
         assert parsed.actor == "alice"
         assert parsed.timestamp == T0
 
@@ -314,7 +313,7 @@ _value = st.one_of(
     st.builds(ErrorValue, st.sampled_from(["#DIV/0!", "#N/A", "#REF!"])),
 )
 _content = st.one_of(
-    st.builds(Literal, _value),
+    _value,
     st.builds(Formula, st.sampled_from(["=A1", "=SUM(B2:C9)", "=X9*2"]), st.none() | _value),
 )
 # escapes dense enough that lone, doubled, trailing and unknown ones all occur

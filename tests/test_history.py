@@ -20,7 +20,7 @@ from oracles import change_history_by_rescan, series_for_cell_by_rescan, usage_m
 
 from gridaudit import controls
 from gridaudit.assess import usage_metrics
-from gridaudit.grid import CellAddress, ErrorValue, Formula, Literal, Number, Snapshot, Text
+from gridaudit.grid import CellAddress, ErrorValue, Formula, Number, Snapshot, Text
 from gridaudit.ledger import Ledger
 
 ADDRESSES = [CellAddress(sheet, row, col) for sheet in ("S", "T") for row in (1, 2, 3) for col in (1, 2)]
@@ -53,11 +53,11 @@ A1, B1, A2 = CellAddress("S", 1, 1), CellAddress("S", 1, 2), CellAddress("S", 2,
 # added and removed cells, formulas with error and empty cached values,
 # kind changes and a same-digest re-ingest carrying an attestation
 COVERING_SEQUENCE = [
-    ({A1: Literal(Number(Decimal(1))), B1: Formula("=S!A1", Number(Decimal(1)))}, "alice", None),
-    ({A1: Literal(Number(Decimal(2))), B1: Formula("=S!A1", ErrorValue("#REF!")), A2: Literal(Text("x"))}, "bob", None),
-    ({A1: Formula("=S!A1+1", None), B1: Formula("=S!A1", Number(Decimal(3))), A2: Literal(Text("x"))}, "bob", None),
-    ({A1: Formula("=S!A1+1", None), B1: Formula("=S!A1", Number(Decimal(3))), A2: Literal(Text("x"))}, "alice", "signed off"),
-    ({A1: Literal(Number(Decimal(5))), B1: Formula("=S!A1", Number(Decimal(3)))}, "alice", None),
+    ({A1: Number(Decimal(1)), B1: Formula("=S!A1", Number(Decimal(1)))}, "alice", None),
+    ({A1: Number(Decimal(2)), B1: Formula("=S!A1", ErrorValue("#REF!")), A2: Text("x")}, "bob", None),
+    ({A1: Formula("=S!A1+1", None), B1: Formula("=S!A1", Number(Decimal(3))), A2: Text("x")}, "bob", None),
+    ({A1: Formula("=S!A1+1", None), B1: Formula("=S!A1", Number(Decimal(3))), A2: Text("x")}, "alice", "signed off"),
+    ({A1: Number(Decimal(5)), B1: Formula("=S!A1", Number(Decimal(3)))}, "alice", None),
 ]
 
 
@@ -102,10 +102,10 @@ def test_sheet_name_case_change_replays():
     # addresses compare case-insensitively but the digest keeps the stored
     # case, so the change set must carry the rename to replay exactly
     sequence = [
-        ({CellAddress("sheet", 1, 1): Literal(Number(Decimal(5)))}, "alice", None),
-        ({CellAddress("Sheet", 1, 1): Literal(Number(Decimal(5)))}, "bob", None),
-        ({CellAddress("Sheet", 1, 1): Literal(Number(Decimal(6))), CellAddress("sheet", 2, 1): Literal(Text("x"))}, "bob", None),
-        ({CellAddress("SHEET", 1, 1): Literal(Number(Decimal(7))), CellAddress("sheet", 2, 1): Literal(Text("x"))}, "alice", None),
+        ({CellAddress("sheet", 1, 1): Number(Decimal(5))}, "alice", None),
+        ({CellAddress("Sheet", 1, 1): Number(Decimal(5))}, "bob", None),
+        ({CellAddress("Sheet", 1, 1): Number(Decimal(6)), CellAddress("sheet", 2, 1): Text("x")}, "bob", None),
+        ({CellAddress("SHEET", 1, 1): Number(Decimal(7)), CellAddress("sheet", 2, 1): Text("x")}, "alice", None),
     ]
     with tempfile.TemporaryDirectory() as tmp:
         ledger = _build(tmp, sequence)

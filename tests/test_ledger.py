@@ -1,7 +1,11 @@
 """Hash-chained ledger: appends, verification, ingestion, queries."""
 
 import base64
+import json
+import os
 import re
+import subprocess
+import sys
 from datetime import timedelta
 from decimal import Decimal
 from pathlib import Path
@@ -15,19 +19,28 @@ from conftest import T0, addr, hours, snap
 from golden_fixtures import GOLDEN_DIR, build_escapes_ledger
 from oracles import sha256_hex
 
-from gridaudit.diffing import ChangeEvent, ChangeKind, ChangeSet, DigestMismatch, WorkbookMismatch, apply_changes
+from gridaudit.diffing import (
+    ChangeEvent,
+    ChangeKind,
+    ChangeSet,
+    DigestMismatch,
+    WorkbookMismatch,
+    apply_changes,
+    diff_snapshots,
+)
 from gridaudit.findings import RULE_SEVERITY, Finding
 from gridaudit.grid import (
     CellAddress,
     Formula,
-    Literal,
     Number,
     Region,
+    Snapshot,
     Text,
     _parse_cell_line,
     decode_content,
     format_instant,
     join_fields,
+    parse_snapshot_file,
     snapshot_digest,
 )
 from gridaudit import ledger as ledger_mod
@@ -437,6 +450,82 @@ class TestObjectCache:
         assert [v.value for _, v in reopened.series_for_cell(addr("S!A1")).points] == [1, 2]
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# every value kind, and formulas with and without a cached value
+EVERY_KIND = """SNAP1\twb1\t2024-03-01T09:00:00Z\talice
+S\tA1\tV\tN\t5
+S\tA2\tV\tT\ttext
+S\tA3\tV\tB\tTRUE
+S\tA4\tV\tE\t#REF!
+S\tB1\tF\t=S!A1*2\tN\t10
+S\tB2\tF\t=S!A2
+S\tB3\tF\t=S!A9\tE\t#REF!
+"""
+# one address per cell, one value per V line and per cached value, one
+# Formula per F line
+PER_CELL = {"CellAddress": 7, "Number": 2, "Text": 1, "Boolean": 1, "ErrorValue": 2, "Formula": 3}
+
+# Prints, as JSON, how many records of each class each read of argv's
+# object and change set builds.  It counts in __new__, which every
+# construction calls; __init__ would miss some, as grid.record swaps a
+# class's __init__ at its 256th instance.  It runs in a fresh interpreter
+# because a class cannot get object.__new__ back once it was replaced:
+# deleting the wrapper leaves the class refusing its constructor's arguments.
+CELL_READS = """
+import json, sys
+from collections import Counter
+from pathlib import Path
+from gridaudit import diffing, grid, ledger
+
+counts = Counter()
+
+def counting(cls, *args, **kwargs):
+    counts[cls.__name__] += 1
+    return object.__new__(cls)
+
+for module in (grid, diffing, ledger):
+    for cls in vars(module).values():
+        if isinstance(cls, type) and cls.__module__ == module.__name__ and cls.__setattr__ is grid.Number.__setattr__:
+            cls.__new__ = counting
+directory, digest, changeset = sys.argv[1:]
+store = ledger.Ledger.open(directory)
+reads = {
+    "parse_snapshot_file": lambda: grid.parse_snapshot_file(Path(directory, "objects", digest).read_text()),
+    "load_snapshot": lambda: store.load_snapshot(digest),
+    "parse_changeset": lambda: ledger.parse_changeset(Path(changeset).read_bytes()),
+}
+built = {}
+for name, read in reads.items():
+    counts.clear()
+    read()
+    built[name] = counts.copy()
+print(json.dumps(built))
+"""
+
+
+def test_reading_a_cell_builds_its_address_and_its_content_and_nothing_else(tmp_path):
+    snapshot = parse_snapshot_file(EVERY_KIND)
+    Ledger.open(tmp_path / "wb1").ingest_snapshot(snapshot)
+    changeset = tmp_path / "changeset"
+    changeset.write_bytes(serialize_changeset(diff_snapshots(Snapshot("wb1", T0, "alice"), snapshot)))
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", CELL_READS, str(tmp_path / "wb1"), snapshot_digest(snapshot), str(changeset)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(result.stdout) == {
+        "parse_snapshot_file": {**PER_CELL, "Snapshot": 1},
+        # the stored object's header, and the copy with a cells dict of its own
+        "load_snapshot": {**PER_CELL, "Snapshot": 2},
+        # one Added event per cell
+        "parse_changeset": {**PER_CELL, "ChangeEvent": 7, "ChangeSet": 1},
+    }
+
+
 class TestEntries:
     def test_one_entry_per_ingest_holds_its_records(self, ledger):
         ingest_sequence(
@@ -527,8 +616,8 @@ SHEET = TEXT.filter(bool)
 DIGEST = st.sampled_from(["0" * 64, "ab" * 32])
 ADDRESS = st.builds(CellAddress, SHEET, st.integers(1, 40), st.integers(1, 40))
 CONTENT = st.one_of(
-    TEXT.map(lambda t: Literal(Text(t))),
-    st.integers(-5, 5).map(lambda n: Literal(Number(Decimal(n)))),
+    TEXT.map(Text),
+    st.integers(-5, 5).map(lambda n: Number(Decimal(n))),
     st.builds(Formula, TEXT.map(lambda t: "=" + t), st.none() | TEXT.map(Text)),
 )
 EVENT = st.one_of(
@@ -549,6 +638,7 @@ FINDING = st.builds(
     TEXT,
     st.none() | TEXT,
 )
+
 
 
 class TestRowCodec:

@@ -27,13 +27,13 @@ from oracles import change_history_by_rescan, series_for_cell_by_rescan, usage_m
 
 from gridaudit.assess import usage_metrics
 from gridaudit.cli import run
-from gridaudit.grid import CellAddress, Literal, Number, Snapshot, join_fields, write_snapshot_file
+from gridaudit.grid import CellAddress, Number, Snapshot, join_fields, write_snapshot_file
 from gridaudit.ledger import Ledger
 
 A1 = CellAddress("S", 1, 1)
 ADDRESSES = [A1, CellAddress("S", 2, 1), CellAddress("S", 1, 2), CellAddress("T", 1, 1)]
 CELLS = st.dictionaries(
-    st.sampled_from(ADDRESSES), CONTENTS | st.integers(0, 9).map(lambda n: Literal(Number(Decimal(n)))), max_size=4
+    st.sampled_from(ADDRESSES), CONTENTS | st.integers(0, 9).map(lambda n: Number(Decimal(n))), max_size=4
 )
 POLICY = "workbook = wb1\n\n[region]\nrange = S!A1:A2\nmode = LOCKED\n\n[trend]\ncell = S!A1\n"
 PERIOD = ["--from", "2024-01-01T00:00:00Z", "--to", "2025-01-01T00:00:00Z", "--generated-at", "2025-01-02T00:00:00Z"]

@@ -17,7 +17,7 @@ from gridaudit import assess, audit, controls, diffing, findings, formula, grid,
 from gridaudit.controls import Mode
 from gridaudit.diffing import ChangeKind
 from gridaudit.formula import BoolLit, CellRef, ErrorLit, NumberLit, Ref, TextLit, Unary, parse_formula
-from gridaudit.grid import CellAddress, FrozenRecordError, Literal, Number, Region, Text
+from gridaudit.grid import CellAddress, FrozenRecordError, Number, Region
 
 MODULES = (grid, formula, findings, diffing, audit, controls, trend, ledger, assess)
 
@@ -27,7 +27,7 @@ A1 = CellAddress("S", 1, 1)
 BOX = Region("S", 1, 1, 2, 2)
 FAR = Region("S", 5, 5, 6, 6)
 ONE = Number(Decimal(1))
-ADDED = diffing.ChangeEvent(A1, ChangeKind.ADDED, None, Literal(ONE))
+ADDED = diffing.ChangeEvent(A1, ChangeKind.ADDED, None, ONE)
 WINDOW = controls.CadenceWindow(frozenset({0, 1}), 9, 17)
 STEP = controls.WorkflowStep("prepare", BOX)
 USAGE = assess.UsageMetrics(2, 31.5, Fraction(1, 10), Fraction(1, 2), 5)
@@ -42,9 +42,8 @@ SAMPLES = {
     grid.Text: [("a",), ("b",)],
     grid.Boolean: [(True,), (False,)],
     grid.ErrorValue: [("#REF!",), ("#N/A",)],
-    grid.Literal: [(ONE,), (Text("a"),)],
     grid.Formula: [("=A1",), ("=A1", ONE)],
-    grid.Snapshot: [("wb", T0, "ann"), ("wb", T0, "ann", {A1: Literal(ONE)}, "reviewed")],
+    grid.Snapshot: [("wb", T0, "ann"), ("wb", T0, "ann", {A1: ONE}, "reviewed")],
     formula.CellRef: [(1, 1), (1, 1, True, False, "S")],
     formula.NumberLit: [(Decimal("1.0"),), (Decimal("1"),), (Decimal(2),)],
     formula.TextLit: [("x",), ("y",)],
@@ -70,11 +69,11 @@ SAMPLES = {
         ("COPY_INCONSISTENT", "warning", BOX, "odd one out", "=R[-1]C", "=RC[-1]"),
     ],
     diffing.ChangeEvent: [
-        (A1, ChangeKind.ADDED, None, Literal(ONE)),
-        (A1, ChangeKind.REMOVED, Literal(ONE), None),
+        (A1, ChangeKind.ADDED, None, ONE),
+        (A1, ChangeKind.REMOVED, ONE, None),
     ],
     diffing.ChangeSet: [("wb", "a" * 64, "b" * 64, T0, T1, "ann", ()), ("wb", "a" * 64, "b" * 64, T0, T1, "ann", (ADDED,))],
-    diffing.VolatilityMetrics: [(Fraction(1, 2), Fraction(0), Fraction(1, 4)), (Fraction(0), Fraction(1), Fraction(0))],
+    diffing.VolatilityMetrics: [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1))],
     audit.AuditConfig: [(), (4, 5, Fraction(3, 4), frozenset({Decimal(2)}))],
     controls.RegionRule: [(BOX, Mode.LOCKED), (BOX, Mode.FREE, True)],
     controls.CadenceWindow: [(frozenset({0, 1}), 9, 17), (frozenset({5}), 0, 24)],
@@ -143,7 +142,7 @@ def hash_or_error(obj):
 
 def test_every_record_class_has_samples():
     assert record_classes() == set(SAMPLES)
-    assert len(SAMPLES) == 43
+    assert len(SAMPLES) == 42
 
 
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
@@ -186,7 +185,7 @@ def test_record_defaults_apply(cls):
 def test_snapshot_cells_are_a_fresh_dict_per_instance():
     first, second = grid.Snapshot("wb", T0, "ann"), grid.Snapshot("wb", T0, "ann")
     assert first.cells == {} and first.cells is not second.cells
-    first.cells[A1] = Literal(ONE)
+    first.cells[A1] = ONE
     assert second.cells == {}
 
 
@@ -203,7 +202,7 @@ def test_snapshot_cells_are_a_fresh_dict_per_instance():
         lambda: controls.TrendRule(A1, window=4),
         lambda: controls.Workflow((STEP, controls.WorkflowStep("prepare", FAR))),
         lambda: findings.Finding("NO_SUCH_RULE", "warning", A1, "m", "o"),
-        lambda: diffing.ChangeEvent(A1, ChangeKind.ADDED, Literal(ONE), Literal(ONE)),
+        lambda: diffing.ChangeEvent(A1, ChangeKind.ADDED, ONE, ONE),
     ],
 )
 def test_post_init_rejects_bad_input(build):

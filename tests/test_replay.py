@@ -34,13 +34,13 @@ from gridaudit.diffing import (
     classify_change,
     replay,
 )
-from gridaudit.grid import CellAddress, Literal, Number, Snapshot, Text, snapshot_digest
+from gridaudit.grid import CellAddress, Number, Snapshot, Text, snapshot_digest
 from gridaudit.ledger import Ledger, parse_changeset, serialize_changeset
 
 # pairs of sheet names that differ only in letter case name the same cells
 SHEETS = ["S", "s", "Tab\tSheet", "TAB\tSHEET", "new\nline", "back\\slash"]
 ADDRESSES = st.builds(CellAddress, st.sampled_from(SHEETS), st.integers(1, 3), st.integers(1, 2))
-FORGED = Literal(Text("forged"))  # no strategy draws this content
+FORGED = Text("forged")  # no strategy draws this content
 WORKBOOK = "wb\t1"
 
 
@@ -204,7 +204,7 @@ def _history(directory, ingests):
     for i in range(1, ingests + 1):
         cells = dict(snapshot.cells)
         for _ in range(rng.randrange(2, 5)):
-            cells[CellAddress("Alpha", 40, rng.randrange(1, 4))] = Literal(Number(Decimal(rng.randrange(1000))))
+            cells[CellAddress("Alpha", 40, rng.randrange(1, 4))] = Number(Decimal(rng.randrange(1000)))
         snapshot = Snapshot("wb1", T0 + hours(i), "bob", cells)
         snapshots.append(snapshot)
     ledger = Ledger.open(directory)
