@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .diffing import volatility_ratios
-from .findings import CRITICAL, RULE_SEVERITY, Finding, finding_line
+from .findings import CRITICAL, Finding, finding_line
 from .grid import Formula, datetime, format_instant, record
 from .ledger import Ledger
 
@@ -44,10 +44,6 @@ _REPORTED_FIGURE_RULES = frozenset(
 MODELING = "Modeling"
 OPERATIONAL = "Operational"
 INDETERMINATE = "Indeterminate"
-
-
-class UnknownRule(ValueError):
-    pass
 
 
 class EmptyLedger(ValueError):
@@ -188,8 +184,6 @@ def map_finding_to_sox(finding: Finding) -> frozenset[int]:
     (control evaluation and assessment).  Logic-change findings add 302
     (significant-change disclosure).  Critical findings about the values
     feeding reported figures add 304 (restatement risk)."""
-    if finding.rule_id not in RULE_SEVERITY:
-        raise UnknownRule(f"unknown rule id {finding.rule_id!r}")
     sections = {103, 404}
     if finding.rule_id in _LOGIC_CHANGE_RULES:
         sections.add(302)
@@ -228,7 +222,6 @@ def build_report(
         findings.append(
             Finding(
                 rule_id="LEDGER_TAMPER",
-                severity=CRITICAL,
                 location=f"record {chain.first_bad_seq}",
                 message="ledger hash chain fails verification; record history is not trustworthy",
                 observed=f"first bad record seq {chain.first_bad_seq}",

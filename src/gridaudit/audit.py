@@ -32,7 +32,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
-from .findings import Finding, make_finding
+from .findings import Finding
 from .formula import (
     Call,
     FormulaAst,
@@ -142,7 +142,7 @@ def _run_findings(
     if Fraction(top_count, len(cells)) < cfg.majority_fraction:
         return []
     return [
-        make_finding(
+        Finding(
             "COPY_INCONSISTENT",
             address,
             f"formula deviates from the majority form of its run ({top_count}/{len(cells)} cells agree)",
@@ -245,7 +245,7 @@ def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[F
         if isinstance(value, ErrorValue):
             where = "cached" if isinstance(cell, Formula) else "literal"
             findings.append(
-                make_finding(
+                Finding(
                     "ERROR_VALUE",
                     address,
                     f"cell holds {where} error value {value.code}",
@@ -264,14 +264,14 @@ def audit_workbook(snapshot: Snapshot, cfg: AuditConfig | None = None) -> list[F
             except FormulaError as exc:
                 # never cached: the message carries this source's own offsets
                 message = f"formula could not be parsed: {exc}"
-                findings.append(make_finding("PARSE_FAILURE", address, message, observed=cell.source))
+                findings.append(Finding("PARSE_FAILURE", address, message, observed=cell.source))
                 # a broken cell still breaks its run's uniformity rather than splitting it
                 forms[address] = f"!unparsed:{cell.source}"
                 continue
             form = printed.setdefault(copy_form(tree, address), normalize_relative(tree, address))
             by_key[key] = (form, _tree_findings(tree, cfg))
         forms[address], shapes = by_key[key]
-        findings += [make_finding(rule_id, address, *fields) for rule_id, *fields in shapes]
+        findings += [Finding(rule_id, address, *fields) for rule_id, *fields in shapes]
     findings.extend(_copy_findings(forms, cfg))
     return sorted(findings, key=Finding.sort_key)
 

@@ -29,7 +29,7 @@ from enum import IntEnum
 from typing import TYPE_CHECKING
 
 from .diffing import ChangeEvent, ChangeKind, ChangeSet, WorkbookMismatch
-from .findings import Finding, make_finding
+from .findings import Finding
 from .grid import (
     MAX_EXPONENT,
     Number,
@@ -180,7 +180,7 @@ def _check_regions(changes: ChangeSet, policy: ControlPolicy, attestation: str |
         for event in changes.events:
             if rule.region.contains(event.address) and (rule.mode is Mode.LOCKED or event.alters_logic()):
                 findings.append(
-                    make_finding(
+                    Finding(
                         rule_id,
                         event.address,
                         f"{event.kind.value} {tail}",
@@ -202,7 +202,7 @@ def check_cadence(changes: ChangeSet, policy: ControlPolicy) -> list[Finding]:
         for event in changes.events:
             if rule.region.contains(event.address):
                 findings.append(
-                    make_finding(
+                    Finding(
                         "CADENCE_VIOLATION",
                         event.address,
                         f"change at {format_instant(changes.to_time)} outside allowed windows for {rule.region}",
@@ -228,7 +228,7 @@ def check_bounds(changes: ChangeSet, policy: ControlPolicy) -> list[Finding]:
                 continue
             if not isinstance(value, Number):
                 findings.append(
-                    make_finding(
+                    Finding(
                         "TYPE_VIOLATION",
                         event.address,
                         f"non-numeric value in bounded region {rule.region}",
@@ -241,7 +241,7 @@ def check_bounds(changes: ChangeSet, policy: ControlPolicy) -> list[Finding]:
             above = rule.maximum is not None and value.value > rule.maximum
             if below or above:
                 findings.append(
-                    make_finding(
+                    Finding(
                         "BOUND_VIOLATION",
                         event.address,
                         f"value {canonical_decimal(value.value)} outside bounds for {rule.region}",
@@ -274,7 +274,7 @@ def _check_trends(
             else:
                 detail = f"departs from constant history {verdict.mean:.6f}"
             findings.append(
-                make_finding(
+                Finding(
                     "TREND_DEVIATION",
                     rule.address,
                     f"new value {canonical_decimal(value.value)} {detail}",
@@ -315,7 +315,7 @@ def check_task_order(
         if missing:
             skipped = ", ".join(workflow.steps[j].step_id for j in missing)
             findings.append(
-                make_finding(
+                Finding(
                     "TASK_ORDER_VIOLATION",
                     workflow.steps[k].region,
                     f"step {workflow.steps[k].step_id!r} touched before: {skipped}",

@@ -4,7 +4,9 @@ Diffing is address-based: a row or column insertion shows up as a block of
 added/removed/changed cells, never as inferred moves.  Formula equality is
 source-text equality, so refactors that preserve meaning are still logged;
 a cached-value-only change on a formula cell counts as data movement, not
-a logic change.
+a logic change.  A ChangeEvent is built from its address and two sides,
+and its kind is the one classify_change gives those sides, so no event
+holds a kind its sides do not have.
 
 Every diff reads the two snapshots' cells dicts (diff_events), and a cell
 that both hold as the very same address and content objects is passed
@@ -67,19 +69,13 @@ class ConflictingEvent(DiffError, IntegrityError):
 @record
 class ChangeEvent:
     address: CellAddress
-    kind: ChangeKind
     before: CellContent | None
     after: CellContent | None
 
     def __post_init__(self):
-        if self.kind is ChangeKind.ADDED and self.before is not None:
-            raise ValueError("Added events carry no before content")
-        if self.kind is ChangeKind.REMOVED and self.after is not None:
-            raise ValueError("Removed events carry no after content")
-        if self.kind not in (ChangeKind.ADDED, ChangeKind.REMOVED) and (
-            self.before is None or self.after is None
-        ):
-            raise ValueError(f"{self.kind.value} events need both sides")
+        """Set kind, classify_change's for the two sides, which is not a
+        field: equality, hash and repr read the fields it follows from."""
+        object.__setattr__(self, "kind", classify_change(self.before, self.after))
 
     def alters_logic(self) -> bool:
         """True when the event creates, edits or deletes formula logic."""
@@ -174,11 +170,10 @@ def diff_events(before: Snapshot, after: Snapshot) -> list[ChangeEvent]:
         old_address, old_content = olds.get(address, (None, None))
         new_address, new_content = news.get(address, (None, None))
         if old_address is not None and new_address is not None and old_address.sheet != new_address.sheet:
-            events.append(ChangeEvent(old_address, ChangeKind.REMOVED, old_content, None))
-            events.append(ChangeEvent(new_address, ChangeKind.ADDED, None, new_content))
+            events.append(ChangeEvent(old_address, old_content, None))
+            events.append(ChangeEvent(new_address, None, new_content))
         elif old_content != new_content:
-            kind = classify_change(old_content, new_content)
-            events.append(ChangeEvent(new_address or old_address, kind, old_content, new_content))
+            events.append(ChangeEvent(new_address or old_address, old_content, new_content))
     return events
 
 
@@ -211,11 +206,9 @@ def replay(
             if event.after is not None:
                 cells[event.address] = event.after
                 lines.set(event.address, event.after)
-            elif event.before is not None:
+            else:
                 del cells[event.address]
                 lines.remove(event.address)
-            else:
-                raise ConflictingEvent(f"nothing to remove at {event.address}")
         if lines.digest(workbook_id) != changes.to_digest:
             raise DigestMismatch("replayed snapshot does not reproduce to_digest")
 

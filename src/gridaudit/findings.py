@@ -1,8 +1,10 @@
 """Findings: one detected integrity problem, plus the closed rule registry.
 
-Every finding carries a rule id drawn from the registry below.  Severities
-are fixed per rule so downstream consumers (exit codes, material-weakness
-lists, restatement-risk mapping) behave deterministically.
+Every finding carries a rule id drawn from the registry below, and its
+severity is the rule's: Finding looks it up when it is built and takes
+none from its caller, so downstream consumers (exit codes,
+material-weakness lists, restatement-risk mapping) behave
+deterministically and no finding holds a severity its rule does not have.
 """
 
 from __future__ import annotations
@@ -10,11 +12,10 @@ from __future__ import annotations
 
 from .grid import CellAddress, Region, record
 
-INFO = "info"
 WARNING = "warning"
 CRITICAL = "critical"
 
-# rule id -> default severity
+# rule id -> severity
 RULE_SEVERITY: dict[str, str] = {
     # static logic audit
     "COPY_INCONSISTENT": WARNING,
@@ -39,33 +40,22 @@ RULE_SEVERITY: dict[str, str] = {
 @record
 class Finding:
     rule_id: str
-    severity: str
     location: CellAddress | Region | str  # str only for workbook-level findings
     message: str
     observed: str
     expected: str | None = None
 
     def __post_init__(self):
+        """Set severity, the rule's, which is not a field: equality, hash
+        and repr read the fields it follows from."""
         if self.rule_id not in RULE_SEVERITY:
             raise ValueError(f"unknown rule id {self.rule_id!r}")
-        if self.severity not in (INFO, WARNING, CRITICAL):
-            raise ValueError(f"unknown severity {self.severity!r}")
+        object.__setattr__(self, "severity", RULE_SEVERITY[self.rule_id])
 
     def sort_key(self) -> tuple:
         if isinstance(self.location, str):
             return (self.location.lower(), 0, 0, self.rule_id)
         return (*self.location.sort_key(), self.rule_id)
-
-
-def make_finding(
-    rule_id: str,
-    location: CellAddress | Region,
-    message: str,
-    observed: str,
-    expected: str | None = None,
-) -> Finding:
-    """Finding with the rule's registry severity."""
-    return Finding(rule_id, RULE_SEVERITY[rule_id], location, message, observed, expected)
 
 
 def finding_line(finding: Finding) -> str:

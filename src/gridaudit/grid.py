@@ -200,7 +200,9 @@ def record(cls):
     ``__init__`` sets each field, then calls ``__post_init__`` if the class
     has one; it takes the fields as a ``def`` would take them as parameters
     and raises the same ``TypeError`` on a bad call, and
-    ``inspect.signature(cls)`` names them with their defaults.  Two records
+    ``inspect.signature(cls)`` names them with their defaults.  An
+    attribute derived from the fields is set in ``__post_init__`` with
+    ``object.__setattr__`` and is not a field.  Two records
     are equal when their classes match and their field tuples are equal,
     and a record hashes as its field tuple.  Every record prints as
     ``Name(field=value, ...)``, and assigning or deleting an attribute

@@ -23,7 +23,10 @@ field escaped as in a snapshot file, the fields joined with tabs).  INGEST
 (digest, timestamp, actor) and ATTEST (the sign-off) are one row without a
 newline.  CHANGESET (a CS1 header, then sheet, A1, kind, before and after
 content or "-" per event) and FINDINGS (rule id, severity, location,
-message, observed[, expected]) end every row with a newline.
+message, observed[, expected]) end every row with a newline.  A row's
+kind or severity is derived from the rest of it (diffing.ChangeEvent,
+findings.Finding), so a row whose stored text is not the derived one, or
+whose sides are equal or both "-", does not decode: ValueError.
 
 Ingesting appends INGEST, then (after the first snapshot) CHANGESET and
 FINDINGS, then ATTEST when the snapshot carries an attestation; entries()
@@ -268,8 +271,15 @@ def parse_changeset(payload: bytes) -> diffing.ChangeSet:
     events = []
     for line in lines:
         sheet, a1, kind, before, after = split_fields(line)
-        contents = (None if t == "-" else decode_content(t) for t in (before, after))
-        events.append(diffing.ChangeEvent(CellAddress(sheet, *parse_a1(a1)), diffing.ChangeKind(kind), *contents))
+        address = CellAddress(sheet, *parse_a1(a1))
+        contents = [None if t == "-" else decode_content(t) for t in (before, after)]
+        try:
+            event = diffing.ChangeEvent(address, *contents)
+        except ValueError:  # no side, or two equal sides
+            event = None
+        if event is None or event.kind.value != kind:
+            raise ValueError(f"bad change set line {line!r}")
+        events.append(event)
     _, workbook_id, from_digest, to_digest, *times, actor = head
     return diffing.ChangeSet(workbook_id, from_digest, to_digest, *map(parse_instant, times), actor, tuple(events))
 
@@ -289,7 +299,10 @@ def parse_findings(payload: bytes) -> list[Finding]:
         if len(fields) not in (5, 6):
             raise ValueError(f"bad finding line {line!r}")
         rule_id, severity, location, *texts = fields
-        findings.append(Finding(rule_id, severity, parse_location(location), *texts))
+        finding = Finding(rule_id, parse_location(location), *texts)
+        if finding.severity != severity:
+            raise ValueError(f"bad finding line {line!r}")
+        findings.append(finding)
     return findings
 
 

@@ -222,7 +222,7 @@ def audit_by_cell(snapshot, cfg=None):
     whose copy form (R1C1 with sheet names lowered) agrees with it writes
     it."""
     from gridaudit.audit import AuditConfig, _copy_findings, _tree_findings
-    from gridaudit.findings import Finding, make_finding
+    from gridaudit.findings import Finding
     from gridaudit.formula import FormulaError, copy_form, normalize_relative, parse_formula
     from gridaudit.grid import CellAddress, ErrorValue, Formula, content_value
 
@@ -234,7 +234,7 @@ def audit_by_cell(snapshot, cfg=None):
         if isinstance(value, ErrorValue):
             where = "cached" if isinstance(cell, Formula) else "literal"
             findings.append(
-                make_finding("ERROR_VALUE", address, f"cell holds {where} error value {value.code}", value.code)
+                Finding("ERROR_VALUE", address, f"cell holds {where} error value {value.code}", value.code)
             )
         if not isinstance(cell, Formula):
             continue
@@ -242,11 +242,11 @@ def audit_by_cell(snapshot, cfg=None):
             tree = parse_formula(cell.source)
         except FormulaError as exc:
             message = f"formula could not be parsed: {exc}"
-            findings.append(make_finding("PARSE_FAILURE", address, message, cell.source))
+            findings.append(Finding("PARSE_FAILURE", address, message, cell.source))
             forms[address] = f"!unparsed:{cell.source}"
             continue
         forms[address] = printed.setdefault(copy_form(tree, address), normalize_relative(tree, address))
-        findings += [make_finding(rule_id, address, *fields) for rule_id, *fields in _tree_findings(tree, cfg)]
+        findings += [Finding(rule_id, address, *fields) for rule_id, *fields in _tree_findings(tree, cfg)]
     findings += _copy_findings(forms, cfg)
     return sorted(findings, key=Finding.sort_key)
 
@@ -311,7 +311,7 @@ def serialize_changeset_by_field(changes) -> bytes:
 
 
 def parse_changeset_by_field(payload: bytes):
-    from gridaudit.diffing import ChangeEvent, ChangeKind, ChangeSet
+    from gridaudit.diffing import ChangeEvent, ChangeSet, classify_change
     from gridaudit.grid import CellAddress, _unescape, decode_content, parse_a1, parse_instant
 
     head_line, *lines = payload.decode("utf-8").split("\n")
@@ -324,14 +324,12 @@ def parse_changeset_by_field(payload: bytes):
     for line in lines:
         sheet, a1, kind, before, after = line.split("\t")
         row, col = parse_a1(a1)
-        events.append(
-            ChangeEvent(
-                address=CellAddress(_unescape(sheet), row, col),
-                kind=ChangeKind(kind),
-                before=None if before == "-" else decode_content(_unescape(before)),
-                after=None if after == "-" else decode_content(_unescape(after)),
-            )
-        )
+        before = None if before == "-" else decode_content(_unescape(before))
+        after = None if after == "-" else decode_content(_unescape(after))
+        # a row's kind is the one its two sides, which must differ, make
+        if before == after or classify_change(before, after).value != kind:
+            raise ValueError(f"bad change set line {line!r}")
+        events.append(ChangeEvent(address=CellAddress(_unescape(sheet), row, col), before=before, after=after))
     return ChangeSet(
         workbook_id=_unescape(head[1]),
         from_digest=head[2],
@@ -368,10 +366,11 @@ def parse_findings_by_field(payload: bytes):
             raise ValueError(f"bad finding line {line!r}")
         if fields[0] not in RULE_SEVERITY:
             raise ValueError(f"unknown rule id {fields[0]!r}")
+        if fields[1] != RULE_SEVERITY[fields[0]]:
+            raise ValueError(f"bad finding line {line!r}")
         findings.append(
             Finding(
                 rule_id=fields[0],
-                severity=fields[1],
                 location=parse_location(_unescape(fields[2])),
                 message=_unescape(fields[3]),
                 observed=_unescape(fields[4]),
@@ -387,7 +386,7 @@ def parse_findings_by_field(payload: bytes):
 def diff_snapshots_by_address(before, after):
     """diff_snapshots' change set, from both cells dicts keyed by address
     and compared content against content: no cell lines."""
-    from gridaudit.diffing import ChangeEvent, ChangeKind, ChangeSet, WorkbookMismatch, classify_change
+    from gridaudit.diffing import ChangeEvent, ChangeSet, WorkbookMismatch
     from gridaudit.grid import CellAddress, snapshot_digest
 
     if before.workbook_id != after.workbook_id:
@@ -400,10 +399,10 @@ def diff_snapshots_by_address(before, after):
         old_at, old = old_cells.get(address, (None, None))
         new_at, new = new_cells.get(address, (None, None))
         if old_at is not None and new_at is not None and old_at.sheet != new_at.sheet:
-            events.append(ChangeEvent(old_at, ChangeKind.REMOVED, old, None))
-            events.append(ChangeEvent(new_at, ChangeKind.ADDED, None, new))
+            events.append(ChangeEvent(old_at, old, None))
+            events.append(ChangeEvent(new_at, None, new))
         elif old != new:
-            events.append(ChangeEvent(new_at or old_at, classify_change(old, new), old, new))
+            events.append(ChangeEvent(new_at or old_at, old, new))
     return ChangeSet(
         workbook_id=before.workbook_id,
         from_digest=snapshot_digest(before),

@@ -1148,6 +1148,52 @@ class TestDamagedChangeSet:
             assert captured.out == ""
             assert captured.err.startswith("error: bad change set header")
 
+    CHANGE_ROW = "S\tA1\tDataChanged\tV\\tN\\t5\tV\\tN\\t6"
+    ERROR_ROW = "ERROR_VALUE\tcritical\tS!A1\tcell holds literal error value #REF!\t#REF!\n"
+
+    @pytest.mark.parametrize(
+        "kind, forged",
+        [
+            ("CHANGESET", CHANGE_ROW.replace("DataChanged", "LogicChanged")),
+            ("CHANGESET", CHANGE_ROW.replace("N\\t6", "N\\t5")),
+            ("CHANGESET", "S\tC1\tRemoved\t-\t-"),
+            ("FINDINGS", ERROR_ROW.replace("critical", "warning")),
+        ],
+        ids=["data-change-labelled-logic", "equal-sides", "no-side", "critical-labelled-warning"],
+    )
+    def test_a_row_with_a_kind_or_severity_its_fields_do_not_give_is_a_usage_error(
+        self, capsys, files, tmp_path, kind, forged
+    ):
+        # the row's kind or severity is not the one its sides or its rule
+        # give, or it has no two sides to give one; the log still verifies
+        def edit(record):
+            if record.kind != kind:
+                return record.payload
+            if kind == "FINDINGS":
+                assert record.payload == b""  # a data change, ingested without a policy, finds nothing
+                return forged.encode()
+            assert self.CHANGE_ROW in record.payload.decode()
+            return record.payload.decode().replace(self.CHANGE_ROW, forged).encode()
+
+        damaged = str(tmp_path / "damaged")
+        self._rechain(files, tmp_path / "damaged", edit)
+        capsys.readouterr()
+        assert run(["verify", damaged]) == 0
+        assert capsys.readouterr().out.startswith("OK")
+        readers = [["profile", damaged], ["report", damaged, "--policy", files["policy.txt"], *TestReport.ARGS]]
+        if kind == "CHANGESET":
+            readers += [
+                ["check", damaged, "--policy", files["policy.txt"]],
+                ["trend", damaged, "S!A1"],
+                ["history", damaged, "S!A1"],
+            ]
+        line = "change set" if kind == "CHANGESET" else "finding"
+        for argv in readers:
+            assert run(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: bad {line} line"), argv
+
 
     # bad cell lines for an object holding S!A1 = {a1} and S!B1 = 10
     BAD_LINES = {

@@ -141,7 +141,7 @@ class TestRegionFindingText:
         p = policy(region_rules=(region_rule("S!A1:D9", mode, ticket),))
         changes = changeset({"S!A1": "=B1"}, {"S!A1": "=B2"})
         assert _check_regions(changes, p, attestation) == [
-            Finding(rule_id, "critical", addr("S!A1"), message, "LogicChanged", expected)
+            Finding(rule_id, addr("S!A1"), message, "LogicChanged", expected)
         ]
 
 

@@ -164,7 +164,7 @@ class TestApply:
             to_time=changes.to_time,
             actor=changes.actor,
             events=tuple(
-                type(e)(e.address, e.kind, Number(Decimal(99)), e.after)
+                type(e)(e.address, Number(Decimal(99)), e.after)
                 for e in changes.events
             ),
         )

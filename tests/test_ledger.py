@@ -380,12 +380,9 @@ class TestQueries:
             decode(payload)
 
     def test_findings_payload_round_trip(self):
-        from gridaudit.findings import make_finding
-        from gridaudit.grid import Region
-
         findings = [
-            make_finding("DEEP_NESTING", addr("S!A1"), "msg with\ttab", "4", "<= 3"),
-            make_finding("LOCKED_REGION_CHANGE", Region("S", 1, 1, 5, 5), "locked", "Added"),
+            Finding("DEEP_NESTING", addr("S!A1"), "msg with\ttab", "4", "<= 3"),
+            Finding("LOCKED_REGION_CHANGE", Region("S", 1, 1, 5, 5), "locked", "Added"),
         ]
         assert parse_findings(serialize_findings(findings)) == findings
 
@@ -620,10 +617,11 @@ CONTENT = st.one_of(
     st.integers(-5, 5).map(lambda n: Number(Decimal(n))),
     st.builds(Formula, TEXT.map(lambda t: "=" + t), st.none() | TEXT.map(Text)),
 )
-EVENT = st.one_of(
-    st.builds(ChangeEvent, ADDRESS, st.just(ChangeKind.ADDED), st.none(), CONTENT),
-    st.builds(ChangeEvent, ADDRESS, st.just(ChangeKind.REMOVED), CONTENT, st.none()),
-    st.builds(ChangeEvent, ADDRESS, st.sampled_from([ChangeKind.DATA_CHANGED, ChangeKind.LOGIC_CHANGED]), CONTENT, CONTENT),
+# two distinct sides, at most one of them None: every kind follows from them
+EVENT = st.builds(
+    lambda address, sides: ChangeEvent(address, *sides),
+    ADDRESS,
+    st.tuples(st.none() | CONTENT, st.none() | CONTENT).filter(lambda sides: sides[0] != sides[1]),
 )
 CHANGESET = st.builds(
     ChangeSet, TEXT, DIGEST, DIGEST, st.just(T0), st.just(T0 + hours(1)), TEXT, st.lists(EVENT, max_size=4).map(tuple)
@@ -632,7 +630,6 @@ LOCATION = ADDRESS | st.builds(Region, SHEET, st.just(1), st.just(1), st.integer
 FINDING = st.builds(
     Finding,
     st.sampled_from(sorted(RULE_SEVERITY)),
-    st.sampled_from(["info", "warning", "critical"]),
     LOCATION,
     TEXT,
     TEXT,
@@ -641,10 +638,21 @@ FINDING = st.builds(
 
 
 
+def _swap_field(payload: bytes, row: int, column: int, choices, data) -> bytes:
+    """payload with the given field of one row replaced by another of
+    choices, drawn from data; row is taken modulo the row count."""
+    rows = payload.decode("utf-8").removesuffix("\n").split("\n")
+    fields = rows[row % len(rows)].split("\t")
+    fields[column] = data.draw(st.sampled_from(sorted(set(choices) - {fields[column]})))
+    rows[row % len(rows)] = "\t".join(fields)
+    return "".join(r + "\n" for r in rows).encode("utf-8")
+
+
 class TestRowCodec:
     """Byte for byte and decode for decode, each payload codec matches the
     one it replaced.  Decodes compare by repr, since a CellAddress equals
-    another whose sheet differs only in case."""
+    another whose sheet differs only in case.  A row whose kind or
+    severity is swapped for another valid one is refused by both."""
 
     @settings(max_examples=200, deadline=None)
     @given(digest=DIGEST, actor=TEXT, attestation=TEXT)
@@ -657,15 +665,26 @@ class TestRowCodec:
         assert parse_attest(payload) == oracles.parse_attest_by_field(payload) == attestation
 
     @settings(max_examples=200, deadline=None)
-    @given(changes=CHANGESET)
-    def test_changeset(self, changes):
+    @given(changes=CHANGESET, row=st.integers(0, 3), data=st.data())
+    def test_changeset(self, changes, row, data):
         payload = serialize_changeset(changes)
         assert payload == oracles.serialize_changeset_by_field(changes)
         assert repr(parse_changeset(payload)) == repr(oracles.parse_changeset_by_field(payload)) == repr(changes)
+        if changes.events:
+            header, *rows = payload.split(b"\n", 1)
+            forged = header + b"\n" + _swap_field(rows[0], row, 2, [k.value for k in ChangeKind], data)
+            for decode in (parse_changeset, oracles.parse_changeset_by_field):
+                with pytest.raises(ValueError, match="^bad change set line"):
+                    decode(forged)
 
     @settings(max_examples=200, deadline=None)
-    @given(findings=st.lists(FINDING, max_size=4))
-    def test_findings(self, findings):
+    @given(findings=st.lists(FINDING, max_size=4), row=st.integers(0, 3), data=st.data())
+    def test_findings(self, findings, row, data):
         payload = serialize_findings(findings)
         assert payload == oracles.serialize_findings_by_field(findings)
         assert repr(parse_findings(payload)) == repr(oracles.parse_findings_by_field(payload))
+        if findings:
+            forged = _swap_field(payload, row, 1, set(RULE_SEVERITY.values()), data)
+            for decode in (parse_findings, oracles.parse_findings_by_field):
+                with pytest.raises(ValueError, match="^bad finding line"):
+                    decode(forged)

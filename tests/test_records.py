@@ -27,7 +27,7 @@ A1 = CellAddress("S", 1, 1)
 BOX = Region("S", 1, 1, 2, 2)
 FAR = Region("S", 5, 5, 6, 6)
 ONE = Number(Decimal(1))
-ADDED = diffing.ChangeEvent(A1, ChangeKind.ADDED, None, ONE)
+ADDED = diffing.ChangeEvent(A1, None, ONE)
 WINDOW = controls.CadenceWindow(frozenset({0, 1}), 9, 17)
 STEP = controls.WorkflowStep("prepare", BOX)
 USAGE = assess.UsageMetrics(2, 31.5, Fraction(1, 10), Fraction(1, 2), 5)
@@ -65,12 +65,13 @@ SAMPLES = {
     ],
     formula._Token: [("op", "+", 0), ("ref", "A1", 1, CellRef(1, 1))],
     findings.Finding: [
-        ("ERROR_VALUE", "critical", A1, "error value", "#REF!"),
-        ("COPY_INCONSISTENT", "warning", BOX, "odd one out", "=R[-1]C", "=RC[-1]"),
+        ("ERROR_VALUE", A1, "error value", "#REF!"),
+        ("COPY_INCONSISTENT", BOX, "odd one out", "=R[-1]C", "=RC[-1]"),
     ],
     diffing.ChangeEvent: [
-        (A1, ChangeKind.ADDED, None, ONE),
-        (A1, ChangeKind.REMOVED, ONE, None),
+        (A1, None, ONE),
+        (A1, ONE, None),
+        (A1, ONE, grid.Formula("=A2")),
     ],
     diffing.ChangeSet: [("wb", "a" * 64, "b" * 64, T0, T1, "ann", ()), ("wb", "a" * 64, "b" * 64, T0, T1, "ann", (ADDED,))],
     diffing.VolatilityMetrics: [(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1))],
@@ -109,6 +110,12 @@ SAMPLES = {
     ],
 }
 
+# record class -> the attributes its __post_init__ derives from its fields
+DERIVED = {
+    findings.Finding: {"severity": str},
+    diffing.ChangeEvent: {"kind": ChangeKind},
+}
+
 
 def record_classes() -> set[type]:
     """Classes defined in gridaudit that share the records' frozen __setattr__."""
@@ -121,7 +128,8 @@ def record_classes() -> set[type]:
 
 
 def twin(cls: type) -> type:
-    """The frozen dataclass with cls's fields, defaults and __post_init__."""
+    """The frozen dataclass with cls's fields, defaults and __post_init__,
+    and a field its __post_init__ sets for each attribute it derives."""
     fields = []
     for param in inspect.signature(cls).parameters.values():
         if param.default is param.empty:
@@ -129,6 +137,8 @@ def twin(cls: type) -> type:
         else:
             spec = dataclasses.field(default=param.default)
         fields.append((param.name, cls.__annotations__[param.name], spec))
+    for name, kind in DERIVED.get(cls, {}).items():
+        fields.append((name, kind, dataclasses.field(init=False, repr=False, compare=False)))
     namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
     return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)
 
@@ -153,6 +163,8 @@ def test_record_matches_its_dataclass_twin(cls):
     for obj, other in zip(ours, theirs):
         assert repr(obj) == repr(other)
         assert obj.__match_args__ == other.__match_args__
+        for name in DERIVED.get(cls, ()):
+            assert getattr(obj, name) == getattr(other, name)
     if cls is CellAddress:
         return  # its own __eq__ and __hash__ ignore the sheet's case; see below
     for obj, other in zip(ours, theirs):
@@ -167,7 +179,7 @@ def test_record_matches_its_dataclass_twin(cls):
 @pytest.mark.parametrize("cls", SAMPLES, ids=lambda cls: cls.__name__)
 def test_record_fields_cannot_be_assigned_or_deleted(cls):
     obj = cls(*SAMPLES[cls][0])
-    for name in (*cls.__match_args__, "extra"):
+    for name in (*cls.__match_args__, *DERIVED.get(cls, ()), "extra"):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         with pytest.raises(FrozenRecordError):
@@ -201,8 +213,9 @@ def test_snapshot_cells_are_a_fresh_dict_per_instance():
         lambda: audit.AuditConfig(min_run_length=2),
         lambda: controls.TrendRule(A1, window=4),
         lambda: controls.Workflow((STEP, controls.WorkflowStep("prepare", FAR))),
-        lambda: findings.Finding("NO_SUCH_RULE", "warning", A1, "m", "o"),
-        lambda: diffing.ChangeEvent(A1, ChangeKind.ADDED, ONE, ONE),
+        lambda: findings.Finding("NO_SUCH_RULE", A1, "m", "o"),
+        lambda: diffing.ChangeEvent(A1, ONE, ONE),
+        lambda: diffing.ChangeEvent(A1, None, None),
     ],
 )
 def test_post_init_rejects_bad_input(build):

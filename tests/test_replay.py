@@ -27,11 +27,9 @@ from gridaudit.cli import run
 from gridaudit.controls import ControlPolicy, TrendRule
 from gridaudit.diffing import (
     ChangeEvent,
-    ChangeKind,
     ChangeSet,
     ConflictingEvent,
     DigestMismatch,
-    classify_change,
     replay,
 )
 from gridaudit.grid import CellAddress, Number, Snapshot, Text, snapshot_digest
@@ -65,7 +63,7 @@ def changeset_sequences(draw):
                 before, after = cells.get(address), draw(st.one_of(st.none(), CONTENTS))
                 if before == after:
                     continue
-                events.append(ChangeEvent(address, classify_change(before, after), before, after))
+                events.append(ChangeEvent(address, before, after))
                 if after is None:
                     del cells[address]
                 else:
@@ -75,11 +73,11 @@ def changeset_sequences(draw):
                 new = CellAddress(old.sheet.swapcase(), old.row, old.col)
                 content = cells.pop(old)
                 cells[new] = content
-                events += [ChangeEvent(old, ChangeKind.REMOVED, content, None), ChangeEvent(new, ChangeKind.ADDED, None, content)]
+                events += [ChangeEvent(old, content, None), ChangeEvent(new, None, content)]
             elif shape == "empty-sheet" and stored:
                 sheet = draw(st.sampled_from(stored)).sheet.lower()
                 for address in [a for a in stored if a.sheet.lower() == sheet]:
-                    events.append(ChangeEvent(address, ChangeKind.REMOVED, cells.pop(address), None))
+                    events.append(ChangeEvent(address, cells.pop(address), None))
         after = Snapshot(WORKBOOK, T0 + hours(step), "bob", dict(cells))
         changes = ChangeSet(
             WORKBOOK,
@@ -147,7 +145,7 @@ def test_wrong_before_is_a_conflicting_event(sequence, data):
     assume(positions)
     i, j = data.draw(st.sampled_from(positions))
     event = changesets[i].events[j]
-    forged = ChangeEvent(event.address, classify_change(FORGED, event.after), FORGED, event.after)
+    forged = ChangeEvent(event.address, FORGED, event.after)
     _fails_at_step(first, _with_event(changesets, i, j, forged), rebuilt, i, ConflictingEvent)
 
 
@@ -161,14 +159,14 @@ def test_wrong_after_is_a_digest_mismatch(sequence, data):
     i = data.draw(st.sampled_from(steps))
     j = len(changesets[i].events) - 1
     event = changesets[i].events[j]
-    forged = ChangeEvent(event.address, classify_change(event.before, FORGED), event.before, FORGED)
+    forged = ChangeEvent(event.address, event.before, FORGED)
     _fails_at_step(first, _with_event(changesets, i, j, forged), rebuilt, i, DigestMismatch)
 
 
 def test_removing_an_absent_cell_is_a_conflicting_event():
     first = Snapshot(WORKBOOK, T0, "alice", {})
     changes = ChangeSet(WORKBOOK, snapshot_digest(first), snapshot_digest(first), T0, T0 + hours(1), "bob",
-                        (ChangeEvent(CellAddress("S", 1, 1), ChangeKind.REMOVED, None, None),))
+                        (ChangeEvent(CellAddress("S", 1, 1), Number(Decimal(1)), None),))
     with pytest.raises(ConflictingEvent):
         replay(*_start(first), WORKBOOK, [changes])
 
